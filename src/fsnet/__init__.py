@@ -5,101 +5,5 @@ A concrete (relaxed one-hot) selection layer is trained jointly with a small
 classifier and reconstruction network; the large selection and reconstruction
 weight matrices are predicted per-feature from compact histogram embeddings,
 so the trainable parameter count is independent of the input dimension.
+Names are imported from the submodules, e.g. ``from fsnet.trainer import train``.
 """
-
-from .config import TrainConfig
-from .data import (
-    DataError,
-    Dataset,
-    SplitSpec,
-    Standardizer,
-    load_delimited,
-    make_synthetic,
-    save_delimited,
-    split,
-    standardize,
-)
-from .embedding import FeatureEmbeddings, compute_embeddings
-from .evaluator import (
-    EvalReport,
-    accuracy,
-    avg_mutual_information,
-    compression_ratio,
-    evaluate,
-    measured_compression_ratio,
-    mutual_information,
-    reconstruction_error,
-)
-from .model import FsNetModel, ModelFormatError, load_model, save_model
-from .network import Architecture, FsNetParams, count_parameters, init_params, trainable_param_count
-from .rng import RngState, sample_gumbel
-from .selection import (
-    ConcreteState,
-    anneal_temperature,
-    predict_logits,
-    sample_gates,
-    select_forward,
-    unique_argmax,
-)
-from .trainer import (
-    EpochRecord,
-    TrainReport,
-    TrainingDiverged,
-    concrete_loss,
-    joint_loss,
-    predict,
-    predict_batch,
-    rmsprop_init,
-    rmsprop_step,
-    train,
-)
-
-__all__ = [
-    "Architecture",
-    "ConcreteState",
-    "DataError",
-    "Dataset",
-    "EpochRecord",
-    "EvalReport",
-    "FeatureEmbeddings",
-    "FsNetModel",
-    "FsNetParams",
-    "ModelFormatError",
-    "RngState",
-    "SplitSpec",
-    "Standardizer",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingDiverged",
-    "accuracy",
-    "anneal_temperature",
-    "avg_mutual_information",
-    "compression_ratio",
-    "compute_embeddings",
-    "concrete_loss",
-    "count_parameters",
-    "evaluate",
-    "init_params",
-    "joint_loss",
-    "load_delimited",
-    "load_model",
-    "make_synthetic",
-    "measured_compression_ratio",
-    "mutual_information",
-    "predict",
-    "predict_batch",
-    "predict_logits",
-    "reconstruction_error",
-    "rmsprop_init",
-    "rmsprop_step",
-    "sample_gates",
-    "sample_gumbel",
-    "save_delimited",
-    "save_model",
-    "select_forward",
-    "split",
-    "standardize",
-    "train",
-    "trainable_param_count",
-    "unique_argmax",
-]

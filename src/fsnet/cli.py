@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from .config import TrainConfig
 from .data import DataError, SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
 from .embedding import compute_embeddings
-from .evaluator import evaluate
+from .evaluator import accuracy, evaluate
 from .model import ModelFormatError, load_model, save_model
 from .trainer import TrainingDiverged, train
 
@@ -188,11 +188,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         started,
     )
 
-    last = report.records[-1]
     print(f"selected features: {' '.join(str(j) for j in selected)}")
-    print(f"final train accuracy: {last.train_accuracy:.4f}")
-    if last.test_accuracy is not None:
-        print(f"final test accuracy: {last.test_accuracy:.4f}")
+    print(f"final train accuracy: {accuracy(model, train_ds):.4f}")
+    print(f"final test accuracy: {accuracy(model, test_ds):.4f}")
     print(f"wrote {model_path}, {report_path}, {manifest_path}")
     return 0
 
@@ -225,6 +223,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"dimension mismatch: model expects {model.arch.n_features} features,"
                 f" embedding data has {emb_ds.n_features}"
             )
+        if not args.no_standardize:
+            emb_ds, _, _ = standardize(emb_ds)
         emb = compute_embeddings(emb_ds.X, model.config.embed_size)
     if not args.no_standardize:
         dataset, _, _ = standardize(dataset)
@@ -283,6 +283,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     accuracy. Deviations are reported, never asserted, because the original
     split protocol and initialization are unspecified.
     """
+    if args.runs < 1:
+        raise DataError(f"--runs must be at least 1, got {args.runs}")
     dataset = _load_table(args, args.data)
     config = _resolve_config(args)
     accuracies = []
@@ -291,8 +293,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         train_ds, test_ds = split(dataset, spec)
         train_ds, test_ds, _ = standardize(train_ds, test_ds)
         run_config = TrainConfig.from_dict({**config.to_dict(), "seed": run})
-        model, _, report = train(train_ds, run_config, test_ds)
-        acc = report.records[-1].test_accuracy
+        model, _, _ = train(train_ds, run_config, test_ds)
+        acc = accuracy(model, test_ds)
         accuracies.append(acc)
         print(f"run {run}: test accuracy {acc:.4f}")
     mean = sum(accuracies) / len(accuracies)
@@ -336,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument(
         "--embed-data",
-        help="dataset whose features realize the virtual weights (default: the eval data)",
+        help="dataset whose features realize the virtual weights (default: the eval data);"
+        " standardized on itself unless --no-standardize",
     )
     e.add_argument("--out", default="fsnet_eval", help="output path prefix")
     e.add_argument("--mi-bins", type=int, default=10, help="histogram bins for mutual information")

@@ -4,8 +4,6 @@ analytic / measured compression ratios."""
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,10 +11,16 @@ import numpy as np
 from .config import TrainConfig
 from .data import Dataset
 from .embedding import FeatureEmbeddings, compute_embeddings
-from .model import FsNetModel, save_model
-from .network import Architecture, init_params, stack_param_count, trainable_param_count
+from .model import FsNetModel, model_lines
+from .network import (
+    Architecture,
+    hard_forward,
+    init_params,
+    reconstruct,
+    stack_param_count,
+    trainable_param_count,
+)
 from .rng import RngState
-from .trainer import predict_batch, reconstruct_batch
 
 REPORT_KEYS = (
     "accuracy",
@@ -69,19 +73,16 @@ class EvalReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
-def accuracy(model: FsNetModel, dataset: Dataset, selected: list[int] | None = None) -> float:
+def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
     if dataset.n_samples == 0:
         raise ValueError("cannot score an empty dataset")
-    probs = predict_batch(model, dataset.X, selected)
+    probs, _ = hard_forward(model.params, dataset.X, model.selected, model.config.leaky_slope)
     return float((probs.argmax(axis=1) == dataset.y).mean())
 
 
 def reconstruction_error(
-    model: FsNetModel,
-    dataset: Dataset,
-    emb: FeatureEmbeddings | None = None,
-    selected: list[int] | None = None,
+    model: FsNetModel, dataset: Dataset, emb: FeatureEmbeddings | None = None
 ) -> float:
     """Mean squared reconstruction error per sample on the hard-selection path.
 
@@ -95,7 +96,8 @@ def reconstruction_error(
         emb = compute_embeddings(dataset.X, model.config.embed_size)
     if model.config.mode == "dense":
         emb = None
-    x_hat = reconstruct_batch(model, dataset.X, emb, selected)
+    _, h_tilde = hard_forward(model.params, dataset.X, model.selected, model.config.leaky_slope)
+    x_hat = reconstruct(model.params.recon_w, emb, h_tilde)
     return float(((dataset.X - x_hat) ** 2).sum(axis=1).mean())
 
 
@@ -165,17 +167,12 @@ def _size_probe_model(arch: Architecture, embed_size: int, mode: str, seed: int)
 
 
 def measured_compression_ratio(arch: Architecture, embed_size: int, seed: int = 0) -> float:
-    """On-disk size ratio dense/predictor for freshly initialized twin models."""
+    """Saved-size ratio dense/predictor for freshly initialized twin models,
+    counted from the lines save_model writes, without touching the disk."""
     sizes = {}
     for mode in ("predictor", "dense"):
-        model = _size_probe_model(arch, embed_size, mode, seed)
-        fd, path = tempfile.mkstemp(suffix=".fsnet")
-        os.close(fd)
-        try:
-            save_model(model, path)
-            sizes[mode] = os.path.getsize(path)
-        finally:
-            os.unlink(path)
+        lines = model_lines(_size_probe_model(arch, embed_size, mode, seed))
+        sizes[mode] = sum(len(line.encode("utf-8")) for line in lines)
     return sizes["dense"] / sizes["predictor"]
 
 

@@ -10,6 +10,7 @@ weight round-trips bit-exactly through save/load.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,35 +58,37 @@ def _format_row(values: np.ndarray) -> str:
     return " ".join("%.17e" % v for v in values)
 
 
-def save_model(model: FsNetModel, path: str, manifest_ref: str | None = None) -> None:
-    named = model.params.named()
+def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[str]:
+    """The lines of the saved model file, each ending in a newline."""
     arch = model.arch
+    arch_doc = {
+        "n_features": arch.n_features,
+        "n_select": arch.n_select,
+        "n_classes": arch.n_classes,
+        "encoder": list(arch.encoder),
+        "decoder": list(arch.decoder),
+    }
+    named = model.params.named()
+    yield f"{MAGIC} v{FORMAT_VERSION}\n"
+    yield f"manifest {json.dumps(manifest_ref)}\n"
+    yield f"config {json.dumps(model.config.to_dict(), sort_keys=True)}\n"
+    yield f"arch {json.dumps(arch_doc, sort_keys=True)}\n"
+    yield f"binning {json.dumps(BINNING)}\n"
+    yield f"labels {json.dumps(model.label_names)}\n"
+    yield f"selected {json.dumps(model.selected)}\n"
+    yield f"selected_names {json.dumps(model.selected_names)}\n"
+    yield f"arrays {len(named)}\n"
+    for name, arr in named:
+        dims = " ".join(str(s) for s in arr.shape)
+        yield f"array {name} {dims}\n"
+        for row in arr.reshape(-1, arr.shape[-1]):
+            yield _format_row(row) + "\n"
+    yield f"end {MAGIC}\n"
+
+
+def save_model(model: FsNetModel, path: str, manifest_ref: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC} v{FORMAT_VERSION}\n")
-        fh.write(f"manifest {json.dumps(manifest_ref)}\n")
-        fh.write(f"config {json.dumps(model.config.to_dict(), sort_keys=True)}\n")
-        arch_doc = {
-            "n_features": arch.n_features,
-            "n_select": arch.n_select,
-            "n_classes": arch.n_classes,
-            "encoder": list(arch.encoder),
-            "decoder": list(arch.decoder),
-        }
-        fh.write(f"arch {json.dumps(arch_doc, sort_keys=True)}\n")
-        fh.write(f"binning {json.dumps(BINNING)}\n")
-        fh.write(f"labels {json.dumps(model.label_names)}\n")
-        fh.write(f"selected {json.dumps(model.selected)}\n")
-        fh.write(f"selected_names {json.dumps(model.selected_names)}\n")
-        fh.write(f"arrays {len(named)}\n")
-        for name, arr in named:
-            dims = " ".join(str(s) for s in arr.shape)
-            fh.write(f"array {name} {dims}\n")
-            if arr.ndim == 1:
-                fh.write(_format_row(arr) + "\n")
-            else:
-                for row in arr:
-                    fh.write(_format_row(row) + "\n")
-        fh.write(f"end {MAGIC}\n")
+        fh.writelines(model_lines(model, manifest_ref))
 
 
 def _expect(condition: bool, message: str) -> None:

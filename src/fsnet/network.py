@@ -1,8 +1,10 @@
-"""Dense stacks (encoder, classifier head, decoder), the embedding-predicted
-reconstruction layer, and parameter initialization / counting."""
+"""Dense stacks (encoder, classifier head, decoder), the hard-selection
+forward pass, the embedding-predicted reconstruction layer, and parameter
+initialization / counting."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,6 @@ class DenseStack:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray] | None = None
-
-    def layer_dims(self) -> list[tuple[int, int]]:
-        return [w.shape for w in self.weights]
 
 
 @dataclass
@@ -140,9 +139,30 @@ def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bi
     return arch.n_select * width + arch.recon_width * width + stack_param_count(arch, use_bias)
 
 
-def _glorot(rng: RngState, out_dim: int, in_dim: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (in_dim + out_dim))
-    return (rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound
+def _build_params(
+    arch: Architecture,
+    embed_size: int,
+    mode: str,
+    use_bias: bool,
+    weight: Callable[[int, int], np.ndarray],
+) -> FsNetParams:
+    """Parameters in FsNetParams.named() layout; weight(out, in) makes every
+    weight matrix, in that order, and biases start at zero."""
+    if mode not in ("predictor", "dense"):
+        raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
+    width = embed_size if mode == "predictor" else arch.n_features
+    select_w = weight(arch.n_select, width)
+
+    def build_stack(dims: list[int]) -> DenseStack:
+        ws = [weight(o, i) for i, o in zip(dims[:-1], dims[1:])]
+        bs = [np.zeros(o) for o in dims[1:]] if use_bias else None
+        return DenseStack(ws, bs)
+
+    encoder = build_stack([arch.n_select, *arch.encoder])
+    classifier = build_stack([arch.hidden_width, arch.n_classes])
+    decoder = build_stack([arch.hidden_width, *arch.decoder])
+    recon_w = weight(arch.recon_width, width)
+    return FsNetParams(select_w, encoder, classifier, decoder, recon_w)
 
 
 def init_params(
@@ -152,53 +172,20 @@ def init_params(
     rng: RngState,
     use_bias: bool = False,
 ) -> FsNetParams:
-    """Glorot-uniform parameters, drawn in a fixed order so a seed pins the model."""
-    if mode not in ("predictor", "dense"):
-        raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
-    width = embed_size if mode == "predictor" else arch.n_features
-    select_w = _glorot(rng, arch.n_select, width)
+    """Glorot-uniform weights, drawn in a fixed order so a seed pins the model."""
 
-    def build_stack(dims: list[int]) -> DenseStack:
-        ws = [_glorot(rng, o, i) for i, o in zip(dims[:-1], dims[1:])]
-        bs = [np.zeros(o) for o in dims[1:]] if use_bias else None
-        return DenseStack(ws, bs)
+    def glorot(out_dim: int, in_dim: int) -> np.ndarray:
+        bound = np.sqrt(6.0 / (in_dim + out_dim))
+        return (rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound
 
-    encoder = build_stack([arch.n_select, *arch.encoder])
-    classifier = build_stack([arch.hidden_width, arch.n_classes])
-    decoder = build_stack([arch.hidden_width, *arch.decoder])
-    recon_w = _glorot(rng, arch.recon_width, width)
-    return FsNetParams(select_w, encoder, classifier, decoder, recon_w)
+    return _build_params(arch, embed_size, mode, use_bias, glorot)
 
 
 def zeros_params(
     arch: Architecture, embed_size: int, mode: str, use_bias: bool = False
 ) -> FsNetParams:
     """All-zero parameters with the same structure init_params would produce."""
-    if mode not in ("predictor", "dense"):
-        raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
-    width = embed_size if mode == "predictor" else arch.n_features
-
-    def build_stack(dims: list[int]) -> DenseStack:
-        ws = [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
-        bs = [np.zeros(o) for o in dims[1:]] if use_bias else None
-        return DenseStack(ws, bs)
-
-    return FsNetParams(
-        np.zeros((arch.n_select, width)),
-        build_stack([arch.n_select, *arch.encoder]),
-        build_stack([arch.hidden_width, arch.n_classes]),
-        build_stack([arch.hidden_width, *arch.decoder]),
-        np.zeros((arch.recon_width, width)),
-    )
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise DimensionError(f"expected a vector or matrix, got shape {x.shape}")
+    return _build_params(arch, embed_size, mode, use_bias, lambda o, i: np.zeros((o, i)))
 
 
 def _stack_apply(stack: DenseStack, batch: np.ndarray, slope: float, final_softmax: bool) -> np.ndarray:
@@ -216,24 +203,28 @@ def _stack_apply(stack: DenseStack, batch: np.ndarray, slope: float, final_softm
 
 
 def encode(enc: DenseStack, x_selected: np.ndarray, slope: float) -> np.ndarray:
-    """Hidden representation from the selected inputs (leaky activations throughout)."""
-    batch, single = _as_batch(x_selected)
-    out = _stack_apply(enc, batch, slope, final_softmax=False)
-    return out[0] if single else out
+    """Hidden representation of a batch of selected inputs (leaky activations throughout)."""
+    return _stack_apply(enc, x_selected, slope, final_softmax=False)
 
 
 def classify(cls: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
-    """Class probabilities from the hidden representation (softmax output)."""
-    batch, single = _as_batch(hidden)
-    out = _stack_apply(cls, batch, slope, final_softmax=True)
-    return out[0] if single else out
+    """Class probabilities from a batch of hidden representations (softmax output)."""
+    return _stack_apply(cls, hidden, slope, final_softmax=True)
 
 
 def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     """Reconstruction-side hidden representation (leaky activations throughout)."""
-    batch, single = _as_batch(hidden)
-    out = _stack_apply(dec, batch, slope, final_softmax=False)
-    return out[0] if single else out
+    return _stack_apply(dec, hidden, slope, final_softmax=False)
+
+
+def hard_forward(
+    params: FsNetParams, X: np.ndarray, selected: list[int], slope: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hard-selection inference pass: encode the columns X[:, selected]
+    once, then return the class probabilities and the decoder output
+    h_tilde of that one hidden layer."""
+    hidden = encode(params.encoder, X[:, selected], slope)
+    return classify(params.classifier, hidden, slope), decode(params.decoder, hidden, slope)
 
 
 def recon_matrix(recon_w: np.ndarray, emb: FeatureEmbeddings | None) -> np.ndarray:
@@ -245,24 +236,11 @@ def recon_matrix(recon_w: np.ndarray, emb: FeatureEmbeddings | None) -> np.ndarr
     """
     if emb is None:
         return np.tanh(recon_w.T)
-    if recon_w.shape[1] != emb.width:
-        raise DimensionError(
-            f"reconstruction predictor expects embeddings of width {recon_w.shape[1]},"
-            f" got {emb.width}"
-        )
-    return np.tanh(emb.table @ recon_w.T)  # (d, h')
+    return np.tanh(matmul(emb.table, recon_w.T))  # (d, h')
 
 
 def reconstruct(
     recon_w: np.ndarray, emb: FeatureEmbeddings | None, h_tilde: np.ndarray
 ) -> np.ndarray:
-    """Reconstructed inputs: h_tilde mapped through the virtual weight rows."""
-    w = recon_matrix(recon_w, emb)
-    batch, single = _as_batch(h_tilde)
-    if batch.shape[1] != w.shape[1]:
-        raise DimensionError(
-            f"decoder output width {batch.shape[1]} does not match"
-            f" reconstruction width {w.shape[1]}"
-        )
-    out = batch @ w.T
-    return out[0] if single else out
+    """Reconstructed inputs: each row of h_tilde mapped through the virtual weight rows."""
+    return matmul(h_tilde, recon_matrix(recon_w, emb).T)

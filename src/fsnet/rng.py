@@ -99,9 +99,3 @@ class RngState:
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
-
-def sample_gumbel(rng: RngState, count: int) -> np.ndarray:
-    """Vector of `count` independent standard Gumbel samples."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return rng.gumbel(count)

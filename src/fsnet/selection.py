@@ -1,4 +1,4 @@
-"""Concrete-relaxation selection layer: per-feature selection weights, relaxed
+"""Concrete-relaxation selection layer: per-neuron selection weights, relaxed
 one-hot gate sampling, geometric temperature annealing, and the unique-argmax
 rule used to extract distinct feature indices at the end of training."""
 
@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import FeatureEmbeddings
-from .numerics import DimensionError, as_matrix, matmul, softmax
+from .network import FsNetParams
+from .numerics import as_matrix, matmul, softmax
 from .rng import RngState
 
 # selection weights are softmax outputs and can underflow; floored before log
@@ -29,18 +30,14 @@ class ConcreteState:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-def predict_logits(
-    select_w: np.ndarray, emb: FeatureEmbeddings, temperature: float
+def selection_weights(
+    params: FsNetParams, emb: FeatureEmbeddings | None, temperature: float
 ) -> ConcreteState:
-    """Selection weights from the tiny predictor: row k is the softmax over
-    features of the scores (select_w @ embeddings.T)[k], so each selector
-    neuron holds one distribution over the d features."""
-    select_w = as_matrix(select_w, "selection predictor weights")
-    if select_w.shape[1] != emb.width:
-        raise DimensionError(
-            f"predictor expects embeddings of width {select_w.shape[1]}, got {emb.width}"
-        )
-    scores = matmul(select_w, emb.table.T)  # (K, d)
+    """Selection weights for either weight-provenance mode: row k is the
+    softmax over the features of selector neuron k's scores, which are
+    select_w @ embeddings.T in predictor mode and select_w itself in dense
+    mode (emb is None)."""
+    scores = params.select_w if emb is None else matmul(params.select_w, emb.table.T)
     return ConcreteState(softmax(scores, axis=1), temperature)
 
 
@@ -51,17 +48,6 @@ def sample_gates(state: ConcreteState, rng: RngState) -> np.ndarray:
     noise = rng.gumbel((k, d))  # row-major fill: one fresh vector per row
     logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + noise) / state.temperature
     return softmax(logits, axis=1)
-
-
-def select_forward(gates: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Soft selection of a single sample: gates @ x."""
-    gates = as_matrix(gates, "gate matrix")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != gates.shape[1]:
-        raise DimensionError(
-            f"sample of length {x.shape} does not match gate matrix {gates.shape}"
-        )
-    return gates @ x
 
 
 def anneal_temperature(epoch: int, total_epochs: int, tau_start: float, tau_end: float) -> float:

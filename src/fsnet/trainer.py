@@ -1,18 +1,19 @@
-"""Full training loop: concrete gate sampling, joint classification +
-reconstruction loss, RMSprop updates, temperature annealing, and the final
-hard feature selection.
+"""Training loop: the joint classification + reconstruction loss as a tape
+graph, RMSprop updates, temperature annealing, per-epoch monitoring, and the
+final hard feature selection.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
 soft gate matrix M resampled from fresh Gumbel noise every epoch. Inference
-uses the hard index list S = unique_argmax(M^T) instead of M: S[k] is the
-feature assigned to gate row k, so x[S] feeds encoder input k as M x did.
+replaces M with the hard index list S = unique_argmax(M^T): S[k] is the
+feature assigned to gate row k, so x[S] feeds encoder input k as M x did
+(network.hard_forward). Each epoch's curve scores the S of that epoch's M;
+the saved model keeps the S of one more gate draw at the final temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,23 +23,13 @@ from .config import TrainConfig
 from .data import Dataset
 from .embedding import FeatureEmbeddings, compute_embeddings
 from .model import FsNetModel
-from .network import (
-    Architecture,
-    FsNetParams,
-    classify,
-    decode,
-    encode,
-    init_params,
-    reconstruct,
-)
-from .numerics import softmax
+from .network import Architecture, FsNetParams, hard_forward, init_params, reconstruct
 from .rng import RngState
 from .selection import (
     LOG_FLOOR,
-    ConcreteState,
     anneal_temperature,
-    predict_logits,
     sample_gates,
+    selection_weights,
     unique_argmax,
 )
 
@@ -47,12 +38,6 @@ PROB_FLOOR = 1e-12  # inside log of the cross-entropy term
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the epoch and temperature."""
-
-
-class LossParts(NamedTuple):
-    total: float
-    classification: float
-    reconstruction: float  # unweighted; total = classification + weight * this
 
 
 @dataclass(frozen=True)
@@ -104,66 +89,6 @@ def _check_labels(y: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"label out of range 0..{n_classes - 1}: found {int(y.min())}..{int(y.max())}")
 
 
-def selection_weights(
-    params: FsNetParams, emb: FeatureEmbeddings | None, temperature: float
-) -> ConcreteState:
-    """Row-stochastic selection matrix for either weight-provenance mode: each
-    selector neuron's scores are normalized over the features."""
-    if emb is None:
-        return ConcreteState(softmax(params.select_w, axis=1), temperature)
-    return predict_logits(params.select_w, emb, temperature)
-
-
-def joint_loss(
-    params: FsNetParams,
-    emb: FeatureEmbeddings | None,
-    gates: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
-    recon_weight: float,
-    slope: float,
-) -> LossParts:
-    """Training objective for a fixed gate matrix (no dropout, no sampling).
-
-    Sum over samples of cross-entropy plus recon_weight times the summed
-    squared reconstruction error.
-    """
-    if recon_weight < 0.0:
-        raise ValueError(f"recon_weight must be >= 0, got {recon_weight}")
-    X = np.asarray(X, dtype=np.float64)
-    n_classes = params.classifier.weights[-1].shape[0]
-    _check_labels(y, n_classes)
-    selected = X @ gates.T
-    hidden = encode(params.encoder, selected, slope)
-    probs = classify(params.classifier, hidden, slope)
-    picked = np.maximum(probs[np.arange(X.shape[0]), y], PROB_FLOOR)
-    class_loss = float(-np.log(picked).sum())
-    if recon_weight == 0.0:
-        return LossParts(class_loss, class_loss, 0.0)
-    x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, slope))
-    recon_loss = float(((X - x_hat) ** 2).sum())
-    return LossParts(class_loss + recon_weight * recon_loss, class_loss, recon_loss)
-
-
-def concrete_loss(
-    params: FsNetParams,
-    emb: FeatureEmbeddings | None,
-    X: np.ndarray,
-    y: np.ndarray,
-    gumbel: np.ndarray,
-    temperature: float,
-    recon_weight: float,
-    slope: float,
-) -> LossParts:
-    """joint_loss with the gate matrix recomputed from the selection weights
-    and the given Gumbel noise — the exact function the gradient tape
-    differentiates (modulo dropout)."""
-    state = selection_weights(params, emb, temperature)
-    logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + gumbel) / temperature
-    gates = softmax(logits, axis=1)
-    return joint_loss(params, emb, gates, X, y, recon_weight, slope)
-
-
 def _graph_stack(
     tape: Tape,
     weights: list[Node],
@@ -201,7 +126,7 @@ def build_loss_graph(
     encoder_masks: list[np.ndarray] | None = None,
     decoder_masks: list[np.ndarray] | None = None,
 ) -> tuple[Node, list[Node], dict[str, Node]]:
-    """Differentiable replica of concrete_loss, with optional dropout masks.
+    """The training loss as a tape graph, with optional dropout masks.
 
     Returns the loss node, the parameter leaves in FsNetParams.named() order,
     and named intermediate nodes (gates, class_loss, recon_loss).
@@ -296,51 +221,6 @@ def _dropout_masks(
     return [(rng.uniform((n, w)) >= rate) / keep for w in widths]
 
 
-def predict(model: FsNetModel, x: np.ndarray, selected: list[int] | None = None) -> np.ndarray:
-    """Class probabilities for one sample via the hard-selection path."""
-    sel = model.selected if selected is None else list(selected)
-    if len(sel) != model.arch.n_select:
-        raise ValueError(f"expected {model.arch.n_select} selected features, got {len(sel)}")
-    x = np.asarray(x, dtype=np.float64)
-    if any(not 0 <= j < x.shape[-1] for j in sel):
-        raise IndexError(f"selected index out of range for {x.shape[-1]} features")
-    slope = model.config.leaky_slope
-    hidden = encode(model.params.encoder, x[..., sel], slope)
-    return classify(model.params.classifier, hidden, slope)
-
-
-def predict_batch(
-    model: FsNetModel, X: np.ndarray, selected: list[int] | None = None
-) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a sample matrix, got shape {X.shape}")
-    return predict(model, X, selected)
-
-
-def reconstruct_batch(
-    model: FsNetModel,
-    X: np.ndarray,
-    emb: FeatureEmbeddings | None,
-    selected: list[int] | None = None,
-) -> np.ndarray:
-    """Inference-path reconstruction of every row of X."""
-    sel = model.selected if selected is None else list(selected)
-    slope = model.config.leaky_slope
-    X = np.asarray(X, dtype=np.float64)
-    hidden = encode(model.params.encoder, X[:, sel], slope)
-    h_tilde = decode(model.params.decoder, hidden, slope)
-    return reconstruct(model.params.recon_w, emb, h_tilde)
-
-
-def _split_accuracy(
-    params: FsNetParams, sel: list[int], X: np.ndarray, y: np.ndarray, slope: float
-) -> float:
-    hidden = encode(params.encoder, X[:, sel], slope)
-    probs = classify(params.classifier, hidden, slope)
-    return float((probs.argmax(axis=1) == y).mean())
-
-
 def train(
     dataset: Dataset, config: TrainConfig, test: Dataset | None = None
 ) -> tuple[FsNetModel, list[int], TrainReport]:
@@ -421,12 +301,12 @@ def train(
         recon_node = nodes["recon_loss"]
         recon_loss = float(recon_node.value) if recon_node is not None else 0.0
         sel_epoch = unique_argmax(nodes["gates"].value.T)
-        train_acc = _split_accuracy(params, sel_epoch, dataset.X, dataset.y, config.leaky_slope)
+        probs, _ = hard_forward(params, dataset.X, sel_epoch, config.leaky_slope)
+        train_acc = float((probs.argmax(axis=1) == dataset.y).mean())
         test_acc = test_rec = None
         if test is not None:
-            test_acc = _split_accuracy(params, sel_epoch, test.X, test.y, config.leaky_slope)
-            hidden = encode(params.encoder, test.X[:, sel_epoch], config.leaky_slope)
-            h_tilde = decode(params.decoder, hidden, config.leaky_slope)
+            probs, h_tilde = hard_forward(params, test.X, sel_epoch, config.leaky_slope)
+            test_acc = float((probs.argmax(axis=1) == test.y).mean())
             x_hat = reconstruct(params.recon_w, emb, h_tilde)
             test_rec = float(((test.X - x_hat) ** 2).sum(axis=1).mean())
         records.append(

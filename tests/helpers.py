@@ -1,11 +1,18 @@
 """Shared test utilities: finite-difference gradient oracle, a pure-Python
-reference implementation of the counter-based generator, and a planted
-class-mean-shift instance for feature-recovery tests."""
+reference implementation of the counter-based generator, the NumPy oracle of
+the training loss, and a planted class-mean-shift instance for
+feature-recovery tests."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from fsnet.data import Dataset
+from fsnet.network import classify, decode, encode, reconstruct
+from fsnet.numerics import softmax
 from fsnet.rng import RngState
+from fsnet.selection import LOG_FLOOR, selection_weights
+from fsnet.trainer import PROB_FLOOR, _check_labels
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -72,3 +79,42 @@ def mean_shift_instance(n, d, n_planted, shift, seed):
     y = np.arange(n) % 2
     X[:, planted] += shift * (2.0 * y - 1.0)[:, None]
     return Dataset(X, y, 2, ["0", "1"], [f"f{j}" for j in range(d)]), planted
+
+
+class LossParts(NamedTuple):
+    total: float
+    classification: float
+    reconstruction: float  # unweighted; total = classification + weight * this
+
+
+def joint_loss(params, emb, gates, X, y, recon_weight, slope):
+    """Training objective for a fixed gate matrix (no dropout, no sampling).
+
+    Sum over samples of cross-entropy plus recon_weight times the summed
+    squared reconstruction error.
+    """
+    if recon_weight < 0.0:
+        raise ValueError(f"recon_weight must be >= 0, got {recon_weight}")
+    X = np.asarray(X, dtype=np.float64)
+    n_classes = params.classifier.weights[-1].shape[0]
+    _check_labels(y, n_classes)
+    selected = X @ gates.T
+    hidden = encode(params.encoder, selected, slope)
+    probs = classify(params.classifier, hidden, slope)
+    picked = np.maximum(probs[np.arange(X.shape[0]), y], PROB_FLOOR)
+    class_loss = float(-np.log(picked).sum())
+    if recon_weight == 0.0:
+        return LossParts(class_loss, class_loss, 0.0)
+    x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, slope))
+    recon_loss = float(((X - x_hat) ** 2).sum())
+    return LossParts(class_loss + recon_weight * recon_loss, class_loss, recon_loss)
+
+
+def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
+    """joint_loss with the gate matrix recomputed from the selection weights
+    and the given Gumbel noise: the function trainer.build_loss_graph
+    differentiates (modulo dropout), written independently in NumPy."""
+    state = selection_weights(params, emb, temperature)
+    logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + gumbel) / temperature
+    gates = softmax(logits, axis=1)
+    return joint_loss(params, emb, gates, X, y, recon_weight, slope)

@@ -25,8 +25,8 @@ from fsnet.model import load_model
 from fsnet.network import Architecture, init_params, trainable_param_count
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates, unique_argmax, ConcreteState
-from fsnet.trainer import build_loss_graph, concrete_loss, selection_weights, train
-from helpers import mean_shift_instance
+from fsnet.trainer import build_loss_graph, selection_weights, train
+from helpers import concrete_loss, mean_shift_instance
 
 
 def report(number, name, ok, detail=""):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fsnet.cli import main
-from fsnet.data import load_delimited, make_synthetic, save_delimited
-from fsnet.evaluator import REPORT_KEYS
+from fsnet.data import SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
+from fsnet.evaluator import REPORT_KEYS, accuracy
 from fsnet.model import load_model
 
 
@@ -61,6 +61,24 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     # artifacts point back at the manifest that produced them
     assert 'manifest "run.manifest.json"' in open(out + ".model").read().splitlines()[1]
     assert open(out + ".train.csv").readline() == "# manifest run.manifest.json\n"
+
+
+def test_train_prints_the_saved_models_accuracy(tmp_path, capsys):
+    # the last epoch's curve scores a different selection than the one saved
+    dataset, _ = make_synthetic(60, 40, 3, seed=2)
+    path = str(tmp_path / "syn.csv")
+    save_delimited(dataset, path)
+    out = str(tmp_path / "run")
+    assert main(["train", "--data", path, "--out", out, "--k", "4", "--epochs", "60", "--seed", "5"]) == 0
+    stdout = capsys.readouterr().out
+    printed = dict(line.split(": ") for line in stdout.splitlines() if "accuracy" in line)
+    train_ds, test_ds = split(load_delimited(path), SplitSpec(0.8, 0, True))
+    train_ds, test_ds, _ = standardize(train_ds, test_ds)
+    model = load_model(out + ".model")
+    assert printed == {
+        "final train accuracy": f"{accuracy(model, train_ds):.4f}",
+        "final test accuracy": f"{accuracy(model, test_ds):.4f}",
+    }
 
 
 def test_every_config_flag_reaches_the_model(tmp_path, data_csv):
@@ -170,6 +188,20 @@ def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     assert len(saved) == 1 + len(REPORT_KEYS)
 
 
+def test_eval_embed_data_is_standardized_like_the_eval_data(tmp_path, data_csv, capsys):
+    # naming the eval file as the embedding source must change nothing
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "3", "--epochs", "3"]) == 0
+    capsys.readouterr()
+    recon = []
+    for extra in ([], ["--embed-data", data_csv]):
+        args = ["eval", "--model", out + ".model", "--data", data_csv, "--out", str(tmp_path / "e")]
+        assert main(args + extra) == 0
+        stdout = capsys.readouterr().out
+        recon.append(next(line for line in stdout.splitlines() if line.startswith("recon_error ")))
+    assert recon[0] == recon[1]
+
+
 def test_eval_rejects_dimension_mismatch(tmp_path, data_csv, capsys):
     out = str(tmp_path / "m")
     assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
@@ -235,3 +267,8 @@ def test_benchmark_reports_mean_and_band(tmp_path, data_csv, capsys):
     assert "run 1: test accuracy" in stdout
     assert "mean test accuracy over 2 runs:" in stdout
     assert "reporting band (informational only)" in stdout
+
+
+def test_benchmark_rejects_zero_runs(data_csv, capsys):
+    assert main(["benchmark", "--data", data_csv, "--runs", "0"]) == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Metrics: accuracy, reconstruction error, pairwise mutual information, and
 the analytic vs measured model-size compression ratios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fsnet.data import Dataset
 from fsnet.evaluator import (
     REPORT_KEYS,
     EvalReport,
+    _size_probe_model,
     accuracy,
     avg_mutual_information,
     compression_ratio,
@@ -17,8 +20,13 @@ from fsnet.evaluator import (
     mutual_information,
     reconstruction_error,
 )
-from fsnet.model import FsNetModel
-from fsnet.network import Architecture, stack_param_count, trainable_param_count, zeros_params
+from fsnet.model import FsNetModel, save_model
+from fsnet.network import (
+    Architecture,
+    stack_param_count,
+    trainable_param_count,
+    zeros_params,
+)
 from fsnet.rng import RngState
 
 
@@ -55,11 +63,13 @@ def test_accuracy_of_uniform_classifier_is_class_zero_rate():
 
 
 def test_accuracy_with_explicit_selection_override():
+    # the model's own selection drives the hard path; a zero model is
+    # indifferent to which columns it reads
     ds = toy_dataset(2)
     model = zero_model()
-    assert accuracy(model, ds, selected=[3, 4]) == accuracy(model, ds)
+    assert accuracy(replace(model, selected=[3, 4]), ds) == accuracy(model, ds)
     with pytest.raises(ValueError):
-        accuracy(model, ds, selected=[0])
+        replace(model, selected=[0])
 
 
 # ---------------------------------------------------------------- recon
@@ -183,6 +193,17 @@ def test_measured_ratio_tracks_analytic_ratio():
     measured = measured_compression_ratio(arch, 10, seed=0)
     assert measured == pytest.approx(analytic, rel=0.15)
     assert measured > 2.0
+
+
+def test_measured_ratio_equals_saved_file_size_ratio(tmp_path):
+    # the probe counts the bytes save_model would write for the twin models
+    arch = Architecture(30, 4, 3, encoder=(5, 3), decoder=(3, 5))
+    sizes = {}
+    for mode in ("predictor", "dense"):
+        path = tmp_path / f"{mode}.model"
+        save_model(_size_probe_model(arch, 6, mode, 2), str(path))
+        sizes[mode] = path.stat().st_size
+    assert measured_compression_ratio(arch, 6, seed=2) == sizes["dense"] / sizes["predictor"]
 
 
 # ---------------------------------------------------------------- reports

@@ -49,31 +49,31 @@ def test_architecture_validation():
 
 def test_encode_zero_weights_gives_zero():
     enc = DenseStack([np.zeros((4, 3)), np.zeros((2, 4))])
-    assert np.array_equal(encode(enc, np.array([1.0, -2.0, 3.0]), 0.2), np.zeros(2))
+    assert np.array_equal(encode(enc, np.array([[1.0, -2.0, 3.0]]), 0.2), np.zeros((1, 2)))
 
 
 def test_encode_identity_on_nonnegative_input():
     enc = DenseStack([np.eye(3)])
-    x = np.array([1.0, 0.0, 2.5])
+    x = np.array([[1.0, 0.0, 2.5]])
     assert np.array_equal(encode(enc, x, 0.2), x)
 
 
 def test_encode_applies_leaky_slope():
     enc = DenseStack([np.eye(2)])
-    out = encode(enc, np.array([-10.0, 10.0]), 0.2)
-    assert np.allclose(out, [-2.0, 10.0])
+    out = encode(enc, np.array([[-10.0, 10.0]]), 0.2)
+    assert np.allclose(out, [[-2.0, 10.0]])
 
 
 def test_classify_zero_weights_uniform():
     cls = DenseStack([np.zeros((3, 4))])
-    probs = classify(cls, np.ones(4), 0.2)
+    probs = classify(cls, np.ones((1, 4)), 0.2)
     assert np.allclose(probs, 1.0 / 3.0)
 
 
 def test_classify_output_on_simplex():
     rng = np.random.default_rng(0)
     cls = DenseStack([rng.normal(size=(5, 7))])
-    probs = classify(cls, rng.normal(size=7), 0.2)
+    probs = classify(cls, rng.normal(size=(1, 7)), 0.2)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.all((probs > 0.0) & (probs < 1.0))
 
@@ -84,24 +84,26 @@ def test_stacks_accept_batches():
     batch = rng.normal(size=(6, 3))
     out = encode(enc, batch, 0.2)
     assert out.shape == (6, 2)
-    assert np.allclose(out[2], encode(enc, batch[2], 0.2))
+    assert np.allclose(out[2:3], encode(enc, batch[2:3], 0.2))
+    with pytest.raises(DimensionError):  # one row is a 1 x width matrix
+        encode(enc, batch[2], 0.2)
 
 
 def test_decode_mirrors_encode_semantics():
     dec = DenseStack([np.zeros((5, 2))])
-    assert np.array_equal(decode(dec, np.ones(2), 0.2), np.zeros(5))
+    assert np.array_equal(decode(dec, np.ones((1, 2)), 0.2), np.zeros((1, 5)))
 
 
 def test_bias_terms_shift_preactivations():
     enc = DenseStack([np.eye(2)], [np.array([1.0, -1.0])])
-    out = encode(enc, np.zeros(2), 0.2)
-    assert np.allclose(out, [1.0, -0.2])
+    out = encode(enc, np.zeros((1, 2)), 0.2)
+    assert np.allclose(out, [[1.0, -0.2]])
 
 
 def test_stack_dimension_mismatch_errors():
     enc = DenseStack([np.zeros((4, 3))])
     with pytest.raises(DimensionError):
-        encode(enc, np.zeros(5), 0.2)
+        encode(enc, np.zeros((1, 5)), 0.2)
 
 
 # ---------------------------------------------------------------- recon
@@ -111,20 +113,20 @@ def test_reconstruct_zero_hidden_gives_zero():
     rng = np.random.default_rng(2)
     emb = compute_embeddings(rng.normal(size=(9, 4)), 3)
     recon_w = rng.normal(size=(5, 3))
-    assert np.array_equal(reconstruct(recon_w, emb, np.zeros(5)), np.zeros(4))
+    assert np.array_equal(reconstruct(recon_w, emb, np.zeros((1, 5))), np.zeros((1, 4)))
 
 
 def test_reconstruct_zero_predictor_gives_zero():
     emb = compute_embeddings(np.random.default_rng(3).normal(size=(9, 4)), 3)
-    x_hat = reconstruct(np.zeros((5, 3)), emb, np.ones(5))
-    assert np.array_equal(x_hat, np.zeros(4))
+    x_hat = reconstruct(np.zeros((5, 3)), emb, np.ones((1, 5)))
+    assert np.array_equal(x_hat, np.zeros((1, 4)))
 
 
 def test_reconstruct_linear_in_hidden():
     rng = np.random.default_rng(4)
     emb = compute_embeddings(rng.normal(size=(9, 6)), 3)
     recon_w = rng.normal(size=(5, 3))
-    h = rng.normal(size=5)
+    h = rng.normal(size=(1, 5))
     assert np.allclose(
         reconstruct(recon_w, emb, 2.0 * h), 2.0 * reconstruct(recon_w, emb, h)
     )
@@ -158,7 +160,7 @@ def test_dense_recon_equals_one_hot_embedding_recon():
 def test_reconstruct_width_mismatch_errors():
     emb = compute_embeddings(np.random.default_rng(8).normal(size=(9, 4)), 3)
     with pytest.raises(DimensionError):
-        reconstruct(np.zeros((5, 3)), emb, np.zeros(4))
+        reconstruct(np.zeros((5, 3)), emb, np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------- init
@@ -243,11 +245,11 @@ def test_forward_pass_stays_finite():
     arch = Architecture(n_features=30, n_select=5, n_classes=3)
     params = init_params(arch, 8, "predictor", RngState(1))
     emb = compute_embeddings(rng.normal(size=(20, 30)), 8)
-    x_sel = rng.normal(size=5) * 1e3
+    x_sel = rng.normal(size=(1, 5)) * 1e3
     h = encode(params.encoder, x_sel, 0.2)
     probs = classify(params.classifier, h, 0.2)
     h_tilde = decode(params.decoder, h, 0.2)
     x_hat = reconstruct(params.recon_w, emb, h_tilde)
     assert np.all(np.isfinite(h)) and np.all(np.isfinite(probs))
-    assert np.all(np.isfinite(x_hat)) and x_hat.shape == (30,)
+    assert np.all(np.isfinite(x_hat)) and x_hat.shape == (1, 30)
     assert abs(probs.sum() - 1.0) < 1e-12

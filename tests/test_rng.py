@@ -2,9 +2,8 @@
 and distributional sanity checks."""
 
 import numpy as np
-import pytest
 
-from fsnet.rng import RngState, _mix64, sample_gumbel
+from fsnet.rng import RngState, _mix64
 
 from helpers import ref_uniform_stream
 
@@ -112,14 +111,8 @@ def test_gumbel_mean_near_euler_mascheroni():
     assert abs(g.mean() - 0.5772156649) < 0.01
 
 
-def test_sample_gumbel_validates_count():
-    with pytest.raises(ValueError):
-        sample_gumbel(RngState(0), 0)
-    assert sample_gumbel(RngState(0), 3).shape == (3,)
-
-
 def test_sample_gumbel_deterministic_per_state():
-    assert np.array_equal(sample_gumbel(RngState(4), 10), sample_gumbel(RngState(4), 10))
+    assert np.array_equal(RngState(4).gumbel(10), RngState(4).gumbel(10))
 
 
 def test_permutation_is_permutation():

@@ -1,6 +1,8 @@
 """Concrete selection layer: predicted weights, gate sampling, annealing,
 and the unique-argmax extraction rule."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,8 @@ from fsnet.rng import RngState
 from fsnet.selection import (
     ConcreteState,
     anneal_temperature,
-    predict_logits,
     sample_gates,
-    select_forward,
+    selection_weights,
     unique_argmax,
 )
 
@@ -37,6 +38,11 @@ def brute_force_uargmax(a: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------- predict
+
+
+def predict_logits(select_w, emb, temperature):
+    """Predictor-mode selection weights of a model whose predictor is select_w."""
+    return selection_weights(SimpleNamespace(select_w=np.asarray(select_w)), emb, temperature)
 
 
 def test_zero_predictor_gives_uniform_columns():
@@ -132,32 +138,6 @@ def test_underflowed_weights_survive_the_log():
     w[0, 0] = w[1, 0] = 1.0  # remaining columns carry exact zeros
     gates = sample_gates(ConcreteState(w, 1.0), RngState(9))
     assert np.all(np.isfinite(gates))
-
-
-# ---------------------------------------------------------------- forward
-
-
-def test_select_forward_one_hot_picks_coordinates():
-    gates = np.zeros((2, 4))
-    gates[0, 2] = 1.0
-    gates[1, 0] = 1.0
-    x = np.array([5.0, 6.0, 7.0, 8.0])
-    assert np.array_equal(select_forward(gates, x), [7.0, 5.0])
-
-
-def test_select_forward_uniform_rows_average():
-    gates = np.full((3, 4), 0.25)
-    x = np.array([1.0, 2.0, 3.0, 6.0])
-    assert np.allclose(select_forward(gates, x), 3.0)
-
-
-def test_select_forward_zero_input():
-    assert np.array_equal(select_forward(np.full((2, 3), 1 / 3), np.zeros(3)), [0.0, 0.0])
-
-
-def test_select_forward_length_mismatch():
-    with pytest.raises(DimensionError):
-        select_forward(np.full((2, 3), 1 / 3), np.zeros(4))
 
 
 # ---------------------------------------------------------------- annealing

@@ -10,7 +10,7 @@ from fsnet.autodiff import Tape, grad
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import FeatureEmbeddings, compute_embeddings
-from fsnet.network import Architecture, DenseStack, init_params, zeros_params
+from fsnet.network import Architecture, hard_forward, init_params, reconstruct, zeros_params
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates
 from fsnet.trainer import (
@@ -18,16 +18,12 @@ from fsnet.trainer import (
     TrainReport,
     _dropout_masks,
     build_loss_graph,
-    concrete_loss,
-    joint_loss,
-    predict,
-    predict_batch,
-    reconstruct_batch,
     rmsprop_init,
     rmsprop_step,
     selection_weights,
     train,
 )
+from helpers import concrete_loss, joint_loss
 
 
 def separable(seed, n=40, d=20):
@@ -336,30 +332,36 @@ def trained_tiny():
     return model, ds
 
 
+def predict(model, X):
+    return hard_forward(model.params, X, model.selected, model.config.leaky_slope)[0]
+
+
 def test_predict_on_simplex_and_deterministic():
     model, ds = trained_tiny()
-    p1 = predict(model, ds.X[0])
-    p2 = predict(model, ds.X[0])
+    p1 = predict(model, ds.X[:1])
+    p2 = predict(model, ds.X[:1])
     assert np.array_equal(p1, p2)
-    assert p1.shape == (2,)
+    assert p1.shape == (1, 2)
     assert abs(p1.sum() - 1.0) < 1e-12
 
 
 def test_predict_validates_selection():
     model, ds = trained_tiny()
+    slope = model.config.leaky_slope
     with pytest.raises(ValueError):
-        predict(model, ds.X[0], selected=[0, 1])
+        hard_forward(model.params, ds.X, [0, 1], slope)
     with pytest.raises(IndexError):
-        predict(model, ds.X[0], selected=[0, 1, 99])
+        hard_forward(model.params, ds.X, [0, 1, 99], slope)
 
 
 def test_predict_batch_matches_rowwise():
     model, ds = trained_tiny()
-    batch = predict_batch(model, ds.X[:4])
+    probs, h_tilde = hard_forward(model.params, ds.X[:4], model.selected, model.config.leaky_slope)
     for i in range(4):
-        assert np.allclose(batch[i], predict(model, ds.X[i]))
-    with pytest.raises(ValueError):
-        predict_batch(model, ds.X[0])
+        p_row, h_row = hard_forward(model.params, ds.X[i : i + 1], model.selected, model.config.leaky_slope)
+        assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], h_row[0])
+    with pytest.raises(IndexError):  # one row must come as a 1 x d matrix
+        predict(model, ds.X[0])
 
 
 def test_one_hot_gates_match_inference_path():
@@ -377,6 +379,7 @@ def test_one_hot_gates_match_inference_path():
 def test_reconstruct_batch_shapes():
     model, ds = trained_tiny()
     emb = compute_embeddings(ds.X, model.config.embed_size)
-    x_hat = reconstruct_batch(model, ds.X, emb)
+    _, h_tilde = hard_forward(model.params, ds.X, model.selected, model.config.leaky_slope)
+    x_hat = reconstruct(model.params.recon_w, emb, h_tilde)
     assert x_hat.shape == ds.X.shape
     assert np.all(np.isfinite(x_hat))
