@@ -5,10 +5,15 @@ of the graph, so the backward pass is a single reverse sweep that visits each
 node exactly once. Only the operations needed by the selection / encoder /
 classifier / decoder / reconstruction graph are provided; this is not a
 general-purpose autodiff system.
+
+A tape owns its nodes, but a node refers back to its tape only weakly, so a
+graph holds no reference cycle: it is freed as soon as the last reference to
+its tape and nodes goes, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,14 +25,21 @@ class Node:
     """One recorded value: forward result plus the closure that maps the
     incoming gradient to per-parent gradient contributions."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_tape")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_tape_ref")
 
-    def __init__(self, value, parents, backward, tape):
+    def __init__(self, value, parents, backward, tape_ref):
         self.value: np.ndarray = value
         self.grad: np.ndarray | None = None
         self._parents: tuple["Node", ...] = parents
         self._backward: Callable | None = backward
-        self._tape: "Tape" = tape
+        self._tape_ref: weakref.ref = tape_ref
+
+    @property
+    def _tape(self) -> "Tape":
+        tape = self._tape_ref()
+        if tape is None:
+            raise ValueError("the tape this node was recorded on no longer exists")
+        return tape
 
     @property
     def is_leaf(self) -> bool:
@@ -43,24 +55,25 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._ref = weakref.ref(self)
 
     def leaf(self, value) -> Node:
         arr = np.asarray(value, dtype=np.float64)
-        node = Node(arr, (), None, self)
+        node = Node(arr, (), None, self._ref)
         self._nodes.append(node)
         return node
 
     def _record(self, value, parents: tuple[Node, ...], backward: Callable) -> Node:
         for p in parents:
-            if p._tape is not self:
+            if p._tape_ref is not self._ref:
                 raise ValueError("operand was recorded on a different tape")
-        node = Node(np.asarray(value, dtype=np.float64), parents, backward, self)
+        node = Node(np.asarray(value, dtype=np.float64), parents, backward, self._ref)
         self._nodes.append(node)
         return node
 
     def backward(self, loss: Node) -> None:
         """Populate .grad on every node reachable from `loss`."""
-        if loss._tape is not self:
+        if loss._tape_ref is not self._ref:
             raise ValueError("loss node was not recorded on this tape")
         if loss.value.size != 1:
             raise ValueError(f"backward target must be scalar, got shape {loss.value.shape}")

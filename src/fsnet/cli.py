@@ -18,6 +18,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .config import TrainConfig
 from .data import DataError, SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
 from .embedding import compute_embeddings
@@ -71,6 +73,21 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _numeric_build() -> dict:
+    """The NumPy and BLAS build and BLAS thread count: outputs are
+    byte-identical only when these match."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy without mode="dicts", or no BLAS entry
+        blas_name = "unknown"
+    return {
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
 def _write_manifest(
     path: str,
     command: str,
@@ -88,6 +105,7 @@ def _write_manifest(
         "config": config,
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
         "outputs": [os.path.basename(p) for p in outputs],
+        "numerics": _numeric_build(),
         "started": started,
         "finished": datetime.now(timezone.utc).isoformat(),
     }

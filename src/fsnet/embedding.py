@@ -66,8 +66,17 @@ def compute_embeddings(X: np.ndarray, n_bins: int) -> FeatureEmbeddings:
         raise ValueError(f"sample matrix must be nonempty, got shape {X.shape}")
     if not 1 <= n_bins <= n:
         raise ValueError(f"embedding size must satisfy 1 <= b <= n ({n}), got {n_bins}")
-    table = np.empty((d, n_bins))
-    for j in range(d):
-        freq, means = feature_histogram(X[:, j], n_bins)
-        table[j] = freq * means
-    return FeatureEmbeddings(table)
+    # feature_histogram for all columns at once: the same per-entry float
+    # operations, and one bincount over bins offset by j*b. Column-major
+    # flattening adds each bin's values in row order, as the per-column
+    # bincount does, so the table matches it to the byte.
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    span = hi - lo
+    scaled = (X - lo) / np.where(span == 0.0, 1.0, span) * n_bins  # constant columns: all 0
+    idx = np.minimum(np.floor(scaled).astype(np.intp), n_bins - 1)
+    flat = (idx + np.arange(d) * n_bins).ravel(order="F")
+    counts = np.bincount(flat, minlength=d * n_bins).astype(np.float64).reshape(d, n_bins)
+    sums = np.bincount(flat, weights=X.ravel(order="F"), minlength=d * n_bins).reshape(d, n_bins)
+    midpoints = lo[:, None] + (np.arange(n_bins) + 0.5) * (span / n_bins)[:, None]
+    means = np.where(counts > 0, sums / np.maximum(counts, 1.0), midpoints)
+    return FeatureEmbeddings(counts / n * means)

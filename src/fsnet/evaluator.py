@@ -147,13 +147,16 @@ def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False
     return (d * h + h_prime * d + s) / (b * h + h_prime * b + s)
 
 
-def _size_probe_model(arch: Architecture, embed_size: int, mode: str, seed: int) -> FsNetModel:
+def _size_probe_model(
+    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False
+) -> FsNetModel:
     config = TrainConfig(
         n_select=arch.n_select,
         embed_size=embed_size,
         mode=mode,
         encoder=arch.encoder,
         decoder=arch.decoder,
+        use_bias=use_bias,
         seed=seed,
     )
     params = init_params(arch, embed_size, mode, RngState(seed), config.use_bias)
@@ -166,12 +169,15 @@ def _size_probe_model(arch: Architecture, embed_size: int, mode: str, seed: int)
     )
 
 
-def measured_compression_ratio(arch: Architecture, embed_size: int, seed: int = 0) -> float:
+def measured_compression_ratio(
+    arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False
+) -> float:
     """Saved-size ratio dense/predictor for freshly initialized twin models,
-    counted from the lines save_model writes, without touching the disk."""
+    with or without biases, counted from the lines save_model writes, without
+    touching the disk."""
     sizes = {}
     for mode in ("predictor", "dense"):
-        lines = model_lines(_size_probe_model(arch, embed_size, mode, seed))
+        lines = model_lines(_size_probe_model(arch, embed_size, mode, seed, use_bias))
         sizes[mode] = sum(len(line.encode("utf-8")) for line in lines)
     return sizes["dense"] / sizes["predictor"]
 
@@ -210,6 +216,6 @@ def evaluate(
             model.arch, model.arch.n_features, model.config.embed_size, model.config.use_bias
         ),
         measured_compression_ratio=measured_compression_ratio(
-            model.arch, model.config.embed_size, model.config.seed
+            model.arch, model.config.embed_size, model.config.seed, model.config.use_bias
         ),
     )

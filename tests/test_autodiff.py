@@ -1,6 +1,9 @@
 """Reverse-mode tape: per-operation gradient checks against central finite
 differences, plus graph bookkeeping contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,29 @@ def test_cross_tape_operands_rejected():
     b = t2.leaf(np.ones((2, 2)))
     with pytest.raises(ValueError):
         ad.add(a, b)
+
+
+def test_graph_is_freed_without_the_cyclic_collector():
+    # no reference cycle between a tape and its nodes, so a training epoch's
+    # graph goes as soon as its last reference does
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.ones((3, 2)))
+        h = ad.matmul(x, ad.transpose(x))
+        g = grad(tape, ad.sum_all(ad.square(h)))
+        tape_ref, value_ref = weakref.ref(tape), weakref.ref(h.value)
+        del tape, x, h, g
+        assert tape_ref() is None
+        assert value_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_operand_of_a_freed_tape_rejected():
+    x = Tape().leaf(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        ad.square(x)
 
 
 def test_mul_shape_mismatch_rejected():

@@ -2,6 +2,7 @@
 artifact layout, manifests, and byte-for-byte reproducibility."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -57,6 +58,10 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     assert set(manifest["inputs"]) == {"toy.csv"}
     assert all(len(h) == 64 for h in manifest["inputs"].values())
     assert sorted(manifest["outputs"]) == ["run.model", "run.train.csv"]
+    numerics = manifest["numerics"]
+    assert numerics["numpy"] == np.__version__
+    assert isinstance(numerics["blas"], str) and numerics["blas"]
+    assert numerics["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     # artifacts point back at the manifest that produced them
     assert 'manifest "run.manifest.json"' in open(out + ".model").read().splitlines()[1]

@@ -104,3 +104,16 @@ def test_embeddings_finite_on_finite_input():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 5)) * 1e6
     assert np.all(np.isfinite(compute_embeddings(X, 10).table))
+
+
+@pytest.mark.parametrize("n, d, b", [(58, 7129, 10), (160, 500, 10), (7, 30, 7), (20, 40, 1)])
+def test_table_matches_per_column_histograms_to_the_byte(n, d, b):
+    rng = np.random.default_rng(n * d)
+    X = rng.normal(size=(n, d))
+    X[:, 0] = 2.5  # constant column
+    X[:, 1] = np.round(X[:, 1])  # ties, some on bin edges
+    expected = np.empty((d, b))
+    for j in range(d):
+        freq, means = feature_histogram(X[:, j], b)
+        expected[j] = freq * means
+    assert compute_embeddings(X, b).table.tobytes() == expected.tobytes()

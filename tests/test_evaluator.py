@@ -20,9 +20,10 @@ from fsnet.evaluator import (
     mutual_information,
     reconstruction_error,
 )
-from fsnet.model import FsNetModel, save_model
+from fsnet.model import FsNetModel, model_lines, save_model
 from fsnet.network import (
     Architecture,
+    init_params,
     stack_param_count,
     trainable_param_count,
     zeros_params,
@@ -204,6 +205,29 @@ def test_measured_ratio_equals_saved_file_size_ratio(tmp_path):
         save_model(_size_probe_model(arch, 6, mode, 2), str(path))
         sizes[mode] = path.stat().st_size
     assert measured_compression_ratio(arch, 6, seed=2) == sizes["dense"] / sizes["predictor"]
+
+
+def test_measured_ratio_of_a_bias_model_counts_its_biases():
+    # the report's measured ratio must describe the evaluated model, as the
+    # analytic compression_ratio beside it does
+    arch = Architecture(40, 4, 2, encoder=(5, 3), decoder=(3, 5))
+    sizes = {}
+    for mode in ("predictor", "dense"):
+        config = TrainConfig(
+            n_select=4, embed_size=10, mode=mode, encoder=(5, 3), decoder=(3, 5),
+            use_bias=True, seed=3,
+        )
+        twin = FsNetModel(
+            config=config,
+            arch=arch,
+            params=init_params(arch, 10, mode, RngState(3), True),
+            selected=list(range(4)),
+            label_names=["c0", "c1"],
+        )
+        sizes[mode] = sum(len(line.encode("utf-8")) for line in model_lines(twin))
+    report = evaluate(twin, toy_dataset(n=20, d=40))
+    assert report.measured_compression_ratio == sizes["dense"] / sizes["predictor"]
+    assert report.measured_compression_ratio != measured_compression_ratio(arch, 10, seed=3)
 
 
 # ---------------------------------------------------------------- reports

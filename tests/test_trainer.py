@@ -1,6 +1,7 @@
 """Training loop: loss, optimizer, annealed gate sampling, reporting, and the
 hard-selection inference path."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,22 @@ def test_report_has_one_record_per_epoch_with_exact_temperatures():
     for r in report.records:
         assert r.temperature == anneal_temperature(r.epoch, 7, 10.0, 0.01)
         assert r.test_accuracy is None and r.test_recon_error is None
+
+
+def test_training_memory_does_not_grow_with_the_epoch_count():
+    # each epoch's graph must be freed by reference counting once the loop
+    # drops it, not left for the cyclic collector
+    data, _ = make_synthetic(50, 2000, 5, 0)
+    peaks = {}
+    for epochs in (2, 20):
+        config = TrainConfig(n_select=5, encoder=(16,), decoder=(16,), epochs=epochs, seed=0)
+        tracemalloc.start()
+        try:
+            train(data, config)
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20] <= 1.2 * peaks[2]
 
 
 def test_train_with_test_split_records_test_curves():
