@@ -25,11 +25,10 @@ class Node:
     """One recorded value: forward result plus the closure that maps the
     incoming gradient to per-parent gradient contributions."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "_tape_ref")
+    __slots__ = ("value", "_parents", "_backward", "_tape_ref")
 
     def __init__(self, value, parents, backward, tape_ref):
         self.value: np.ndarray = value
-        self.grad: np.ndarray | None = None
         self._parents: tuple["Node", ...] = parents
         self._backward: Callable | None = backward
         self._tape_ref: weakref.ref = tape_ref
@@ -71,32 +70,31 @@ class Tape:
         self._nodes.append(node)
         return node
 
-    def backward(self, loss: Node) -> None:
-        """Populate .grad on every node reachable from `loss`."""
-        if loss._tape_ref is not self._ref:
-            raise ValueError("loss node was not recorded on this tape")
-        if loss.value.size != 1:
-            raise ValueError(f"backward target must be scalar, got shape {loss.value.shape}")
-        for node in self._nodes:
-            node.grad = None
-        loss.grad = np.ones_like(loss.value)
-        for node in reversed(self._nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            for parent, contrib in zip(node._parents, node._backward(node.grad)):
-                if contrib is None:
-                    continue
-                parent.grad = contrib if parent.grad is None else parent.grad + contrib
-
 
 def grad(tape: Tape, loss: Node) -> dict[Node, np.ndarray]:
     """Gradients of a recorded scalar with respect to every leaf on the tape.
 
-    Leaves that do not influence the loss get zero gradients.
+    One reverse sweep over the tape: each node reached from `loss` passes
+    its gradient to its backward closure, and the contributions to a parent
+    are summed in sweep order. Leaves that do not influence the loss get
+    zero gradients.
     """
-    tape.backward(loss)
+    if loss._tape_ref is not tape._ref:
+        raise ValueError("loss node was not recorded on this tape")
+    if loss.value.size != 1:
+        raise ValueError(f"backward target must be scalar, got shape {loss.value.shape}")
+    grads = {loss: np.ones_like(loss.value)}
+    for node in reversed(tape._nodes):
+        g = grads.get(node)
+        if g is None or node._backward is None:
+            continue
+        for parent, contrib in zip(node._parents, node._backward(g)):
+            if contrib is None:
+                continue
+            prev = grads.get(parent)
+            grads[parent] = contrib if prev is None else prev + contrib
     return {
-        node: (node.grad if node.grad is not None else np.zeros_like(node.value))
+        node: grads[node] if node in grads else np.zeros_like(node.value)
         for node in tape._nodes
         if node.is_leaf
     }

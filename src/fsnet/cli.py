@@ -5,13 +5,16 @@ optional external-dataset benchmark.
 Every command is deterministic given its flags and input files. Each run
 that emits artifacts also writes a JSON manifest (resolved config, input
 digests, tool version, timestamps); artifacts name the manifest that
-produced them. Exit codes: 0 success, 1 computation failure (divergence),
-2 usage or input errors.
+produced them. Each command has its own manifest name (`<out>.manifest.json`
+for train, `<out>.eval.manifest.json`, `<out>.synth.manifest.json`), so
+commands sharing an --out prefix keep each other's provenance. Exit codes:
+0 success, 1 computation failure (divergence), 2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -33,27 +36,6 @@ try:
     VERSION = _dist_version("fsnet")
 except Exception:  # running from a source tree without installation
     VERSION = "0.1.0"
-
-# flags that map one-to-one onto TrainConfig fields (None = not provided)
-CONFIG_FLAGS = (
-    "n_select",
-    "embed_size",
-    "recon_weight",
-    "learning_rate",
-    "epochs",
-    "tau_start",
-    "tau_end",
-    "dropout",
-    "seed",
-    "mode",
-    "encoder",
-    "decoder",
-    "leaky_slope",
-    "use_bias",
-    "rms_decay",
-    "rms_eps",
-)
-
 
 def _widths(text: str) -> tuple[int, ...]:
     try:
@@ -125,6 +107,7 @@ def _add_table_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, its dest the field name (None = not given)."""
     p.add_argument("--k", type=int, dest="n_select", help="number of features to select")
     p.add_argument("--b", type=int, dest="embed_size", help="feature-embedding size (histogram bins)")
     p.add_argument("--lambda", type=float, dest="recon_weight", help="reconstruction loss weight")
@@ -162,10 +145,10 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
         if unknown:
             raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
         doc.update(file_doc)
-    for key in CONFIG_FLAGS:
-        value = getattr(args, key, None)
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            doc[key] = value
+            doc[field.name] = value
     return TrainConfig.from_dict(doc)
 
 
@@ -250,7 +233,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
 
     out = args.out
-    report_path, manifest_path = f"{out}.eval.txt", f"{out}.manifest.json"
+    report_path, manifest_path = f"{out}.eval.txt", f"{out}.eval.manifest.json"
     report.save(report_path, manifest_ref=os.path.basename(manifest_path))
     inputs = [args.model, args.data] + ([args.embed_data] if args.embed_data else [])
     _write_manifest(
@@ -268,7 +251,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     dataset, planted = make_synthetic(args.n, args.d, args.k_star, args.seed)
     out = args.out
     data_path, planted_path = f"{out}.csv", f"{out}.planted.json"
-    manifest_path = f"{out}.manifest.json"
+    manifest_path = f"{out}.synth.manifest.json"
     manifest_name = os.path.basename(manifest_path)
     save_delimited(dataset, data_path, comments=[f"manifest {manifest_name}"])
     with open(planted_path, "w", encoding="utf-8") as fh:

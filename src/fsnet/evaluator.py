@@ -4,22 +4,15 @@ analytic / measured compression ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import Dataset
-from .embedding import FeatureEmbeddings, compute_embeddings
+from .embedding import compute_embeddings
 from .model import FsNetModel, model_lines
-from .network import (
-    Architecture,
-    hard_forward,
-    init_params,
-    reconstruct,
-    stack_param_count,
-    trainable_param_count,
-)
+from .network import Architecture, hard_forward, init_params, reconstruct, trainable_param_count
 from .rng import RngState
 
 REPORT_KEYS = (
@@ -81,21 +74,19 @@ def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     return float((probs.argmax(axis=1) == dataset.y).mean())
 
 
-def reconstruction_error(
-    model: FsNetModel, dataset: Dataset, emb: FeatureEmbeddings | None = None
-) -> float:
+def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float:
     """Mean squared reconstruction error per sample on the hard-selection path.
 
-    Predictor-mode models need feature embeddings to realize their virtual
-    reconstruction weights; when none are passed they are recomputed from the
-    evaluated dataset itself.
+    Predictor-mode models need a feature embedding table to realize their
+    virtual reconstruction weights; when none is passed it is recomputed from
+    the evaluated dataset itself. Dense-mode models ignore `emb`.
     """
     if dataset.n_samples == 0:
         raise ValueError("cannot score an empty dataset")
-    if model.config.mode == "predictor" and emb is None:
-        emb = compute_embeddings(dataset.X, model.config.embed_size)
     if model.config.mode == "dense":
         emb = None
+    elif emb is None:
+        emb = compute_embeddings(dataset.X, model.config.embed_size)
     _, h_tilde = hard_forward(model.params, dataset.X, model.selected, model.config.leaky_slope)
     x_hat = reconstruct(model.params.recon_w, emb, h_tilde)
     return float(((dataset.X - x_hat) ** 2).sum(axis=1).mean())
@@ -138,13 +129,14 @@ def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -
 
 
 def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False) -> float:
-    """Analytic size ratio of the dense model to the predictor model:
-    (d*K + h'*d + s) / (b*K + h'*b + s) with s the shared stack size."""
+    """Analytic size ratio of the dense model to the predictor model at d
+    features: (d*K + h'*d + s) / (b*K + h'*b + s) with s the shared stack
+    size, as trainable_param_count counts them."""
     if d < 1 or b < 1:
         raise ValueError("d and b must be positive")
-    s = stack_param_count(arch, use_bias)
-    h, h_prime = arch.n_select, arch.recon_width
-    return (d * h + h_prime * d + s) / (b * h + h_prime * b + s)
+    arch = replace(arch, n_features=d)
+    dense = trainable_param_count(arch, b, "dense", use_bias)
+    return dense / trainable_param_count(arch, b, "predictor", use_bias)
 
 
 def _size_probe_model(
@@ -185,7 +177,7 @@ def measured_compression_ratio(
 def evaluate(
     model: FsNetModel,
     dataset: Dataset,
-    emb: FeatureEmbeddings | None = None,
+    emb: np.ndarray | None = None,
     mi_bins: int = 10,
 ) -> EvalReport:
     """All report metrics for one (model, dataset) pair.

@@ -1,6 +1,7 @@
 """Dense stacks (encoder, classifier head, decoder), the hard-selection
-forward pass, the embedding-predicted reconstruction layer, and parameter
-initialization / counting."""
+forward pass, the embedding-predicted reconstruction layer, and the one
+parameter layout that initialization, counting, loading and the loss graph
+share."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import FeatureEmbeddings
 from .numerics import DimensionError, leaky_relu, matmul, softmax
 from .rng import RngState
 
@@ -54,7 +54,8 @@ class Architecture:
 
 @dataclass
 class DenseStack:
-    """Ordered fully connected layers; weights are (out, in), biases optional."""
+    """Ordered fully connected layers; weights are (out, in), biases optional.
+    The loss graph holds tape leaves in the same slots."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray] | None = None
@@ -65,7 +66,9 @@ class FsNetParams:
     """Every trainable array of the model, in a fixed order.
 
     select_w and recon_w are (K, b) and (h', b) in predictor mode; in dense
-    mode they address features directly and are (K, d) and (h', d).
+    mode they address features directly and are (K, d) and (h', d). named()
+    is the order that model files, gradients and optimizer slots follow, and
+    map() rebuilds the structure in that order.
     """
 
     select_w: np.ndarray
@@ -92,8 +95,26 @@ class FsNetParams:
     def arrays(self) -> list[np.ndarray]:
         return [arr for _, arr in self.named()]
 
+    def map(self, fn: Callable) -> "FsNetParams":
+        """The same structure holding fn(arr) for every array, with fn called
+        in named() order."""
+
+        def stack(s: DenseStack) -> DenseStack:
+            ws = [fn(w) for w in s.weights]
+            return DenseStack(ws, None if s.biases is None else [fn(b) for b in s.biases])
+
+        return FsNetParams(
+            fn(self.select_w),
+            stack(self.encoder),
+            stack(self.classifier),
+            stack(self.decoder),
+            fn(self.recon_w),
+        )
+
     def replace_arrays(self, arrays: list[np.ndarray]) -> "FsNetParams":
         """Same structure with new values, in named() order."""
+        if len(arrays) != len(self.named()):
+            raise DimensionError(f"{len(arrays)} replacement arrays for {len(self.named())}")
         it = iter(arrays)
 
         def take(template: np.ndarray) -> np.ndarray:
@@ -104,39 +125,7 @@ class FsNetParams:
                 )
             return arr
 
-        def stack_like(stack: DenseStack) -> DenseStack:
-            ws = [take(w) for w in stack.weights]
-            bs = [take(b) for b in stack.biases] if stack.biases is not None else None
-            return DenseStack(ws, bs)
-
-        sw = take(self.select_w)
-        enc = stack_like(self.encoder)
-        cls = stack_like(self.classifier)
-        dec = stack_like(self.decoder)
-        rw = take(self.recon_w)
-        return FsNetParams(sw, enc, cls, dec, rw)
-
-
-def count_parameters(params: FsNetParams) -> int:
-    return int(sum(arr.size for arr in params.arrays()))
-
-
-def stack_param_count(arch: Architecture, use_bias: bool = False) -> int:
-    """Parameters in encoder + classifier head + decoder (no virtual layers)."""
-    enc_dims = [arch.n_select, *arch.encoder]
-    dec_dims = [arch.hidden_width, *arch.decoder]
-    total = sum(a * b for a, b in zip(enc_dims[1:], enc_dims[:-1]))
-    total += arch.n_classes * arch.hidden_width
-    total += sum(a * b for a, b in zip(dec_dims[1:], dec_dims[:-1]))
-    if use_bias:
-        total += sum(arch.encoder) + arch.n_classes + sum(arch.decoder)
-    return total
-
-
-def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bias: bool = False) -> int:
-    """Total trainable parameters for either weight-provenance mode."""
-    width = embed_size if mode == "predictor" else arch.n_features
-    return arch.n_select * width + arch.recon_width * width + stack_param_count(arch, use_bias)
+        return self.map(take)
 
 
 def _build_params(
@@ -188,6 +177,11 @@ def zeros_params(
     return _build_params(arch, embed_size, mode, use_bias, lambda o, i: np.zeros((o, i)))
 
 
+def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bias: bool = False) -> int:
+    """Total trainable parameters for either weight-provenance mode."""
+    return sum(arr.size for arr in zeros_params(arch, embed_size, mode, use_bias).arrays())
+
+
 def _stack_apply(stack: DenseStack, batch: np.ndarray, slope: float, final_softmax: bool) -> np.ndarray:
     a = batch
     last = len(stack.weights) - 1
@@ -227,20 +221,18 @@ def hard_forward(
     return classify(params.classifier, hidden, slope), decode(params.decoder, hidden, slope)
 
 
-def recon_matrix(recon_w: np.ndarray, emb: FeatureEmbeddings | None) -> np.ndarray:
+def recon_matrix(recon_w: np.ndarray, emb: np.ndarray | None) -> np.ndarray:
     """Virtual reconstruction weights, one row per feature.
 
-    Predictor mode maps each feature embedding through tanh(recon_w @ phi);
-    dense mode (emb is None) squashes the learned matrix directly, which is
-    the predictor formula with one-hot embeddings.
+    Predictor mode maps each row phi of the (d, b) embedding table through
+    tanh(recon_w @ phi); dense mode (emb is None) squashes the learned matrix
+    directly, which is the predictor formula with one-hot embeddings.
     """
     if emb is None:
         return np.tanh(recon_w.T)
-    return np.tanh(matmul(emb.table, recon_w.T))  # (d, h')
+    return np.tanh(matmul(emb, recon_w.T))  # (d, h')
 
 
-def reconstruct(
-    recon_w: np.ndarray, emb: FeatureEmbeddings | None, h_tilde: np.ndarray
-) -> np.ndarray:
+def reconstruct(recon_w: np.ndarray, emb: np.ndarray | None, h_tilde: np.ndarray) -> np.ndarray:
     """Reconstructed inputs: each row of h_tilde mapped through the virtual weight rows."""
     return matmul(h_tilde, recon_matrix(recon_w, emb).T)

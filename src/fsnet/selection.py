@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import FeatureEmbeddings
 from .network import FsNetParams
 from .numerics import as_matrix, matmul, softmax
 from .rng import RngState
@@ -31,13 +30,13 @@ class ConcreteState:
 
 
 def selection_weights(
-    params: FsNetParams, emb: FeatureEmbeddings | None, temperature: float
+    params: FsNetParams, emb: np.ndarray | None, temperature: float
 ) -> ConcreteState:
     """Selection weights for either weight-provenance mode: row k is the
     softmax over the features of selector neuron k's scores, which are
-    select_w @ embeddings.T in predictor mode and select_w itself in dense
-    mode (emb is None)."""
-    scores = params.select_w if emb is None else matmul(params.select_w, emb.table.T)
+    select_w @ emb.T for the (d, b) embedding table emb in predictor mode and
+    select_w itself in dense mode (emb is None)."""
+    scores = params.select_w if emb is None else matmul(params.select_w, emb.T)
     return ConcreteState(softmax(scores, axis=1), temperature)
 
 

@@ -21,9 +21,9 @@ from . import autodiff as ad
 from .autodiff import Node, Tape
 from .config import TrainConfig
 from .data import Dataset
-from .embedding import FeatureEmbeddings, compute_embeddings
+from .embedding import compute_embeddings
 from .model import FsNetModel
-from .network import Architecture, FsNetParams, hard_forward, init_params, reconstruct
+from .network import Architecture, DenseStack, FsNetParams, hard_forward, init_params, reconstruct
 from .rng import RngState
 from .selection import (
     LOG_FLOOR,
@@ -91,19 +91,19 @@ def _check_labels(y: np.ndarray, n_classes: int) -> None:
 
 def _graph_stack(
     tape: Tape,
-    weights: list[Node],
-    biases: list[Node] | None,
+    stack: DenseStack,
     batch: Node,
     slope: float,
     masks: list[np.ndarray] | None,
     final_softmax: bool,
 ) -> Node:
+    """A DenseStack of weight and bias leaves applied to a batch node."""
     a = batch
-    last = len(weights) - 1
-    for i, w in enumerate(weights):
+    last = len(stack.weights) - 1
+    for i, w in enumerate(stack.weights):
         z = ad.matmul(a, ad.transpose(w))
-        if biases is not None:
-            z = ad.add_row(z, biases[i])
+        if stack.biases is not None:
+            z = ad.add_row(z, stack.biases[i])
         if i == last and final_softmax:
             a = ad.softmax(z, axis=1)
         else:
@@ -116,7 +116,7 @@ def _graph_stack(
 def build_loss_graph(
     tape: Tape,
     params: FsNetParams,
-    emb: FeatureEmbeddings | None,
+    emb: np.ndarray | None,
     X: np.ndarray,
     y: np.ndarray,
     gumbel: np.ndarray,
@@ -133,51 +133,37 @@ def build_loss_graph(
     """
     _check_labels(y, params.classifier.weights[-1].shape[0])
     X = np.asarray(X, dtype=np.float64)
-    leaves = [tape.leaf(arr) for arr in params.arrays()]
-    by_name = dict(zip([name for name, _ in params.named()], leaves))
+    p = params.map(tape.leaf)
 
-    select_w = by_name["select_w"]
     if emb is None:
-        delta = ad.softmax(select_w, axis=1)
+        delta = ad.softmax(p.select_w, axis=1)
     else:
-        table_t = tape.leaf(emb.table.T)
-        delta = ad.softmax(ad.matmul(select_w, table_t), axis=1)
+        delta = ad.softmax(ad.matmul(p.select_w, tape.leaf(emb.T)), axis=1)
     noisy = ad.add(ad.log(ad.clip_min(delta, LOG_FLOOR)), tape.leaf(gumbel))
     gates = ad.softmax(ad.scale(noisy, 1.0 / temperature), axis=1)
 
-    def stack_nodes(label: str, stack) -> tuple[list[Node], list[Node] | None]:
-        ws = [by_name[f"{label}.{i}"] for i in range(len(stack.weights))]
-        bs = None
-        if stack.biases is not None:
-            bs = [by_name[f"{label}.{i}.bias"] for i in range(len(stack.biases))]
-        return ws, bs
-
     x_node = tape.leaf(X)
     selected = ad.matmul(x_node, ad.transpose(gates))
-    enc_w, enc_b = stack_nodes("encoder", params.encoder)
-    hidden = _graph_stack(tape, enc_w, enc_b, selected, slope, encoder_masks, False)
-    cls_w, cls_b = stack_nodes("classifier", params.classifier)
-    probs = _graph_stack(tape, cls_w, cls_b, hidden, slope, None, True)
+    hidden = _graph_stack(tape, p.encoder, selected, slope, encoder_masks, False)
+    probs = _graph_stack(tape, p.classifier, hidden, slope, None, True)
     picked = ad.clip_min(ad.pick(probs, list(np.asarray(y))), PROB_FLOOR)
     class_loss = ad.scale(ad.sum_all(ad.log(picked)), -1.0)
 
     named_nodes = {"gates": gates, "class_loss": class_loss}
     if recon_weight == 0.0:
         named_nodes["recon_loss"] = None
-        return class_loss, leaves, named_nodes
+        return class_loss, p.arrays(), named_nodes
 
-    dec_w, dec_b = stack_nodes("decoder", params.decoder)
-    h_tilde = _graph_stack(tape, dec_w, dec_b, hidden, slope, decoder_masks, False)
-    recon_w = by_name["recon_w"]
+    h_tilde = _graph_stack(tape, p.decoder, hidden, slope, decoder_masks, False)
     if emb is None:
-        rows = ad.tanh(ad.transpose(recon_w))  # (d, h')
+        rows = ad.tanh(ad.transpose(p.recon_w))  # (d, h')
     else:
-        rows = ad.tanh(ad.matmul(tape.leaf(emb.table), ad.transpose(recon_w)))
+        rows = ad.tanh(ad.matmul(tape.leaf(emb), ad.transpose(p.recon_w)))
     x_hat = ad.matmul(h_tilde, ad.transpose(rows))
     recon_loss = ad.sum_all(ad.square(ad.sub(x_node, x_hat)))
     loss = ad.add(class_loss, ad.scale(recon_loss, recon_weight))
     named_nodes["recon_loss"] = recon_loss
-    return loss, leaves, named_nodes
+    return loss, p.arrays(), named_nodes
 
 
 @dataclass

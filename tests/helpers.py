@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference gradient oracle, a pure-Python
-reference implementation of the counter-based generator, the NumPy oracle of
-the training loss, and a planted class-mean-shift instance for
-feature-recovery tests."""
+reference implementation of the counter-based generator, the per-column
+histogram oracle of the embedding table, the NumPy oracle of the training
+loss, and a planted class-mean-shift instance for feature-recovery tests."""
 
 from typing import NamedTuple
 
@@ -64,6 +64,36 @@ def max_rel_err(a, b, floor=1e-8):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
+
+
+def equal_width_bin_indices(u: np.ndarray, n_bins: int) -> np.ndarray:
+    """Assign each value to one of n_bins equal-width bins over [min(u), max(u)].
+
+    The rightmost bin is closed at the maximum. A zero-width range puts every
+    sample in bin 0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    lo, hi = u.min(), u.max()
+    if hi == lo:
+        return np.zeros(u.shape[0], dtype=np.intp)
+    idx = np.floor((u - lo) / (hi - lo) * n_bins).astype(np.intp)
+    return np.minimum(idx, n_bins - 1)
+
+
+def feature_histogram(u: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin frequencies (proportions) and bin means for one feature column,
+    computed column by column: the oracle of embedding.compute_embeddings,
+    whose row j is freq * means of column j."""
+    u = np.asarray(u, dtype=np.float64)
+    n = u.shape[0]
+    lo, hi = u.min(), u.max()
+    idx = equal_width_bin_indices(u, n_bins)
+    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
+    sums = np.bincount(idx, weights=u, minlength=n_bins)
+    width = (hi - lo) / n_bins
+    midpoints = lo + (np.arange(n_bins) + 0.5) * width
+    means = np.where(counts > 0, sums / np.maximum(counts, 1.0), midpoints)
+    return counts / n, means
 
 
 def mean_shift_instance(n, d, n_planted, shift, seed):

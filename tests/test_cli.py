@@ -1,14 +1,20 @@
 """Command-line behavior: flag mapping, config precedence, exit codes,
 artifact layout, manifests, and byte-for-byte reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fsnet.cli import main
+from fsnet.cli import build_parser, main
+from fsnet.config import TrainConfig
 from fsnet.data import SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
 from fsnet.evaluator import REPORT_KEYS, accuracy
 from fsnet.model import load_model
@@ -189,7 +195,7 @@ def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     for key in REPORT_KEYS:
         assert f"{key} " in stdout
     saved = open(str(tmp_path / "e") + ".eval.txt").read().splitlines()
-    assert saved[0] == "manifest e.manifest.json"
+    assert saved[0] == "manifest e.eval.manifest.json"
     assert len(saved) == 1 + len(REPORT_KEYS)
 
 
@@ -232,7 +238,34 @@ def test_synth_round_trips_and_records_planted(tmp_path, capsys):
     doc = json.load(open(out + ".planted.json"))
     assert doc["planted"] == planted_ref
     assert (doc["n"], doc["d"], doc["k_star"], doc["seed"]) == (30, 5, 2, 3)
-    assert doc["manifest"] == "gen.manifest.json"
+    assert doc["manifest"] == "gen.synth.manifest.json"
+
+
+def test_commands_sharing_a_prefix_keep_their_own_manifests(tmp_path):
+    # synth, train and eval all write under the prefix p; each artifact must
+    # still name a manifest that records the command which produced it
+    p = str(tmp_path / "p")
+    assert main(["synth", "--n", "40", "--d", "6", "--k-star", "2", "--out", p]) == 0
+    assert main(["train", "--data", p + ".csv", "--out", p, "--k", "2", "--epochs", "2"]) == 0
+    assert main(["eval", "--model", p + ".model", "--data", p + ".csv", "--out", p]) == 0
+
+    def command_of(manifest_name):
+        return json.load(open(tmp_path / manifest_name))["command"]
+
+    refs = {
+        "csv": open(p + ".csv").readline().split()[-1],
+        "planted": json.load(open(p + ".planted.json"))["manifest"],
+        "model": json.loads(open(p + ".model").read().splitlines()[1].split(" ", 1)[1]),
+        "train.csv": open(p + ".train.csv").readline().split()[-1],
+        "eval.txt": open(p + ".eval.txt").readline().split()[-1],
+    }
+    assert {k: command_of(v) for k, v in refs.items()} == {
+        "csv": "synth",
+        "planted": "synth",
+        "model": "train",
+        "train.csv": "train",
+        "eval.txt": "eval",
+    }
 
 
 def test_synth_is_byte_reproducible(tmp_path):
@@ -277,3 +310,37 @@ def test_benchmark_reports_mean_and_band(tmp_path, data_csv, capsys):
 def test_benchmark_rejects_zero_runs(data_csv, capsys):
     assert main(["benchmark", "--data", data_csv, "--runs", "0"]) == 2
     assert "--runs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_config_flags_are_the_train_config_fields(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    for field in dataclasses.fields(TrainConfig):
+        matching = [a for a in actions if a.dest == field.name]
+        assert len(matching) == 1, field.name
+        assert matching[0].option_strings and matching[0].default is None, field.name
+
+
+def test_train_is_byte_reproducible_at_two_blas_threads(tmp_path):
+    # criterion 8 runs at d=6, where BLAS never splits work across threads;
+    # at d=2000 it does, so this checks the reproducibility claim where it
+    # can break (the thread count is read once, when the process starts)
+    dataset, _ = make_synthetic(72, 2000, 5, seed=4)
+    data = str(tmp_path / "wide.csv")
+    save_delimited(dataset, data)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        out = str(tmp_path / run / "wide")
+        subprocess.run(
+            [sys.executable, "-m", "fsnet.cli", "train", "--data", data, "--out", out,
+             "--epochs", "100", "--seed", "1"],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([Path(out + ext).read_bytes() for ext in (".model", ".train.csv")])
+    assert outputs[0] == outputs[1]

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsnet.embedding import (
-    FeatureEmbeddings,
-    compute_embeddings,
-    equal_width_bin_indices,
-    feature_histogram,
-)
+from fsnet.embedding import compute_embeddings
+
+from helpers import equal_width_bin_indices, feature_histogram
 
 
 def test_hand_example_two_bins():
@@ -19,7 +16,7 @@ def test_hand_example_two_bins():
     assert np.allclose(freq, [0.75, 0.25])
     assert np.allclose(means, [4.0 / 3.0, 4.0])
     emb = compute_embeddings(np.array([[1.0], [1.0], [2.0], [4.0]]), 2)
-    assert np.allclose(emb.table, [[1.0, 1.0]])
+    assert np.allclose(emb, [[1.0, 1.0]])
 
 
 def test_constant_feature_all_mass_in_first_bin():
@@ -27,20 +24,20 @@ def test_constant_feature_all_mass_in_first_bin():
     assert np.allclose(freq, [1.0, 0.0, 0.0, 0.0])
     assert means[0] == 3.0
     emb = compute_embeddings(np.full((4, 1), 3.0), 4)
-    assert emb.table[0, 0] == 3.0
-    assert np.all(emb.table[0, 1:] == 0.0)
+    assert emb[0, 0] == 3.0
+    assert np.all(emb[0, 1:] == 0.0)
 
 
 def test_empty_bin_contributes_zero():
     # values cluster at the range ends, middle bin stays empty
     emb = compute_embeddings(np.array([[0.0], [0.0], [3.0]]), 3)
-    assert emb.table[0, 1] == 0.0
+    assert emb[0, 1] == 0.0
 
 
 def test_scaling_data_scales_embedding():
     X = np.array([[1.0], [2.0], [5.0], [7.0]])
-    a = compute_embeddings(X, 3).table
-    b = compute_embeddings(2.0 * X, 3).table
+    a = compute_embeddings(X, 3)
+    b = compute_embeddings(2.0 * X, 3)
     assert np.allclose(b, 2.0 * a)
 
 
@@ -56,17 +53,16 @@ def test_permutation_equivariance_over_samples():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 4))
     perm = rng.permutation(30)
-    a = compute_embeddings(X, 8).table
-    b = compute_embeddings(X[perm], 8).table
+    a = compute_embeddings(X, 8)
+    b = compute_embeddings(X[perm], 8)
     # bin means accumulate in sample order, so only summation order differs
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def test_output_shape_is_features_by_bins():
     emb = compute_embeddings(np.zeros((12, 7)), 5)
-    assert isinstance(emb, FeatureEmbeddings)
-    assert emb.table.shape == (7, 5)
-    assert emb.n_features == 7 and emb.width == 5
+    assert isinstance(emb, np.ndarray)
+    assert emb.shape == (7, 5)
 
 
 def test_duplicate_feature_columns_get_identical_rows():
@@ -74,7 +70,7 @@ def test_duplicate_feature_columns_get_identical_rows():
     col = rng.normal(size=(25, 1))
     X = np.hstack([col, rng.normal(size=(25, 1)), col])
     emb = compute_embeddings(X, 6)
-    assert np.array_equal(emb.table[0], emb.table[2])
+    assert np.array_equal(emb[0], emb[2])
 
 
 def test_rightmost_bin_closed_at_maximum():
@@ -103,7 +99,7 @@ def test_frequencies_always_normalized(values, b):
 def test_embeddings_finite_on_finite_input():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 5)) * 1e6
-    assert np.all(np.isfinite(compute_embeddings(X, 10).table))
+    assert np.all(np.isfinite(compute_embeddings(X, 10)))
 
 
 @pytest.mark.parametrize("n, d, b", [(58, 7129, 10), (160, 500, 10), (7, 30, 7), (20, 40, 1)])
@@ -116,4 +112,4 @@ def test_table_matches_per_column_histograms_to_the_byte(n, d, b):
     for j in range(d):
         freq, means = feature_histogram(X[:, j], b)
         expected[j] = freq * means
-    assert compute_embeddings(X, b).table.tobytes() == expected.tobytes()
+    assert compute_embeddings(X, b).tobytes() == expected.tobytes()

@@ -24,7 +24,6 @@ from fsnet.model import FsNetModel, model_lines, save_model
 from fsnet.network import (
     Architecture,
     init_params,
-    stack_param_count,
     trainable_param_count,
     zeros_params,
 )
@@ -171,9 +170,11 @@ def test_compression_ratio_is_one_when_d_equals_b():
 
 def test_compression_ratio_hand_value():
     arch = Architecture(100, 10, 2)
-    # shared stacks: 10*64 + 64*32 + 32*16 + 16*2 + 16*32 + 32*64 = 5792
-    assert stack_param_count(arch) == 5792
-    assert compression_ratio(arch, 100, 10) == pytest.approx(13192 / 6532, rel=1e-12)
+    # shared stacks: 10*64 + 64*32 + 32*16 + 16*2 + 16*32 + 32*64 = 5792,
+    # plus (K + h') * b = 740 in predictor mode and (K + h') * d = 7400 in dense
+    assert trainable_param_count(arch, 10, "predictor") == 6532
+    assert trainable_param_count(arch, 10, "dense") == 13192
+    assert compression_ratio(arch, 100, 10) == 13192 / 6532
 
 
 def test_compression_ratio_grows_with_d():

@@ -4,18 +4,16 @@ parameter accounting."""
 import numpy as np
 import pytest
 
-from fsnet.embedding import FeatureEmbeddings, compute_embeddings
+from fsnet.embedding import compute_embeddings
 from fsnet.network import (
     Architecture,
     DenseStack,
     classify,
-    count_parameters,
     decode,
     encode,
     init_params,
     recon_matrix,
     reconstruct,
-    stack_param_count,
     trainable_param_count,
     zeros_params,
 )
@@ -153,7 +151,7 @@ def test_dense_recon_equals_one_hot_embedding_recon():
     rng = np.random.default_rng(7)
     d, hp = 6, 4
     recon_w = rng.normal(size=(hp, d))
-    one_hot = FeatureEmbeddings(np.eye(d))
+    one_hot = np.eye(d)
     assert np.allclose(recon_matrix(recon_w, None), recon_matrix(recon_w, one_hot))
 
 
@@ -202,6 +200,35 @@ def test_zeros_params_matches_init_structure():
     assert all(np.all(w == 0.0) for _, w in zero.named())
 
 
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_map_visits_arrays_in_named_order(mode, use_bias):
+    params = init_params(DEFAULT, 10, mode, RngState(8), use_bias)
+    seen = []
+
+    def visit(arr):
+        seen.append(arr)
+        return arr * 2.0
+
+    doubled = params.map(visit)
+    assert len(seen) == len(params.arrays())
+    assert all(a is b for a, b in zip(seen, params.arrays()))
+    assert [n for n, _ in doubled.named()] == [n for n, _ in params.named()]
+    for (_, a), (_, b) in zip(params.named(), doubled.named()):
+        assert np.array_equal(b, a * 2.0)
+
+
+def test_replace_arrays_checks_shapes():
+    params = zeros_params(DEFAULT, 10, "predictor")
+    arrays = params.arrays()
+    for wrong in (arrays[:-1], arrays + [np.zeros(3)]):
+        with pytest.raises(DimensionError):
+            params.replace_arrays(wrong)
+    arrays[1] = np.zeros((1, 1))
+    with pytest.raises(DimensionError):
+        params.replace_arrays(arrays)
+
+
 # ---------------------------------------------------------------- counts
 
 
@@ -209,8 +236,6 @@ def test_default_predictor_parameter_count():
     # select 10x10 + recon 64x10 + encoder (640+2048+512) + head 32 + decoder (512+2048)
     arch = Architecture(n_features=500, n_select=10, n_classes=2)
     assert trainable_param_count(arch, 10, "predictor") == 6532
-    params = init_params(arch, 10, "predictor", RngState(0))
-    assert count_parameters(params) == 6532
 
 
 def test_predictor_count_is_independent_of_d():
@@ -235,9 +260,18 @@ def test_dense_count_grows_affinely_in_d():
 
 def test_bias_count_adds_layer_widths():
     arch = Architecture(n_features=100, n_select=10, n_classes=3)
-    plain = stack_param_count(arch, use_bias=False)
-    with_bias = stack_param_count(arch, use_bias=True)
-    assert with_bias - plain == 64 + 32 + 16 + 3 + 32 + 64
+    for mode in ("predictor", "dense"):
+        plain = trainable_param_count(arch, 10, mode, use_bias=False)
+        with_bias = trainable_param_count(arch, 10, mode, use_bias=True)
+        assert with_bias - plain == 64 + 32 + 16 + 3 + 32 + 64
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_count_is_the_size_of_the_initialized_arrays(mode, use_bias):
+    arch = Architecture(n_features=40, n_select=4, n_classes=3, encoder=(8, 5), decoder=(6,))
+    params = init_params(arch, 7, mode, RngState(2), use_bias)
+    assert trainable_param_count(arch, 7, mode, use_bias) == sum(a.size for a in params.arrays())
 
 
 def test_forward_pass_stays_finite():

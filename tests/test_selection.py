@@ -58,7 +58,7 @@ def test_single_selector_neuron_is_degenerate():
     emb = compute_embeddings(np.random.default_rng(1).normal(size=(10, 3)), 2)
     w = np.random.default_rng(2).normal(size=(1, 2))
     state = predict_logits(w, emb, 1.0)
-    scores = (w @ emb.table.T)[0]
+    scores = (w @ emb.T)[0]
     expected = np.exp(scores) / np.exp(scores).sum()
     assert state.weights.shape == (1, 3)
     assert np.allclose(state.weights[0], expected, atol=1e-15)

@@ -10,7 +10,7 @@ import pytest
 from fsnet.autodiff import Tape, grad
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
-from fsnet.embedding import FeatureEmbeddings, compute_embeddings
+from fsnet.embedding import compute_embeddings
 from fsnet.network import Architecture, hard_forward, init_params, reconstruct, zeros_params
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates
@@ -152,6 +152,20 @@ def test_graph_value_matches_direct_loss(mode):
     assert float(nodes["recon_loss"].value) == pytest.approx(direct.reconstruction, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_graph_leaves_hold_the_parameters_in_named_order(mode, use_bias):
+    params, emb, X, y = tiny_setup(mode=mode, use_bias=use_bias)
+    tape = Tape()
+    gumbel = RngState(2).gumbel((2, 6))
+    loss, leaves, _ = build_loss_graph(tape, params, emb, X, y, gumbel, 0.7, 1.3, 0.2)
+    arrays = params.arrays()
+    assert len(leaves) == len(arrays)
+    assert all(leaf.value is arr for leaf, arr in zip(leaves, arrays))
+    gmap = grad(tape, loss)
+    assert [gmap[leaf].shape for leaf in leaves] == [arr.shape for arr in arrays]
+
+
 def test_one_hot_embeddings_reproduce_dense_mode():
     # predictor mode with identity embeddings is exactly dense mode
     rng = RngState(5)
@@ -160,7 +174,7 @@ def test_one_hot_embeddings_reproduce_dense_mode():
     y = (rng.uniform((n,)) > 0.5).astype(np.intp)
     arch = Architecture(d, k, 2, encoder=(4, 3), decoder=(3, 4))
     dense = init_params(arch, d, "dense", RngState(6))
-    one_hot = FeatureEmbeddings(np.eye(d))
+    one_hot = np.eye(d)
     state_p = selection_weights(dense, one_hot, 1.0)
     state_d = selection_weights(dense, None, 1.0)
     assert np.allclose(state_p.weights, state_d.weights, atol=1e-15)
