@@ -6,6 +6,12 @@ node exactly once. Only the operations needed by the selection / encoder /
 classifier / decoder / reconstruction graph are provided; this is not a
 general-purpose autodiff system.
 
+Training does not run on the tape: trainer.LossPass writes the same forward
+and backward out by hand. The tape stays as its reference. Tests and the
+benchmark's traced replay of the training loop differentiate
+trainer.build_loss_graph with it and require the loss, the gradients and
+the trained model to equal LossPass's byte for byte.
+
 A tape owns its nodes, but a node refers back to its tape only weakly, so a
 graph holds no reference cycle: it is freed as soon as the last reference to
 its tape and nodes goes, without waiting for the cyclic garbage collector.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 
@@ -60,6 +61,10 @@ class TrainConfig:
             raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not 0.0 <= self.rms_decay < 1.0:
             raise ValueError(f"rms_decay must lie in [0, 1), got {self.rms_decay}")
+        # RMSprop divides by sqrt(mean square) + eps, and a gradient can be
+        # exactly zero (every decoder weight at lambda 0): eps = 0 gives 0/0
+        if not (math.isfinite(self.rms_eps) and self.rms_eps > 0.0):
+            raise ValueError(f"rms_eps must be finite and > 0, got {self.rms_eps}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -43,8 +43,10 @@ class EvalReport:
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
-        if self.recon_error < 0.0 or self.avg_mi < 0.0:
-            raise ValueError("recon_error and avg_mi must be nonnegative")
+        for name in ("recon_error", "avg_mi"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def lines(self) -> list[str]:
         values = {

@@ -1,7 +1,7 @@
 """Dense stacks (encoder, classifier head, decoder), the hard-selection
 forward pass, the embedding-predicted reconstruction layer, and the one
-parameter layout that initialization, counting, loading and the loss graph
-share."""
+parameter layout that initialization, counting, loading, the training pass
+and the loss graph share."""
 
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ class Architecture:
 @dataclass
 class DenseStack:
     """Ordered fully connected layers; weights are (out, in), biases optional.
-    The loss graph holds tape leaves in the same slots."""
+    The loss graph holds tape leaves in the same slots, and the training
+    pass its gradients."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray] | None = None

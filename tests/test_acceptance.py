@@ -22,10 +22,10 @@ from fsnet.data import Dataset, SplitSpec, make_synthetic, save_delimited, split
 from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import accuracy, avg_mutual_information, measured_compression_ratio
 from fsnet.model import load_model
-from fsnet.network import Architecture, init_params, trainable_param_count
+from fsnet.network import Architecture, init_params, recon_matrix, trainable_param_count
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates, unique_argmax, ConcreteState
-from fsnet.trainer import build_loss_graph, selection_weights, train
+from fsnet.trainer import LossPass, build_loss_graph, selection_weights, train
 from helpers import concrete_loss, mean_shift_instance
 
 
@@ -55,13 +55,15 @@ def test_criterion_1_gradients_match_finite_differences():
     loss, leaves, _ = build_loss_graph(tape, params, emb, X, y, gumbel, tau, lam, slope)
     gmap = grad(tape, loss)
     analytic = [gmap[leaf] for leaf in leaves]
+    # the hand-written pass train() uses, checked against the same differences
+    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb), X, y, gumbel, tau, lam, slope).grads
 
     def value(arrays):
         probe = params.replace_arrays(arrays)
         return concrete_loss(probe, emb, X, y, gumbel, tau, lam, slope).total
 
     step = 1e-5
-    worst = 0.0
+    worst = worst_fused = 0.0
     arrays = [a.copy() for a in params.arrays()]
     for ai, array in enumerate(arrays):
         flat = array.reshape(-1)
@@ -76,11 +78,15 @@ def test_criterion_1_gradients_match_finite_differences():
             ad = analytic[ai].reshape(-1)[i]
             err = abs(ad - fd) / max(abs(ad), abs(fd), 1e-8)
             worst = max(worst, err)
+            hw = fused[ai].reshape(-1)[i]
+            worst_fused = max(worst_fused, abs(hw - fd) / max(abs(hw), abs(fd), 1e-8))
     elapsed = time.perf_counter() - started
 
-    ok = worst < 1e-4 and elapsed < 10.0
-    report(1, "gradient correctness", ok, f"max rel err {worst:.3e}, {elapsed:.2f}s")
+    ok = worst < 1e-4 and worst_fused < 1e-4 and elapsed < 10.0
+    report(1, "gradient correctness", ok,
+           f"max rel err {worst:.3e} (tape), {worst_fused:.3e} (train's pass), {elapsed:.2f}s")
     assert worst < 1e-4
+    assert worst_fused < 1e-4
     assert elapsed < 10.0
 
 

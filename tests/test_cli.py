@@ -17,7 +17,7 @@ from fsnet.cli import build_parser, main
 from fsnet.config import TrainConfig
 from fsnet.data import SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
 from fsnet.evaluator import REPORT_KEYS, accuracy
-from fsnet.model import load_model
+from fsnet.model import load_model, save_model
 
 
 @pytest.fixture()
@@ -161,6 +161,18 @@ def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["0", "-1e-8", "nan", "inf"])
+def test_train_rejects_an_rms_eps_that_is_not_finite_and_positive(tmp_path, data_csv, capsys, eps):
+    # at lambda 0 every decoder gradient is exactly 0, so eps = 0 made
+    # RMSprop compute 0/0 and save a model of NaN decoder weights
+    out = tmp_path / "eps"
+    code = main(["train", "--data", data_csv, "--out", str(out), "--k", "2",
+                 "--epochs", "2", "--lambda", "0", f"--rms-eps={eps}"])
+    assert code == 2
+    assert "rms_eps" in capsys.readouterr().err
+    assert not (tmp_path / "eps.model").exists()
+
+
 def test_identical_flags_reproduce_identical_artifacts(tmp_path, data_csv):
     # same out-basename in two directories: the model and curve files must
     # match byte for byte (manifests differ only in their timestamps)
@@ -222,6 +234,23 @@ def test_eval_rejects_dimension_mismatch(tmp_path, data_csv, capsys):
     code = main(["eval", "--model", out + ".model", "--data", other_path, "--out", str(tmp_path / "e")])
     assert code == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_model_that_reconstructs_nan(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    model = load_model(out + ".model")
+    bad = dataclasses.replace(
+        model, params=model.params.replace_arrays(
+            [np.full_like(a, np.nan) if name == "recon_w" else a for name, a in model.params.named()]
+        )
+    )
+    save_model(bad, out + ".nan.model")
+    capsys.readouterr()
+    code = main(["eval", "--model", out + ".nan.model", "--data", data_csv, "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert "recon_error" in capsys.readouterr().err
+    assert not (tmp_path / "e.eval.txt").exists()
 
 
 def test_synth_round_trips_and_records_planted(tmp_path, capsys):

@@ -40,6 +40,10 @@ def test_reference_defaults():
         {"leaky_slope": 0.0},
         {"leaky_slope": 1.5},
         {"rms_decay": 1.0},
+        {"rms_eps": 0.0},
+        {"rms_eps": -1e-8},
+        {"rms_eps": float("nan")},
+        {"rms_eps": float("inf")},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -264,10 +264,12 @@ def test_report_rejects_out_of_range_metrics():
     )
     with pytest.raises(ValueError, match="accuracy"):
         EvalReport(**{**kwargs, "accuracy": 1.5})
-    with pytest.raises(ValueError):
-        EvalReport(**{**kwargs, "recon_error": -0.1})
-    with pytest.raises(ValueError):
-        EvalReport(**{**kwargs, "avg_mi": -0.1})
+    with pytest.raises(ValueError, match="accuracy"):
+        EvalReport(**{**kwargs, "accuracy": float("nan")})
+    for name in ("recon_error", "avg_mi"):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                EvalReport(**{**kwargs, name: bad})
 
 
 def test_report_save_with_manifest_reference(tmp_path):

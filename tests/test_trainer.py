@@ -11,10 +11,18 @@ from fsnet.autodiff import Tape, grad
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
-from fsnet.network import Architecture, hard_forward, init_params, reconstruct, zeros_params
+from fsnet.network import (
+    Architecture,
+    hard_forward,
+    init_params,
+    recon_matrix,
+    reconstruct,
+    zeros_params,
+)
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates
 from fsnet.trainer import (
+    LossPass,
     TrainingDiverged,
     TrainReport,
     _dropout_masks,
@@ -164,6 +172,46 @@ def test_graph_leaves_hold_the_parameters_in_named_order(mode, use_bias):
     assert all(leaf.value is arr for leaf, arr in zip(leaves, arrays))
     gmap = grad(tape, loss)
     assert [gmap[leaf].shape for leaf in leaves] == [arr.shape for arr in arrays]
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("recon_weight", [0.0, 1.3])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dropout):
+    # d is large enough that the (K, d) and (n, d) arrays pass 256 KiB, the
+    # size from which NumPy computes `temporary * x` into the temporary and
+    # keeps its layout; gradient strides decide the summation order of the
+    # matrix products that read them in the next epoch
+    n, d, k, b = 12, 8000, 5, 4
+    rng = RngState(21)
+    X = rng.normal((n, d))
+    y = np.arange(n) % 2
+    emb = compute_embeddings(X, b) if mode == "predictor" else None
+    arch = Architecture(d, k, 2, encoder=(6, 4), decoder=(4, 6))
+    params = init_params(arch, b, mode, RngState(22), use_bias)
+    gumbel = RngState(23).gumbel((k, d))
+    enc_masks = _dropout_masks(RngState(24), n, arch.encoder, dropout)
+    dec_masks = _dropout_masks(RngState(25), n, arch.decoder, dropout)
+    args = (X, y, gumbel, 0.7, recon_weight, 0.2, enc_masks, dec_masks)
+
+    tape = Tape()
+    loss, leaves, nodes = build_loss_graph(tape, params, emb, *args)
+    gmap = grad(tape, loss)
+    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb), *args)
+
+    assert float(fused.loss) == float(loss.value)
+    assert float(fused.class_loss) == float(nodes["class_loss"].value)
+    recon = nodes["recon_loss"]
+    assert float(fused.recon_loss) == (0.0 if recon is None else float(recon.value))
+    assert fused.gates.tobytes() == nodes["gates"].value.tobytes()
+    assert len(fused.grads) == len(leaves)
+    for (name, arr), leaf, g in zip(params.named(), leaves, fused.grads):
+        want = gmap[leaf]
+        assert (g.shape, g.strides) == (want.shape, want.strides), name
+        assert g.tobytes() == want.tobytes(), name
+        if recon_weight == 0.0 and (name.startswith("decoder.") or name == "recon_w"):
+            assert g.shape == arr.shape and not g.any(), name
 
 
 def test_one_hot_embeddings_reproduce_dense_mode():
