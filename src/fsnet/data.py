@@ -102,63 +102,69 @@ def load_delimited(
 ) -> Dataset:
     """Parse a delimited text table into a Dataset.
 
-    Lines starting with '#' and blank lines are skipped. Label strings are
-    mapped to integer codes in order of first appearance. Any ragged row or
-    non-numeric feature cell raises DataError naming the offending location.
+    Lines starting with '#' and blank lines are skipped, and a UTF-8
+    byte-order mark is ignored. Label strings are mapped to integer codes in
+    order of first appearance. Feature cells are read as Python `float()`
+    reads them. Any ragged row or non-numeric feature cell raises DataError
+    naming the offending location.
     """
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    header_cells: list[str] | None = None
+    width = label_idx = 0
+    rows: list[np.ndarray] = []
+    y: list[int] = []
+    codes: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            rows.append((lineno, next(csv.reader([line], delimiter=delimiter))))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    feature_names: list[str] | None = None
-    if header:
-        header_line, header_cells = rows.pop(0)
-        if not rows:
-            raise DataError(f"{path}: header only, no data rows")
-        width = len(header_cells)
-    else:
-        width = len(rows[0][1])
-
-    if not -width <= label_col < width:
-        raise DataError(f"{path}: label column {label_col} outside row width {width}")
-    label_idx = label_col % width
-    if header:
-        feature_names = [c for i, c in enumerate(header_cells) if i != label_idx]
-
-    n, d = len(rows), width - 1
-    if d < 1:
-        raise DataError(f"{path}: rows must have at least one feature column")
-    X = np.empty((n, d))
-    codes: dict[str, int] = {}
-    y = np.empty(n, dtype=np.intp)
-    for r, (lineno, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise DataError(
-                f"{path}: line {lineno}: expected {width} fields, found {len(cells)}"
-            )
-        label = cells[label_idx].strip()
-        if not label:
-            raise DataError(f"{path}: line {lineno}: missing label")
-        y[r] = codes.setdefault(label, len(codes))
-        c = 0
-        for i, cell in enumerate(cells):
-            if i == label_idx:
+            cells = next(csv.reader([line], delimiter=delimiter))
+            if header and header_cells is None:
+                header_cells = cells
                 continue
-            try:
-                X[r, c] = float(cell)
-            except ValueError:
+            if not rows:
+                width = len(cells if header_cells is None else header_cells)
+                if not -width <= label_col < width:
+                    raise DataError(f"{path}: label column {label_col} outside row width {width}")
+                label_idx = label_col % width
+                if width < 2:
+                    raise DataError(f"{path}: rows must have at least one feature column")
+            if len(cells) != width:
                 raise DataError(
-                    f"{path}: line {lineno}, column {i + 1}: non-numeric value {cell!r}"
-                ) from None
-            c += 1
-    label_names = [name for name, _ in sorted(codes.items(), key=lambda kv: kv[1])]
-    return Dataset(X, y, len(codes), label_names, feature_names)
+                    f"{path}: line {lineno}: expected {width} fields, found {len(cells)}"
+                )
+            label = cells.pop(label_idx).strip()
+            if not label:
+                raise DataError(f"{path}: line {lineno}: missing label")
+            try:
+                rows.append(np.array(cells, dtype=np.float64))
+            except ValueError:
+                _raise_non_numeric(path, lineno, cells, label_idx)
+                raise
+            y.append(codes.setdefault(label, len(codes)))
+    if not rows:
+        raise DataError(
+            f"{path}: header only, no data rows"
+            if header_cells is not None
+            else f"{path}: no data rows"
+        )
+    feature_names = None
+    if header_cells is not None:
+        feature_names = header_cells[:label_idx] + header_cells[label_idx + 1:]
+    return Dataset(np.stack(rows), y, len(codes), list(codes), feature_names)
+
+
+def _raise_non_numeric(path: str, lineno: int, features: list[str], label_idx: int) -> None:
+    """Raise DataError for the first feature cell `float()` rejects; its column
+    number counts the label column, 1-based."""
+    for j, cell in enumerate(features):
+        try:
+            float(cell)
+        except ValueError:
+            column = j + 2 if j >= label_idx else j + 1
+            raise DataError(
+                f"{path}: line {lineno}, column {column}: non-numeric value {cell!r}"
+            ) from None
 
 
 def save_delimited(

@@ -11,7 +11,7 @@ import numpy as np
 from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
-from .model import FsNetModel, model_lines
+from .model import FsNetModel, saved_size
 from .network import Architecture, hard_forward, init_params, reconstruct, trainable_param_count
 from .rng import RngState
 
@@ -167,12 +167,12 @@ def measured_compression_ratio(
     arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False
 ) -> float:
     """Saved-size ratio dense/predictor for freshly initialized twin models,
-    with or without biases, counted from the lines save_model writes, without
-    touching the disk."""
-    sizes = {}
-    for mode in ("predictor", "dense"):
-        lines = model_lines(_size_probe_model(arch, embed_size, mode, seed, use_bias))
-        sizes[mode] = sum(len(line.encode("utf-8")) for line in lines)
+    with or without biases, as the byte counts of the files save_model would
+    write, without touching the disk."""
+    sizes = {
+        mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias))
+        for mode in ("predictor", "dense")
+    }
     return sizes["dense"] / sizes["predictor"]
 
 

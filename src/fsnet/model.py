@@ -58,8 +58,28 @@ def _format_row(values: np.ndarray) -> str:
     return " ".join("%.17e" % v for v in values)
 
 
-def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[str]:
-    """The lines of the saved model file, each ending in a newline."""
+def _format_rows_bytes(rows: np.ndarray) -> int:
+    """Sum of len(_format_row(row)) over the rows of a 2-D array, counted
+    without formatting: each field is 23 characters, one more for a sign and
+    one more for a three-digit exponent, with a space between fields.
+    Non-finite values, and values close enough to an exponent edge that
+    rounding to 18 digits could cross it, are formatted singly."""
+    flat = rows.ravel()
+    mag = np.abs(flat)
+    lo, hi = 1e-99, 1e100  # the exponent has three digits below lo and from hi up
+    edge = (
+        ~np.isfinite(mag)
+        | np.isclose(mag, lo, rtol=1e-12, atol=0.0)
+        | np.isclose(mag, hi, rtol=1e-12, atol=0.0)
+    )
+    widths = 23 + np.signbit(flat) + (((mag > 0.0) & (mag < lo)) | (mag >= hi))
+    fields = int(widths[~edge].sum()) + sum(len("%.17e" % v) for v in flat[edge])
+    return fields + rows.shape[0] * (rows.shape[1] - 1)
+
+
+def _model_blocks(model: FsNetModel, manifest_ref: str | None) -> Iterator[str | np.ndarray]:
+    """The saved file in order: text lines, each ending in a newline, and
+    each weight array as a 2-D block written one _format_row line per row."""
     arch = model.arch
     arch_doc = {
         "n_features": arch.n_features,
@@ -81,9 +101,29 @@ def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[
     for name, arr in named:
         dims = " ".join(str(s) for s in arr.shape)
         yield f"array {name} {dims}\n"
-        for row in arr.reshape(-1, arr.shape[-1]):
-            yield _format_row(row) + "\n"
+        yield arr.reshape(-1, arr.shape[-1])
     yield f"end {MAGIC}\n"
+
+
+def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[str]:
+    """The lines of the saved model file, each ending in a newline."""
+    for block in _model_blocks(model, manifest_ref):
+        if isinstance(block, str):
+            yield block
+        else:
+            for row in block:
+                yield _format_row(row) + "\n"
+
+
+def saved_size(model: FsNetModel, manifest_ref: str | None = None) -> int:
+    """Bytes of the file save_model writes, counted without formatting the
+    weights."""
+    return sum(
+        len(block.encode("utf-8"))
+        if isinstance(block, str)
+        else _format_rows_bytes(block) + block.shape[0]  # one newline per row
+        for block in _model_blocks(model, manifest_ref)
+    )
 
 
 def save_model(model: FsNetModel, path: str, manifest_ref: str | None = None) -> None:

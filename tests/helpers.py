@@ -1,13 +1,15 @@
 """Shared test utilities: finite-difference gradient oracle, a pure-Python
 reference implementation of the counter-based generator, the per-column
-histogram oracle of the embedding table, the NumPy oracle of the training
-loss, and a planted class-mean-shift instance for feature-recovery tests."""
+histogram oracle of the embedding table, the cell-by-cell oracle of the table
+loader, the NumPy oracle of the training loss, and a planted class-mean-shift
+instance for feature-recovery tests."""
 
+import csv
 from typing import NamedTuple
 
 import numpy as np
 
-from fsnet.data import Dataset
+from fsnet.data import DataError, Dataset
 from fsnet.network import classify, decode, encode, reconstruct
 from fsnet.numerics import softmax
 from fsnet.rng import RngState
@@ -94,6 +96,70 @@ def feature_histogram(u: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarra
     midpoints = lo + (np.arange(n_bins) + 0.5) * width
     means = np.where(counts > 0, sums / np.maximum(counts, 1.0), midpoints)
     return counts / n, means
+
+
+def ref_load_delimited(
+    path: str,
+    delimiter: str = ",",
+    header: bool = True,
+    label_col: int = -1,
+) -> Dataset:
+    """The oracle of data.load_delimited: read every line first, then check
+    the table and convert it one cell at a time with `float()`, in the same
+    order of checks and with the same messages."""
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            rows.append((lineno, next(csv.reader([line], delimiter=delimiter))))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    feature_names: list[str] | None = None
+    if header:
+        _, header_cells = rows.pop(0)
+        if not rows:
+            raise DataError(f"{path}: header only, no data rows")
+        width = len(header_cells)
+    else:
+        width = len(rows[0][1])
+
+    if not -width <= label_col < width:
+        raise DataError(f"{path}: label column {label_col} outside row width {width}")
+    label_idx = label_col % width
+    if header:
+        feature_names = [c for i, c in enumerate(header_cells) if i != label_idx]
+
+    n, d = len(rows), width - 1
+    if d < 1:
+        raise DataError(f"{path}: rows must have at least one feature column")
+    X = np.empty((n, d))
+    codes: dict[str, int] = {}
+    y = np.empty(n, dtype=np.intp)
+    for r, (lineno, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} fields, found {len(cells)}"
+            )
+        label = cells[label_idx].strip()
+        if not label:
+            raise DataError(f"{path}: line {lineno}: missing label")
+        y[r] = codes.setdefault(label, len(codes))
+        c = 0
+        for i, cell in enumerate(cells):
+            if i == label_idx:
+                continue
+            try:
+                X[r, c] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}, column {i + 1}: non-numeric value {cell!r}"
+                ) from None
+            c += 1
+    label_names = [name for name, _ in sorted(codes.items(), key=lambda kv: kv[1])]
+    return Dataset(X, y, len(codes), label_names, feature_names)
 
 
 def mean_shift_instance(n, d, n_planted, shift, seed):

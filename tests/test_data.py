@@ -1,5 +1,8 @@
 """Dataset loading, standardization, splitting, and the synthetic benchmark."""
 
+import codecs
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from fsnet.data import (
     split,
     standardize,
 )
+from helpers import ref_load_delimited
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -118,6 +122,106 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(again.y, ds.y)
     assert again.label_names == ds.label_names
     assert again.feature_names == ds.feature_names
+
+
+def test_byte_order_mark_on_a_headerless_table_is_ignored(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"1,2,a\n3,4,b\n")
+    ds = load_delimited(str(path), header=False)
+    assert np.array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_byte_order_mark_stays_out_of_the_feature_names(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"f0,f1,label\n1,2,a\n3,4,b\n")
+    assert load_delimited(str(path)).feature_names == ["f0", "f1"]
+
+
+def test_byte_order_mark_stays_out_of_the_first_label(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"a,1\nb,2\na,3\n")
+    ds = load_delimited(str(path), header=False, label_col=0)
+    assert ds.label_names == ["a", "b"]
+    assert ds.y.tolist() == [0, 1, 0]
+
+
+# Tables the streaming loader must read exactly as the cell-by-cell oracle
+# does: (file bytes, load_delimited keyword arguments).
+AWKWARD_TABLES = {
+    "quoted": (b'"f0","f,1",label\n"1.5","2","a"\n3,"-4e2",b\n', {}),
+    "crlf": (b"f0,f1,label\r\n1,2,a\r\n3,4,b\r\n", {}),
+    "spaces": (b"f0,f1,label\n 1 , 2.5 ,a\n\t3,4 , b \n", {}),
+    "number_forms": (
+        b"f0,f1,f2,f3,f4,label\n"
+        b"1e5,5e-324,-0.0,1_0,+.5,a\n"
+        b"-2.5E-3,2.2250738585072014e-308,0.0,1.7976931348623157e308,7.,b\n",
+        {},
+    ),
+    "label_first": (b"label,f0,f1\na,1,2\nb,3,4\na,5,6\n", {"label_col": 0}),
+    "label_middle": (b"f0,f1,label,f2\n1,2,a,3\n4,5,b,6\n", {"label_col": 2}),
+    "label_middle_negative": (b"f0,label,f1\n1,a,2\n3,b,4\n", {"label_col": -2}),
+    "tab": (b"a\t1.0\t2.0\nb\t3.0\t4.0\n", {"delimiter": "\t", "header": False, "label_col": 0}),
+    "comments_and_blanks": (b"# made by hand\n\nf0,label\n  \n1,a\n# mid\n\n2,b\n", {}),
+    "no_header": (b"1,2,a\n3,4,b\n", {"header": False}),
+}
+
+BROKEN_TABLES = {
+    "ragged": (b"f0,f1,label\n1,2,a\n3,b\n", {}),
+    "non_numeric_after_middle_label": (b"f0,label,f1,f2\n1,a,2,3\n4,b,5,x\n", {"label_col": 1}),
+    "non_numeric_before_label": (b"f0,f1,label\n1,2,a\noops,4,b\n", {}),
+    "empty_cell": (b"f0,f1,label\n1,,a\n3,4,b\n", {}),
+    "missing_label": (b"f0,label\n1,a\n2, \n", {}),
+    "header_only": (b"f0,f1,label\n# nothing else\n", {}),
+    "header_only_bad_label_column": (b"f0,f1,label\n", {"label_col": 7}),
+    "empty": (b"", {}),
+    "comments_only": (b"# a\n\n# b\n", {"header": False}),
+    "label_column_too_high": (b"f0,f1,label\n1,2,a\n3,4,b\n", {"label_col": 3}),
+    "label_column_too_low": (b"1,2,a\n3,4,b\n", {"header": False, "label_col": -4}),
+    "no_feature_column": (b"label\na\nb\n", {}),
+    "ragged_before_non_numeric": (b"f0,f1,label\n1,x,a\n3,b\n", {}),
+    "non_finite": (b"f0,f1,label\n1,inf,a\n3,4,b\n", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AWKWARD_TABLES))
+def test_loader_equals_cell_by_cell_oracle(tmp_path, name):
+    text, kwargs = AWKWARD_TABLES[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes(text)
+    got = load_delimited(str(path), **kwargs)
+    want = ref_load_delimited(str(path), **kwargs)
+    assert got.X.dtype == want.X.dtype and got.X.shape == want.X.shape
+    assert got.X.tobytes() == want.X.tobytes()
+    assert np.array_equal(got.y, want.y)
+    assert got.label_names == want.label_names
+    assert got.feature_names == want.feature_names
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TABLES))
+def test_loader_fails_like_cell_by_cell_oracle(tmp_path, name):
+    text, kwargs = BROKEN_TABLES[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes(text)
+    with pytest.raises(DataError) as want:
+        ref_load_delimited(str(path), **kwargs)
+    with pytest.raises(DataError) as got:
+        load_delimited(str(path), **kwargs)
+    assert str(got.value) == str(want.value)
+
+
+def test_load_peak_memory_stays_near_the_array_size(tmp_path):
+    rng = np.random.default_rng(0)
+    ds = Dataset(rng.normal(size=(72, 2000)), np.arange(72) % 2, 2, ["a", "b"])
+    path = str(tmp_path / "wide.csv")
+    save_delimited(ds, path)
+    tracemalloc.start()
+    try:
+        loaded = load_delimited(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.X, ds.X)
+    assert peak <= 3 * ds.X.nbytes
 
 
 # ---------------------------------------------------------------- scaling

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from fsnet.config import TrainConfig
-from fsnet.model import FsNetModel, ModelFormatError, load_model, save_model
+from fsnet.model import (
+    FsNetModel,
+    ModelFormatError,
+    _format_row,
+    _format_rows_bytes,
+    load_model,
+    saved_size,
+    save_model,
+)
 from fsnet.network import Architecture, init_params
 from fsnet.rng import RngState
 
@@ -77,6 +85,40 @@ def test_round_trip_extreme_values(tmp_path):
     again = load_model(path)
     assert np.array_equal(again.params.select_w, model.params.select_w)
     assert np.array_equal(again.params.recon_w, model.params.recon_w)
+
+
+def _around(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+    *_around(1e-100), *_around(1e-99), *_around(1e99), *_around(1e100),
+    *(-v for v in _around(1e-99)), *(-v for v in _around(1e100)),
+    -1.5, 2.5, np.inf, -np.inf, np.nan,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_row_byte_count_equals_formatted_length_of_one_value(value):
+    row = np.array([[value]])
+    assert _format_rows_bytes(row) == len(_format_row(row[0]))
+
+
+def test_row_byte_count_equals_formatted_length_of_mixed_rows():
+    rng = np.random.default_rng(0)
+    wide = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-320, 308, 400)
+    for rows in (np.array([EDGE_VALUES]), wide.reshape(80, 5)):
+        assert _format_rows_bytes(rows) == sum(len(_format_row(r)) for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_saved_size_equals_file_size(tmp_path, mode):
+    model = tiny_model(mode, use_bias=True)
+    model.params.recon_w[0, :3] = [1e-300, -1e100, 5e-324]
+    path = tmp_path / "m.model"
+    save_model(model, str(path), manifest_ref="m.manifest.json")
+    assert saved_size(model, "m.manifest.json") == path.stat().st_size
 
 
 def test_two_saves_are_byte_identical(tmp_path):
