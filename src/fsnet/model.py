@@ -115,14 +115,14 @@ def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[
                 yield _format_row(row) + "\n"
 
 
-def saved_size(model: FsNetModel, manifest_ref: str | None = None) -> int:
-    """Bytes of the file save_model writes, counted without formatting the
-    weights."""
+def saved_size(model: FsNetModel) -> int:
+    """Bytes of the file save_model writes without a manifest reference,
+    counted without formatting the weights."""
     return sum(
         len(block.encode("utf-8"))
         if isinstance(block, str)
         else _format_rows_bytes(block) + block.shape[0]  # one newline per row
-        for block in _model_blocks(model, manifest_ref)
+        for block in _model_blocks(model, None)
     )
 
 
