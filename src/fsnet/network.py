@@ -222,16 +222,21 @@ def hard_forward(
     return classify(params.classifier, hidden, slope), decode(params.decoder, hidden, slope)
 
 
-def recon_matrix(recon_w: np.ndarray, emb: np.ndarray | None) -> np.ndarray:
+def recon_matrix(
+    recon_w: np.ndarray, emb: np.ndarray | None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Virtual reconstruction weights, one row per feature.
 
     Predictor mode maps each row phi of the (d, b) embedding table through
     tanh(recon_w @ phi); dense mode (emb is None) squashes the learned matrix
-    directly, which is the predictor formula with one-hot embeddings.
+    directly, which is the predictor formula with one-hot embeddings. `out`,
+    if given, is an earlier result of the same call to overwrite, which keeps
+    the (d, h') layout: C order in predictor mode, F order in dense mode.
     """
     if emb is None:
-        return np.tanh(recon_w.T)
-    return np.tanh(matmul(emb, recon_w.T))  # (d, h')
+        return np.tanh(recon_w.T, out=out)
+    rows = matmul(emb, recon_w.T, out=out)  # (d, h')
+    return np.tanh(rows, out=rows)
 
 
 def reconstruct(recon_w: np.ndarray, emb: np.ndarray | None, h_tilde: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product with an explicit inner-dimension check, written into
+    `out` if given."""
     a = as_matrix(a, "left operand")
     b = as_matrix(b, "right operand")
     if a.shape[1] != b.shape[0]:
@@ -29,17 +30,21 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}:"
             f" inner dimensions {a.shape[1]} and {b.shape[0]} differ"
         )
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis`, computed with max-subtraction for stability."""
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along `axis`, computed with max-subtraction for stability.
+
+    The shift, exponential and division all write into one array: `out` if
+    given (it must not be x), else a fresh one with the layout of x - max.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty array is undefined")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
 
 
 def leaky_relu(x, slope: float):

@@ -83,10 +83,14 @@ class RngState:
         return z[:size].reshape(shape)
 
     def gumbel(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Standard Gumbel draws, -log(-log(u)), u clamped into [eps, 1-eps]."""
+        """Standard Gumbel draws, -log(-log(u)), u clamped into [eps, 1-eps].
+        Each step overwrites the uniform draw's own array."""
         u = np.asarray(self.uniform(shape))
-        u = np.clip(u, _GUMBEL_EPS, 1.0 - _GUMBEL_EPS)
-        return -np.log(-np.log(u))
+        np.clip(u, _GUMBEL_EPS, 1.0 - _GUMBEL_EPS, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+        return np.negative(u, out=u)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n)."""

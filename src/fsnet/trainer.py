@@ -4,6 +4,11 @@ annealing, per-epoch monitoring, and the final hard feature selection. The
 same loss as an autodiff tape graph (build_loss_graph) is kept as the
 reference that LossPass must equal byte for byte.
 
+Every d-wide array of the loop (the pass's K x d, n x d and d x h' arrays,
+the optimizer's terms and the reconstruction matrix) is a buffer made once
+per train() call and overwritten each epoch; the parameters are updated in
+place.
+
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
 soft gate matrix M resampled from fresh Gumbel noise every epoch. Inference
@@ -177,8 +182,7 @@ def build_loss_graph(
 
 
 class _StackPass:
-    """A DenseStack applied to a batch, keeping what its backward needs and,
-    for LossPass, every other array it makes."""
+    """A DenseStack applied to a batch, keeping what its backward needs."""
 
     def __init__(
         self,
@@ -191,7 +195,6 @@ class _StackPass:
         self.stack, self.masks, self.final_softmax = stack, masks, final_softmax
         self.inputs: list[np.ndarray] = []
         self.leaks: list[np.ndarray] = []  # leaky-ReLU derivative of each hidden layer
-        self.z: list[np.ndarray] = []
         a = batch
         last = len(stack.weights) - 1
         for i, w in enumerate(stack.weights):
@@ -199,12 +202,11 @@ class _StackPass:
             z = a @ w.T
             if stack.biases is not None:
                 z = z + stack.biases[i]
-            self.z.append(z)
             if i == last and final_softmax:
                 a = numerics.softmax(z, axis=1)
             else:
                 self.leaks.append(np.where(z >= 0.0, 1.0, slope))
-                a = numerics.leaky_relu(z, slope)
+                a = z * self.leaks[-1]  # leaky ReLU: z * 1.0 is z, z * slope is slope * z
                 if masks is not None:
                     a = a * masks[i]
         self.output = a
@@ -215,7 +217,6 @@ class _StackPass:
         stack, last = self.stack, len(self.stack.weights) - 1
         weight_grads = [None] * (last + 1)
         bias_grads = None if stack.biases is None else [None] * (last + 1)
-        self.g_inputs: list[np.ndarray] = []
         for i in range(last, -1, -1):
             if i == last and self.final_softmax:
                 p = self.output
@@ -228,9 +229,16 @@ class _StackPass:
                 bias_grads[i] = g.sum(axis=0)
             weight_grads[i] = (self.inputs[i].T @ g).T
             g = g @ stack.weights[i]
-            self.g_inputs.append(g)
         self.grads = DenseStack(weight_grads, bias_grads)
         return g
+
+
+def _into(workspace: dict[str, np.ndarray], name: str, op, *operands, **kwargs) -> np.ndarray:
+    """op(*operands, **kwargs) written with out= into workspace[name]. The
+    first call stores its fresh result there, so each buffer has the layout
+    NumPy gives that expression, and later calls overwrite it."""
+    workspace[name] = op(*operands, out=workspace.get(name), **kwargs)
+    return workspace[name]
 
 
 class LossPass:
@@ -241,18 +249,22 @@ class LossPass:
     operand layout: transposes stay views, a weight's gradient is
     (a.T @ g).T and an input's g @ w. So the gradients also have the tape's
     strides, and the matrix products that later read them sum in the same
-    order. A tape op that is its own node stays its own statement here,
-    because NumPy computes `temporary * x` in place when the temporary is
-    large, keeping the temporary's layout where the tape makes a new array.
-    Nothing is differentiated into X, the embedding table, the Gumbel noise
-    or the dropout masks.
+    order. A tape op that is its own node stays its own statement here, and
+    an op that NumPy would compute into a large temporary writes into that
+    temporary's buffer, so every array that a sum or a matrix product reads
+    has the layout it has on the tape. Nothing is differentiated into X, the
+    embedding table, the Gumbel noise or the dropout masks.
 
     rows is recon_matrix(params.recon_w, emb), passed in so the caller can
     share it; it is read only when recon_weight > 0. Callers read loss,
     class_loss, recon_loss (0.0 when recon_weight is 0), gates, and grads in
-    FsNetParams.named() order. Every array the pass makes stays an
-    attribute, also those no later step reads (such as _StackPass.z), so
-    that a caller holding the pass keeps all of its memory; see train().
+    FsNetParams.named() order.
+
+    workspace, if given, is a dict that the K x d, n x d and d x h' arrays are
+    written into: the first pass through it stores its fresh arrays there,
+    and each later pass of the same shapes overwrites them. gates, grads and
+    the other attributes of a pass are then views of the workspace, valid
+    until the next pass through it. Without a workspace every array is fresh.
     """
 
     def __init__(
@@ -268,20 +280,25 @@ class LossPass:
         slope: float,
         encoder_masks: list[np.ndarray] | None = None,
         decoder_masks: list[np.ndarray] | None = None,
+        workspace: dict[str, np.ndarray] | None = None,
     ):
         _check_labels(y, params.classifier.weights[-1].shape[0])
         X = np.asarray(X, dtype=np.float64)
         picks = (np.arange(X.shape[0]), np.asarray(y, dtype=np.intp))
         inv_tau = float(1.0 / temperature)
         lam = float(recon_weight)
+        ws = {} if workspace is None else workspace
 
         # forward: the selection layer, encoder and classifier, then the reconstruction
-        self.scores = params.select_w if emb is None else params.select_w @ emb.T
-        self.delta = numerics.softmax(self.scores, axis=1)
-        self.floored = np.maximum(self.delta, LOG_FLOOR)
-        self.noisy = np.log(self.floored) + gumbel
-        self.logits = self.noisy * inv_tau
-        self.gates = numerics.softmax(self.logits, axis=1)
+        self.scores = (
+            params.select_w if emb is None else _into(ws, "scores", np.matmul, params.select_w, emb.T)
+        )
+        self.delta = _into(ws, "delta", numerics.softmax, self.scores, axis=1)
+        self.floored = _into(ws, "floored", np.maximum, self.delta, LOG_FLOOR)
+        self.noisy = _into(ws, "noisy", np.log, self.floored)
+        np.add(self.noisy, gumbel, out=self.noisy)
+        self.logits = _into(ws, "logits", np.multiply, self.noisy, inv_tau)
+        self.gates = _into(ws, "gates", numerics.softmax, self.logits, axis=1)
         self.selected = X @ self.gates.T
         self.encoder = _StackPass(params.encoder, self.selected, slope, encoder_masks, False)
         hidden = self.encoder.output
@@ -293,8 +310,10 @@ class LossPass:
         if lam != 0.0:
             self.decoder = _StackPass(params.decoder, hidden, slope, decoder_masks, False)
             self.rows = rows
-            self.diff = X - self.decoder.output @ rows.T
-            self.recon_loss = np.sum(self.diff * self.diff)
+            self.diff = _into(ws, "diff", np.matmul, self.decoder.output, rows.T)  # x_hat
+            np.subtract(X, self.diff, out=self.diff)
+            squared = _into(ws, "squared", np.multiply, self.diff, self.diff)
+            self.recon_loss = np.sum(squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
         # backward: the classifier, then the reconstruction
@@ -304,10 +323,14 @@ class LossPass:
         if lam != 0.0:
             # the tape's -(2 * broadcast(lambda) * diff) without its (n, d)
             # broadcast temporary; doubling and negation are exact
-            self.g_x_hat = (-2.0 * lam) * self.diff
-            self.g_rows = (self.decoder.output.T @ self.g_x_hat).T  # (d, h')
+            self.g_x_hat = _into(ws, "g_x_hat", np.multiply, -2.0 * lam, self.diff)
+            self.g_rows = _into(ws, "g_rows", np.matmul, self.decoder.output.T, self.g_x_hat).T  # (d, h')
             self.g_hidden = self.decoder.backward(self.g_x_hat @ rows) + self.g_hidden
-            self.g_pre_tanh = self.g_rows * (1.0 - rows * rows)
+            # g_rows * (1.0 - rows * rows), the product computed into the
+            # temporary as NumPy does: the layout of rows
+            self.g_pre_tanh = _into(ws, "g_pre_tanh", np.multiply, rows, rows)
+            np.subtract(1.0, self.g_pre_tanh, out=self.g_pre_tanh)
+            np.multiply(self.g_rows, self.g_pre_tanh, out=self.g_pre_tanh)
             g_recon_w = (self.g_pre_tanh if emb is None else emb.T @ self.g_pre_tanh).T
             g_decoder = self.decoder.grads
         else:  # the tape's zero gradients for the leaves the loss does not reach
@@ -318,15 +341,26 @@ class LossPass:
             )
             g_recon_w = np.zeros_like(params.recon_w)
 
-        # backward: the encoder, then the selection layer
+        # backward: the encoder, then the selection layer; each softmax
+        # backward is p * (g - sum(g * p)), the product computed into the
+        # (g - sum) temporary as NumPy does
         self.g_selected = self.encoder.backward(self.g_hidden)
-        self.g_gates = (X.T @ self.g_selected).T
+        self.g_gates = _into(ws, "g_gates", np.matmul, X.T, self.g_selected).T
         gates, delta = self.gates, self.delta
-        self.g_logits = gates * (self.g_gates - np.sum(self.g_gates * gates, axis=1, keepdims=True))
-        self.g_noisy = self.g_logits * inv_tau
-        self.g_floored = self.g_noisy / self.floored
-        self.g_delta = self.g_floored * (delta > LOG_FLOOR)
-        self.g_scores = delta * (self.g_delta - np.sum(self.g_delta * delta, axis=1, keepdims=True))
+        weighted = _into(ws, "g_gates_weighted", np.multiply, self.g_gates, gates)
+        self.g_logits = _into(
+            ws, "g_logits", np.subtract, self.g_gates, np.sum(weighted, axis=1, keepdims=True)
+        )
+        np.multiply(gates, self.g_logits, out=self.g_logits)
+        self.g_noisy = _into(ws, "g_noisy", np.multiply, self.g_logits, inv_tau)
+        self.g_floored = _into(ws, "g_floored", np.divide, self.g_noisy, self.floored)
+        live = _into(ws, "live", np.greater, delta, LOG_FLOOR)
+        self.g_delta = _into(ws, "g_delta", np.multiply, self.g_floored, live)
+        weighted = _into(ws, "g_delta_weighted", np.multiply, self.g_delta, delta)
+        self.g_scores = _into(
+            ws, "g_scores", np.subtract, self.g_delta, np.sum(weighted, axis=1, keepdims=True)
+        )
+        np.multiply(delta, self.g_scores, out=self.g_scores)
         g_select_w = self.g_scores if emb is None else self.g_scores @ emb
         self.grads = FsNetParams(
             g_select_w, self.encoder.grads, self.classifier.grads, g_decoder, g_recon_w
@@ -335,13 +369,18 @@ class LossPass:
 
 @dataclass
 class RmsPropState:
-    """Running mean of squared gradients, one slot per parameter array."""
+    """Running mean of squared gradients, one slot per parameter array, and
+    two scratch arrays per slot that each step writes its terms into."""
 
     mean_square: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]
 
 
 def rmsprop_init(arrays: list[np.ndarray]) -> RmsPropState:
-    return RmsPropState([np.zeros_like(a) for a in arrays])
+    return RmsPropState(
+        [np.zeros_like(a) for a in arrays],
+        [(np.empty_like(a), np.empty_like(a)) for a in arrays],
+    )
 
 
 def rmsprop_step(
@@ -352,16 +391,26 @@ def rmsprop_step(
     decay: float,
     eps: float,
 ) -> tuple[list[np.ndarray], RmsPropState]:
+    """One RMSprop update, in place: v = decay * v + (1 - decay) * g * g,
+    then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
+    IEEE step in that order. Returns `arrays` and `state`, the same objects,
+    updated."""
     if len(arrays) != len(grads) or len(arrays) != len(state.mean_square):
         raise ValueError("parameter, gradient, and state lists must align")
-    new_arrays, new_ms = [], []
     for w, g, v in zip(arrays, grads, state.mean_square):
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
-        v2 = decay * v + (1.0 - decay) * g * g
-        new_arrays.append(w - learning_rate * g / (np.sqrt(v2) + eps))
-        new_ms.append(v2)
-    return new_arrays, RmsPropState(new_ms)
+    for w, g, v, (step, root) in zip(arrays, grads, state.mean_square, state.scratch):
+        np.multiply(decay, v, out=v)
+        np.multiply(1.0 - decay, g, out=step)
+        np.multiply(step, g, out=step)
+        np.add(v, step, out=v)
+        np.multiply(learning_rate, g, out=step)
+        np.sqrt(v, out=root)
+        np.add(root, eps, out=root)
+        np.divide(step, root, out=step)
+        np.subtract(w, step, out=w)
+    return arrays, state
 
 
 def _dropout_masks(
@@ -409,6 +458,8 @@ def train(
     opt = rmsprop_init(params.arrays())
     need_rows = config.recon_weight > 0.0 or test is not None
     rows = recon_matrix(params.recon_w, emb) if need_rows else None
+    workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
+    test_err = None  # the monitor's (n_test, d) reconstruction error, made in epoch 1
 
     n = dataset.n_samples
     records: list[EpochRecord] = []
@@ -422,11 +473,12 @@ def train(
             else None
         )
 
-        # Rebinding `step` frees the previous epoch's arrays only once this
-        # epoch's are made. Freeing them earlier lets glibc malloc hand the
-        # emptied heap top back to the OS and fault it in again every epoch:
-        # at n=58, d=7129 in predictor mode that was about 9x the minor
-        # page faults and a third more train time.
+        # Every d-wide array of the pass, the optimizer and the reconstruction
+        # matrix is a buffer made once and overwritten each epoch, so
+        # rebinding `step` frees only the small arrays of the previous pass.
+        # Fresh d-wide arrays each epoch cost more to allocate and fault in
+        # than the arithmetic done in them, and freeing them let glibc malloc
+        # return the heap top to the OS every epoch.
         step = LossPass(
             params,
             emb,
@@ -439,13 +491,14 @@ def train(
             config.leaky_slope,
             enc_masks,
             dec_masks,
+            workspace,
         )
         total = float(step.loss)
         if not np.isfinite(total):
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
             )
-        arrays, opt = rmsprop_step(
+        rmsprop_step(  # updates params' arrays in place
             params.arrays(),
             step.grads,
             opt,
@@ -453,9 +506,8 @@ def train(
             config.rms_decay,
             config.rms_eps,
         )
-        params = params.replace_arrays(arrays)
         if need_rows:  # shared by the monitor and the next epoch's pass
-            rows = recon_matrix(params.recon_w, emb)
+            recon_matrix(params.recon_w, emb, out=rows)
 
         sel_epoch = unique_argmax(step.gates.T)
         probs, _ = hard_forward(params, dataset.X, sel_epoch, config.leaky_slope)
@@ -464,8 +516,10 @@ def train(
         if test is not None:
             probs, h_tilde = hard_forward(params, test.X, sel_epoch, config.leaky_slope)
             test_acc = float((probs.argmax(axis=1) == test.y).mean())
-            x_hat = numerics.matmul(h_tilde, rows.T)
-            test_rec = float(((test.X - x_hat) ** 2).sum(axis=1).mean())
+            test_err = numerics.matmul(h_tilde, rows.T, out=test_err)  # x_hat
+            np.subtract(test.X, test_err, out=test_err)
+            np.square(test_err, out=test_err)
+            test_rec = float(test_err.sum(axis=1).mean())
         class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
         records.append(
             EpochRecord(epoch, tau, total, class_loss, recon_loss, train_acc, test_acc, test_rec)

@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference gradient oracle, a pure-Python
 reference implementation of the counter-based generator, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
-loader, the NumPy oracle of the training loss, and a planted class-mean-shift
-instance for feature-recovery tests."""
+loader, the NumPy oracle of the training loss, the out-of-place RMSprop
+formula, and a planted class-mean-shift instance for feature-recovery
+tests."""
 
 import csv
 from typing import NamedTuple
@@ -214,3 +215,14 @@ def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
     logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + gumbel) / temperature
     gates = softmax(logits, axis=1)
     return joint_loss(params, emb, gates, X, y, recon_weight, slope)
+
+
+def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
+    """One RMSprop step as fresh arrays, leaving its inputs untouched:
+    (new arrays, new mean squares)."""
+    new_arrays, new_ms = [], []
+    for w, g, v in zip(arrays, grads, mean_square):
+        v2 = decay * v + (1.0 - decay) * g * g
+        new_arrays.append(w - learning_rate * g / (np.sqrt(v2) + eps))
+        new_ms.append(v2)
+    return new_arrays, new_ms

@@ -20,6 +20,11 @@ from fsnet.evaluator import REPORT_KEYS, accuracy
 from fsnet.model import load_model, save_model
 
 
+def first_line(path):
+    with open(path) as fh:
+        return fh.readline()
+
+
 @pytest.fixture()
 def data_csv(tmp_path):
     dataset, _ = make_synthetic(40, 6, 2, seed=0)
@@ -57,7 +62,7 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     assert model.config.seed == 1
     assert len(model.selected) == 3
 
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seed"] == 1
     assert manifest["config"]["n_select"] == 3
@@ -70,8 +75,8 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     assert numerics["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
 
     # artifacts point back at the manifest that produced them
-    assert 'manifest "run.manifest.json"' in open(out + ".model").read().splitlines()[1]
-    assert open(out + ".train.csv").readline() == "# manifest run.manifest.json\n"
+    assert 'manifest "run.manifest.json"' in Path(out + ".model").read_text().splitlines()[1]
+    assert first_line(out + ".train.csv") == "# manifest run.manifest.json\n"
 
 
 def test_train_prints_the_saved_models_accuracy(tmp_path, capsys):
@@ -206,7 +211,7 @@ def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     stdout = capsys.readouterr().out
     for key in REPORT_KEYS:
         assert f"{key} " in stdout
-    saved = open(str(tmp_path / "e") + ".eval.txt").read().splitlines()
+    saved = (tmp_path / "e.eval.txt").read_text().splitlines()
     assert saved[0] == "manifest e.eval.manifest.json"
     assert len(saved) == 1 + len(REPORT_KEYS)
 
@@ -264,7 +269,7 @@ def test_synth_round_trips_and_records_planted(tmp_path, capsys):
     assert np.array_equal(loaded.X, reference.X)
     assert np.array_equal(loaded.y, reference.y)
 
-    doc = json.load(open(out + ".planted.json"))
+    doc = json.loads(Path(out + ".planted.json").read_text())
     assert doc["planted"] == planted_ref
     assert (doc["n"], doc["d"], doc["k_star"], doc["seed"]) == (30, 5, 2, 3)
     assert doc["manifest"] == "gen.synth.manifest.json"
@@ -279,14 +284,14 @@ def test_commands_sharing_a_prefix_keep_their_own_manifests(tmp_path):
     assert main(["eval", "--model", p + ".model", "--data", p + ".csv", "--out", p]) == 0
 
     def command_of(manifest_name):
-        return json.load(open(tmp_path / manifest_name))["command"]
+        return json.loads((tmp_path / manifest_name).read_text())["command"]
 
     refs = {
-        "csv": open(p + ".csv").readline().split()[-1],
-        "planted": json.load(open(p + ".planted.json"))["manifest"],
-        "model": json.loads(open(p + ".model").read().splitlines()[1].split(" ", 1)[1]),
-        "train.csv": open(p + ".train.csv").readline().split()[-1],
-        "eval.txt": open(p + ".eval.txt").readline().split()[-1],
+        "csv": first_line(p + ".csv").split()[-1],
+        "planted": json.loads(Path(p + ".planted.json").read_text())["manifest"],
+        "model": json.loads(Path(p + ".model").read_text().splitlines()[1].split(" ", 1)[1]),
+        "train.csv": first_line(p + ".train.csv").split()[-1],
+        "eval.txt": first_line(p + ".eval.txt").split()[-1],
     }
     assert {k: command_of(v) for k, v in refs.items()} == {
         "csv": "synth",
@@ -304,8 +309,8 @@ def test_synth_is_byte_reproducible(tmp_path):
         assert main(["synth", "--n", "12", "--d", "4", "--k-star", "2",
                      "--seed", "5", "--out", str(d / "gen")]) == 0
     assert (tmp_path / "a" / "gen.csv").read_bytes() == (tmp_path / "b" / "gen.csv").read_bytes()
-    a = json.load(open(tmp_path / "a" / "gen.planted.json"))
-    b = json.load(open(tmp_path / "b" / "gen.planted.json"))
+    a = json.loads((tmp_path / "a" / "gen.planted.json").read_text())
+    b = json.loads((tmp_path / "b" / "gen.planted.json").read_text())
     assert a == b
 
 

@@ -2,6 +2,7 @@
 the analytic vs measured model-size compression ratios."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_report_save_with_manifest_reference(tmp_path):
     report = EvalReport(0.5, 1.0, 0.25, 10, 6532, 13192, 2.0, 2.1)
     path = str(tmp_path / "eval.txt")
     report.save(path, manifest_ref="run.manifest.json")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "manifest run.manifest.json"
     assert lines[1:] == report.lines()
 

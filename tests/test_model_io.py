@@ -1,5 +1,7 @@
 """Model container validation and the versioned text serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,14 +128,14 @@ def test_two_saves_are_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.model"), str(tmp_path / "b.model")
     save_model(model, p1)
     save_model(model, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_manifest_reference_round_trips(tmp_path):
     model = tiny_model()
     path = str(tmp_path / "m.model")
     save_model(model, path, manifest_ref="run.manifest.json")
-    text = open(path).read()
+    text = Path(path).read_text()
     assert 'manifest "run.manifest.json"' in text.splitlines()[1]
     assert load_model(path).selected == model.selected
 
@@ -145,9 +147,9 @@ def corrupt(tmp_path, mutate):
     model = tiny_model()
     path = str(tmp_path / "m.model")
     save_model(model, path)
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     mutate(lines)
-    open(path, "w").write("\n".join(lines))
+    Path(path).write_text("\n".join(lines))
     return path
 
 
@@ -167,8 +169,8 @@ def test_load_rejects_truncation(tmp_path):
     model = tiny_model()
     path = str(tmp_path / "m.model")
     save_model(model, path)
-    text = open(path).read()
-    open(path, "w").write(text[: len(text) // 2])
+    text = Path(path).read_text()
+    Path(path).write_text(text[: len(text) // 2])
     with pytest.raises(ModelFormatError):
         load_model(path)
 

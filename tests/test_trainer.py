@@ -3,6 +3,7 @@ hard-selection inference path."""
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fsnet.trainer import (
     selection_weights,
     train,
 )
-from helpers import concrete_loss, joint_loss
+from helpers import concrete_loss, joint_loss, rmsprop_reference
 
 
 def separable(seed, n=40, d=20):
@@ -62,7 +63,7 @@ def test_rmsprop_first_step_closed_form():
     w = [np.array([[0.0]])]
     g = [np.array([[1.0]])]
     state = rmsprop_init(w)
-    out, _ = rmsprop_step(w, g, state, 1e-3, 0.9, 1e-8)
+    out, _ = rmsprop_step([a.copy() for a in w], g, state, 1e-3, 0.9, 1e-8)
     expected = -1e-3 / (np.sqrt(0.1) + 1e-8)
     assert out[0][0, 0] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(-3.1623e-3, rel=1e-4)
@@ -71,8 +72,27 @@ def test_rmsprop_first_step_closed_form():
 def test_rmsprop_zero_gradient_is_noop():
     w = [np.array([1.0, -2.0]), np.array([[3.0]])]
     g = [np.zeros(2), np.zeros((1, 1))]
-    out, _ = rmsprop_step(w, g, rmsprop_init(w), 1e-3, 0.9, 1e-8)
+    out, _ = rmsprop_step([a.copy() for a in w], g, rmsprop_init(w), 1e-3, 0.9, 1e-8)
     assert np.array_equal(out[0], w[0]) and np.array_equal(out[1], w[1])
+
+
+@pytest.mark.parametrize("w_order,g_order", [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C")])
+def test_rmsprop_in_place_steps_equal_the_out_of_place_formula(w_order, g_order):
+    rng = RngState(31)
+    w = [np.asarray(rng.normal((40, 70)), order=w_order), rng.normal(70)]
+    want_w, want_ms = [a.copy() for a in w], [np.zeros_like(a) for a in w]
+    state = rmsprop_init(w)
+    for step in range(3):
+        g = [np.asarray(rng.normal((40, 70)), order=g_order), rng.normal(70)]
+        if step == 1:
+            g[1][:] = 0.0
+        out, new_state = rmsprop_step(w, g, state, 1e-2, 0.9, 1e-8)
+        want_w, want_ms = rmsprop_reference(want_w, g, want_ms, 1e-2, 0.9, 1e-8)
+        # the update is in place: the returned lists hold the input objects
+        assert new_state is state and all(a is b for a, b in zip(out, w))
+        for got, want in zip(w + state.mean_square, want_w + want_ms):
+            assert got.tobytes() == want.tobytes()
+    assert w[0].flags[f"{w_order}_CONTIGUOUS"]
 
 
 def test_rmsprop_equal_gradients_equal_updates():
@@ -178,11 +198,15 @@ def test_graph_leaves_hold_the_parameters_in_named_order(mode, use_bias):
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("recon_weight", [0.0, 1.3])
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
-def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dropout):
+@pytest.mark.parametrize("reused", [False, True])
+def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dropout, reused):
     # d is large enough that the (K, d) and (n, d) arrays pass 256 KiB, the
     # size from which NumPy computes `temporary * x` into the temporary and
     # keeps its layout; gradient strides decide the summation order of the
-    # matrix products that read them in the next epoch
+    # matrix products that read them in the next epoch. With `reused`, the
+    # checked pass writes into a workspace that a pass with other parameters
+    # and other noise filled first, as the second epoch of train() does: a
+    # stale buffer or one of the wrong layout fails here.
     n, d, k, b = 12, 8000, 5, 4
     rng = RngState(21)
     X = rng.normal((n, d))
@@ -198,7 +222,17 @@ def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dro
     tape = Tape()
     loss, leaves, nodes = build_loss_graph(tape, params, emb, *args)
     gmap = grad(tape, loss)
-    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb), *args)
+    workspace = None
+    if reused:
+        workspace = {}
+        first = init_params(arch, b, mode, RngState(32), use_bias)
+        first_args = (X, y, RngState(33).gumbel((k, d)), 0.3) + args[4:]
+        LossPass(first, emb, recon_matrix(first.recon_w, emb), *first_args, workspace)
+        buffers = dict(workspace)
+    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb), *args, workspace)
+    if reused:  # the second pass wrote into the first one's buffers
+        assert workspace.keys() == buffers.keys()
+        assert all(workspace[name] is buf for name, buf in buffers.items())
 
     assert float(fused.loss) == float(loss.value)
     assert float(fused.class_loss) == float(nodes["class_loss"].value)
@@ -311,6 +345,24 @@ def test_training_memory_does_not_grow_with_the_epoch_count():
     assert peaks[20] <= 1.2 * peaks[2]
 
 
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_training_memory_is_the_first_epochs(mode):
+    # at the ALLAML training shape every d-wide array of the loop is a
+    # buffer made in the first epoch and overwritten after it, so further
+    # epochs add nothing to the peak
+    data, _ = make_synthetic(58, 7129, 5, 0)
+    peaks = {}
+    for epochs in (1, 5):
+        config = TrainConfig(n_select=10, epochs=epochs, seed=0, mode=mode)
+        tracemalloc.start()
+        try:
+            train(data, config)
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5] <= 1.05 * peaks[1]
+
+
 def test_train_with_test_split_records_test_curves():
     data, _ = make_synthetic(30, 8, 2, seed=0)
     tr, te = split(data, SplitSpec(0.7, 0))
@@ -384,7 +436,7 @@ def test_report_save_layout(tmp_path):
     _, _, report = train(ds, TrainConfig(n_select=3, epochs=3, seed=0))
     path = str(tmp_path / "curve.csv")
     report.save(path, manifest_ref="run.manifest.json")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# manifest run.manifest.json"
     assert lines[1].startswith("# selected ")
     assert lines[2].split(",") == [
