@@ -85,11 +85,11 @@ def _write_manifest(
         "command": command,
         "seed": seed,
         "config": config,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": {p: _sha256(p) for p in inputs},  # keyed by the path as given
         "outputs": [os.path.basename(p) for p in outputs],
         "numerics": _numeric_build(),
         "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
+        "finished": _now(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -133,32 +133,38 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
-    """Built-in defaults < config file < explicit flags."""
-    doc = TrainConfig().to_dict()
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{args.config}: invalid JSON: {exc}") from None
-        unknown = set(file_doc) - set(doc)
-        if unknown:
-            raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        doc.update(file_doc)
-    for field in dataclasses.fields(TrainConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            doc[field.name] = value
-    return TrainConfig.from_dict(doc)
+    """Built-in defaults < config file < explicit flags. A config that is
+    invalid only with the file's values is reported against the file."""
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    flags = {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
+    if not getattr(args, "config", None):
+        return TrainConfig.from_dict(flags)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        try:
+            file_doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.config}: invalid JSON: {exc}") from None
+    try:  # from_dict rejects a file_doc that is not an object
+        return TrainConfig.from_dict({**file_doc, **flags} if isinstance(file_doc, dict) else file_doc)
+    except ValueError as exc:
+        TrainConfig.from_dict(flags)  # a bad flag is reported as itself
+        raise DataError(f"{args.config}: {exc}") from None
 
 
-def _load_table(args: argparse.Namespace, path: str):
-    return load_delimited(
+def _load_table(args: argparse.Namespace, path: str, n_features: int | None = None):
+    """The table at path, which must have n_features feature columns if given."""
+    dataset = load_delimited(
         path,
         delimiter=args.delimiter,
         header=not args.no_header,
         label_col=args.label_col,
     )
+    if n_features is not None and dataset.n_features != n_features:
+        raise DataError(
+            f"{path}: dimension mismatch: model expects {n_features} features,"
+            f" table has {dataset.n_features}"
+        )
+    return dataset
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -210,20 +216,10 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
     model = load_model(args.model)
-    dataset = _load_table(args, args.data)
-    if dataset.n_features != model.arch.n_features:
-        raise DataError(
-            f"dimension mismatch: model expects {model.arch.n_features} features,"
-            f" data has {dataset.n_features}"
-        )
+    dataset = _load_table(args, args.data, model.arch.n_features)
     emb = None
     if args.embed_data and model.config.mode == "predictor":
-        emb_ds = _load_table(args, args.embed_data)
-        if emb_ds.n_features != model.arch.n_features:
-            raise DataError(
-                f"dimension mismatch: model expects {model.arch.n_features} features,"
-                f" embedding data has {emb_ds.n_features}"
-            )
+        emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
         if not args.no_standardize:
             emb_ds, _, _ = standardize(emb_ds)
         emb = compute_embeddings(emb_ds.X, model.config.embed_size)

@@ -1,8 +1,10 @@
-"""Training configuration with the reference defaults baked in."""
+"""Training configuration with the reference defaults baked in, and the
+field-type check it shares with the network architecture."""
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import asdict, dataclass, fields
 
 
@@ -33,25 +35,24 @@ class TrainConfig:
     rms_eps: float = 1e-8
 
     def __post_init__(self):
-        self.encoder = tuple(int(w) for w in self.encoder)
-        self.decoder = tuple(int(w) for w in self.decoder)
         self.validate()
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.n_select < 1:
             raise ValueError(f"n_select must be >= 1, got {self.n_select}")
         if self.embed_size < 1:
             raise ValueError(f"embed_size must be >= 1, got {self.embed_size}")
-        if self.recon_weight < 0.0:
-            raise ValueError(f"recon_weight must be >= 0, got {self.recon_weight}")
+        if not (math.isfinite(self.recon_weight) and self.recon_weight >= 0.0):
+            raise ValueError(f"recon_weight must be finite and >= 0, got {self.recon_weight}")
         # zero is allowed so a run can be frozen at initialization
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.tau_start > self.tau_end > 0.0:
+        if not (math.isfinite(self.tau_start) and self.tau_start > self.tau_end > 0.0):
             raise ValueError(
-                f"need tau_start > tau_end > 0, got {self.tau_start}, {self.tau_end}"
+                f"need finite tau_start > tau_end > 0, got {self.tau_start}, {self.tau_end}"
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
@@ -74,8 +75,38 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"expected an object of config keys, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               tuple[int, ...]: "a list of integers"}
+
+
+def _has_type(value, declared) -> bool:
+    if declared is bool or isinstance(value, bool):
+        return declared is bool and isinstance(value, bool)
+    if declared is float:
+        return isinstance(value, (int, float))
+    if declared == tuple[int, ...]:
+        return isinstance(value, tuple) and all(_has_type(w, int) for w in value)
+    return isinstance(value, declared)
+
+
+def check_field_types(record) -> None:
+    """Raise ValueError naming the first field of a dataclass record whose
+    value is not of its declared type. A bool is neither an int nor a float,
+    an int is also a float, and a list given for a tuple field (as JSON
+    gives it) becomes that tuple."""
+    for name, declared in typing.get_type_hints(type(record)).items():
+        value = getattr(record, name)
+        if declared == tuple[int, ...] and isinstance(value, list):
+            value = tuple(value)
+            object.__setattr__(record, name, value)  # frozen records too
+        if not _has_type(value, declared):
+            raise ValueError(f"{name} must be {_TYPE_NAMES[declared]}, got {value!r}")

@@ -4,32 +4,22 @@ analytic / measured compression ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
-from .model import FsNetModel, saved_size
+from .model import FsNetModel, record_cells, saved_size
 from .network import Architecture, hard_forward, init_params, reconstruct, trainable_param_count
 from .rng import RngState
-
-REPORT_KEYS = (
-    "accuracy",
-    "recon_error",
-    "avg_mi",
-    "mi_bins",
-    "param_count_predictor",
-    "param_count_dense",
-    "compression_ratio",
-    "measured_compression_ratio",
-)
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One value per REPORT_KEYS entry; serializes as flat key-value text."""
+    """The metrics of one evaluation; serializes as flat key-value text, one
+    line per field in field order (REPORT_KEYS)."""
 
     accuracy: float
     recon_error: float
@@ -49,23 +39,16 @@ class EvalReport:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
     def lines(self) -> list[str]:
-        values = {
-            "accuracy": "%.17e" % self.accuracy,
-            "recon_error": "%.17e" % self.recon_error,
-            "avg_mi": "%.17e" % self.avg_mi,
-            "mi_bins": str(self.mi_bins),
-            "param_count_predictor": str(self.param_count_predictor),
-            "param_count_dense": str(self.param_count_dense),
-            "compression_ratio": "%.17e" % self.compression_ratio,
-            "measured_compression_ratio": "%.17e" % self.measured_compression_ratio,
-        }
-        return [f"{key} {values[key]}" for key in REPORT_KEYS]
+        return [f"{key} {cell}" for key, cell in record_cells(self).items()]
 
     def save(self, path: str, manifest_ref: str | None = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             if manifest_ref is not None:
                 fh.write(f"manifest {manifest_ref}\n")
             fh.write("\n".join(self.lines()) + "\n")
+
+
+REPORT_KEYS = tuple(f.name for f in fields(EvalReport))
 
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
@@ -195,21 +178,14 @@ def evaluate(
         if len(model.selected) >= 2
         else 0.0
     )
+    arch, b, bias = model.arch, model.config.embed_size, model.config.use_bias
     return EvalReport(
         accuracy=accuracy(model, dataset),
         recon_error=reconstruction_error(model, dataset, emb),
         avg_mi=avg_mi,
         mi_bins=mi_bins,
-        param_count_predictor=trainable_param_count(
-            model.arch, model.config.embed_size, "predictor", model.config.use_bias
-        ),
-        param_count_dense=trainable_param_count(
-            model.arch, model.config.embed_size, "dense", model.config.use_bias
-        ),
-        compression_ratio=compression_ratio(
-            model.arch, model.arch.n_features, model.config.embed_size, model.config.use_bias
-        ),
-        measured_compression_ratio=measured_compression_ratio(
-            model.arch, model.config.embed_size, model.config.seed, model.config.use_bias
-        ),
+        param_count_predictor=trainable_param_count(arch, b, "predictor", bias),
+        param_count_dense=trainable_param_count(arch, b, "dense", bias),
+        compression_ratio=compression_ratio(arch, arch.n_features, b, bias),
+        measured_compression_ratio=measured_compression_ratio(arch, b, model.config.seed, bias),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,6 +58,20 @@ def _format_row(values: np.ndarray) -> str:
     return " ".join("%.17e" % v for v in values)
 
 
+def record_cells(record) -> dict[str, str]:
+    """The fields of a dataclass record as report cells, by name in field
+    order. A field declared int prints in decimal, any other in %.17e, and
+    None prints as empty; the declared type decides, not the value's."""
+    cells = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is None:
+            cells[f.name] = ""
+        else:
+            cells[f.name] = str(value) if f.type in (int, "int") else "%.17e" % value
+    return cells
+
+
 def _format_rows_bytes(rows: np.ndarray) -> int:
     """Sum of len(_format_row(row)) over the rows of a 2-D array, counted
     without formatting: each field is 23 characters, one more for a sign and
@@ -80,19 +94,11 @@ def _format_rows_bytes(rows: np.ndarray) -> int:
 def _model_blocks(model: FsNetModel, manifest_ref: str | None) -> Iterator[str | np.ndarray]:
     """The saved file in order: text lines, each ending in a newline, and
     each weight array as a 2-D block written one _format_row line per row."""
-    arch = model.arch
-    arch_doc = {
-        "n_features": arch.n_features,
-        "n_select": arch.n_select,
-        "n_classes": arch.n_classes,
-        "encoder": list(arch.encoder),
-        "decoder": list(arch.decoder),
-    }
     named = model.params.named()
     yield f"{MAGIC} v{FORMAT_VERSION}\n"
     yield f"manifest {json.dumps(manifest_ref)}\n"
     yield f"config {json.dumps(model.config.to_dict(), sort_keys=True)}\n"
-    yield f"arch {json.dumps(arch_doc, sort_keys=True)}\n"
+    yield f"arch {json.dumps(asdict(model.arch), sort_keys=True)}\n"
     yield f"binning {json.dumps(BINNING)}\n"
     yield f"labels {json.dumps(model.label_names)}\n"
     yield f"selected {json.dumps(model.selected)}\n"
@@ -145,6 +151,19 @@ def _header_value(line: str, key: str):
         raise ModelFormatError(f"bad JSON in '{key}' header: {exc}") from None
 
 
+def _header_list(line: str, key: str, kind: type, nullable: bool = False) -> list | None:
+    """The value of a header that holds a list of kind (a bool is not an
+    int), or null if nullable."""
+    value = _header_value(line, key)
+    _expect(
+        (nullable and value is None)
+        or isinstance(value, list)
+        and all(isinstance(v, kind) and not isinstance(v, bool) for v in value),
+        f"'{key}' header must be a list of {kind.__name__}" + (" or null" if nullable else ""),
+    )
+    return value
+
+
 def load_model(path: str) -> FsNetModel:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -165,30 +184,28 @@ def load_model(path: str) -> FsNetModel:
     manifest_ref = _header_value(next_line(), "manifest")
     _expect(
         manifest_ref is None or isinstance(manifest_ref, str),
-        "manifest reference must be a string or null",
+        "'manifest' header must be a string or null",
     )
+    config_doc = _header_value(next_line(), "config")
     try:
-        config = TrainConfig.from_dict(_header_value(next_line(), "config"))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"invalid config: {exc}") from None
+        config = TrainConfig.from_dict(config_doc)
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid 'config' header: {exc}") from None
     arch_doc = _header_value(next_line(), "arch")
     try:
-        arch = Architecture(
-            n_features=int(arch_doc["n_features"]),
-            n_select=int(arch_doc["n_select"]),
-            n_classes=int(arch_doc["n_classes"]),
-            encoder=tuple(int(w) for w in arch_doc["encoder"]),
-            decoder=tuple(int(w) for w in arch_doc["decoder"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"invalid architecture: {exc}") from None
+        arch = Architecture(**arch_doc)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"invalid 'arch' header: {exc}") from None
+    _expect(
+        (config.n_select, config.encoder, config.decoder)
+        == (arch.n_select, arch.encoder, arch.decoder),
+        "'config' header's n_select, encoder and decoder disagree with the 'arch' header",
+    )
     binning = _header_value(next_line(), "binning")
     _expect(binning == BINNING, f"unsupported binning convention {binning!r}")
-    label_names = _header_value(next_line(), "labels")
-    selected = _header_value(next_line(), "selected")
-    selected_names = _header_value(next_line(), "selected_names")
+    label_names = _header_list(next_line(), "labels", str)
+    selected = _header_list(next_line(), "selected", int)
+    selected_names = _header_list(next_line(), "selected_names", str, nullable=True)
     n_arrays = _header_value(next_line(), "arrays")
 
     template = zeros_params(arch, config.embed_size, config.mode, config.use_bias)
@@ -233,11 +250,9 @@ def load_model(path: str) -> FsNetModel:
             config=config,
             arch=arch,
             params=params,
-            selected=[int(j) for j in selected],
-            label_names=[str(s) for s in label_names],
-            selected_names=(
-                [str(s) for s in selected_names] if selected_names is not None else None
-            ),
+            selected=selected,
+            label_names=label_names,
+            selected_names=selected_names,
         )
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model contents: {exc}") from None

@@ -1,7 +1,7 @@
-"""Dense stacks (encoder, classifier head, decoder), the hard-selection
-forward pass, the embedding-predicted reconstruction layer, and the one
-parameter layout that initialization, counting, loading, the training pass
-and the loss graph share."""
+"""Dense stacks (encoder, classifier head, decoder) and their one NumPy
+pass, the hard-selection forward pass, the embedding-predicted
+reconstruction layer, and the one parameter layout that initialization,
+counting, loading, the training pass and the loss graph share."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, leaky_relu, matmul, softmax
+from .config import check_field_types
+from .numerics import DimensionError, matmul, softmax
 from .rng import RngState
 
 
@@ -29,6 +30,7 @@ class Architecture:
     decoder: tuple[int, ...] = (32, 64)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_features < 1 or self.n_select < 1 or self.n_classes < 2:
             raise ValueError(
                 f"invalid architecture: d={self.n_features}, K={self.n_select},"
@@ -183,33 +185,75 @@ def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bi
     return sum(arr.size for arr in zeros_params(arch, embed_size, mode, use_bias).arrays())
 
 
-def _stack_apply(stack: DenseStack, batch: np.ndarray, slope: float, final_softmax: bool) -> np.ndarray:
-    a = batch
-    last = len(stack.weights) - 1
-    for i, w in enumerate(stack.weights):
-        z = matmul(a, w.T)
-        if stack.biases is not None:
-            z = z + stack.biases[i]
-        if i == last and final_softmax:
-            a = softmax(z, axis=1)
-        else:
-            a = leaky_relu(z, slope)
-    return a
+class StackPass:
+    """A DenseStack applied to a batch, keeping what its backward needs: the
+    one NumPy pass of the encoder, the classifier head and the decoder, run
+    by training and inference alike. Each hidden layer is a leaky ReLU,
+    scaled by its dropout mask if masks are given; the last layer of a
+    final_softmax stack is a softmax over each row."""
+
+    def __init__(
+        self,
+        stack: DenseStack,
+        batch: np.ndarray,
+        slope: float,
+        masks: list[np.ndarray] | None,
+        final_softmax: bool,
+    ):
+        self.stack, self.masks, self.final_softmax = stack, masks, final_softmax
+        self.inputs: list[np.ndarray] = []
+        self.leaks: list[np.ndarray] = []  # leaky-ReLU derivative of each hidden layer
+        a = batch
+        last = len(stack.weights) - 1
+        for i, w in enumerate(stack.weights):
+            self.inputs.append(a)
+            z = matmul(a, w.T)
+            if stack.biases is not None:
+                z = z + stack.biases[i]
+            if i == last and final_softmax:
+                a = softmax(z, axis=1)
+            else:
+                self.leaks.append(np.where(z >= 0.0, 1.0, slope))
+                a = z * self.leaks[-1]  # leaky ReLU: z * 1.0 is z, z * slope is slope * z
+                if masks is not None:
+                    a = a * masks[i]
+        self.output = a
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        """The gradient into the batch, from the gradient g at the output.
+        The layers' own gradients are left in self.grads, a DenseStack."""
+        stack, last = self.stack, len(self.stack.weights) - 1
+        weight_grads = [None] * (last + 1)
+        bias_grads = None if stack.biases is None else [None] * (last + 1)
+        for i in range(last, -1, -1):
+            if i == last and self.final_softmax:
+                p = self.output
+                g = p * (g - np.sum(g * p, axis=1, keepdims=True))
+            else:
+                if self.masks is not None:
+                    g = g * self.masks[i]
+                g = g * self.leaks[i]
+            if bias_grads is not None:
+                bias_grads[i] = g.sum(axis=0)
+            weight_grads[i] = (self.inputs[i].T @ g).T
+            g = g @ stack.weights[i]
+        self.grads = DenseStack(weight_grads, bias_grads)
+        return g
 
 
 def encode(enc: DenseStack, x_selected: np.ndarray, slope: float) -> np.ndarray:
     """Hidden representation of a batch of selected inputs (leaky activations throughout)."""
-    return _stack_apply(enc, x_selected, slope, final_softmax=False)
+    return StackPass(enc, x_selected, slope, None, False).output
 
 
 def classify(cls: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     """Class probabilities from a batch of hidden representations (softmax output)."""
-    return _stack_apply(cls, hidden, slope, final_softmax=True)
+    return StackPass(cls, hidden, slope, None, True).output
 
 
 def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     """Reconstruction-side hidden representation (leaky activations throughout)."""
-    return _stack_apply(dec, hidden, slope, final_softmax=False)
+    return StackPass(dec, hidden, slope, None, False).output
 
 
 def hard_forward(

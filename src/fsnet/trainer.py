@@ -20,7 +20,7 @@ the saved model keeps the S of one more gate draw at the final temperature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,11 +30,12 @@ from .autodiff import Node, Tape
 from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
-from .model import FsNetModel
+from .model import FsNetModel, record_cells
 from .network import (
     Architecture,
     DenseStack,
     FsNetParams,
+    StackPass,
     hard_forward,
     init_params,
     recon_matrix,
@@ -75,27 +76,15 @@ class TrainReport:
     selected: list[int]
 
     def save(self, path: str, manifest_ref: str | None = None) -> None:
-        cols = (
-            "epoch,temperature,loss,class_loss,recon_loss,"
-            "train_accuracy,test_accuracy,test_recon_error"
-        )
+        """CSV with one column per EpochRecord field, after comment lines
+        naming the manifest and the selection."""
         with open(path, "w", encoding="utf-8") as fh:
             if manifest_ref is not None:
                 fh.write(f"# manifest {manifest_ref}\n")
             fh.write("# selected " + " ".join(str(j) for j in self.selected) + "\n")
-            fh.write(cols + "\n")
+            fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
             for r in self.records:
-                cells = [
-                    str(r.epoch),
-                    "%.17e" % r.temperature,
-                    "%.17e" % r.loss,
-                    "%.17e" % r.class_loss,
-                    "%.17e" % r.recon_loss,
-                    "%.17e" % r.train_accuracy,
-                    "" if r.test_accuracy is None else "%.17e" % r.test_accuracy,
-                    "" if r.test_recon_error is None else "%.17e" % r.test_recon_error,
-                ]
-                fh.write(",".join(cells) + "\n")
+                fh.write(",".join(record_cells(r).values()) + "\n")
 
 
 def _check_labels(y: np.ndarray, n_classes: int) -> None:
@@ -181,58 +170,6 @@ def build_loss_graph(
     return loss, p.arrays(), named_nodes
 
 
-class _StackPass:
-    """A DenseStack applied to a batch, keeping what its backward needs."""
-
-    def __init__(
-        self,
-        stack: DenseStack,
-        batch: np.ndarray,
-        slope: float,
-        masks: list[np.ndarray] | None,
-        final_softmax: bool,
-    ):
-        self.stack, self.masks, self.final_softmax = stack, masks, final_softmax
-        self.inputs: list[np.ndarray] = []
-        self.leaks: list[np.ndarray] = []  # leaky-ReLU derivative of each hidden layer
-        a = batch
-        last = len(stack.weights) - 1
-        for i, w in enumerate(stack.weights):
-            self.inputs.append(a)
-            z = a @ w.T
-            if stack.biases is not None:
-                z = z + stack.biases[i]
-            if i == last and final_softmax:
-                a = numerics.softmax(z, axis=1)
-            else:
-                self.leaks.append(np.where(z >= 0.0, 1.0, slope))
-                a = z * self.leaks[-1]  # leaky ReLU: z * 1.0 is z, z * slope is slope * z
-                if masks is not None:
-                    a = a * masks[i]
-        self.output = a
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        """The gradient into the batch, from the gradient g at the output.
-        The layers' own gradients are left in self.grads, a DenseStack."""
-        stack, last = self.stack, len(self.stack.weights) - 1
-        weight_grads = [None] * (last + 1)
-        bias_grads = None if stack.biases is None else [None] * (last + 1)
-        for i in range(last, -1, -1):
-            if i == last and self.final_softmax:
-                p = self.output
-                g = p * (g - np.sum(g * p, axis=1, keepdims=True))
-            else:
-                if self.masks is not None:
-                    g = g * self.masks[i]
-                g = g * self.leaks[i]
-            if bias_grads is not None:
-                bias_grads[i] = g.sum(axis=0)
-            weight_grads[i] = (self.inputs[i].T @ g).T
-            g = g @ stack.weights[i]
-        self.grads = DenseStack(weight_grads, bias_grads)
-        return g
-
-
 def _into(workspace: dict[str, np.ndarray], name: str, op, *operands, **kwargs) -> np.ndarray:
     """op(*operands, **kwargs) written with out= into workspace[name]. The
     first call stores its fresh result there, so each buffer has the layout
@@ -300,15 +237,15 @@ class LossPass:
         self.logits = _into(ws, "logits", np.multiply, self.noisy, inv_tau)
         self.gates = _into(ws, "gates", numerics.softmax, self.logits, axis=1)
         self.selected = X @ self.gates.T
-        self.encoder = _StackPass(params.encoder, self.selected, slope, encoder_masks, False)
+        self.encoder = StackPass(params.encoder, self.selected, slope, encoder_masks, False)
         hidden = self.encoder.output
-        self.classifier = _StackPass(params.classifier, hidden, slope, None, True)
+        self.classifier = StackPass(params.classifier, hidden, slope, None, True)
         picked = self.classifier.output[picks]
         self.class_loss = -np.sum(np.log(np.maximum(picked, PROB_FLOOR)))
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
-            self.decoder = _StackPass(params.decoder, hidden, slope, decoder_masks, False)
+            self.decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
             self.rows = rows
             self.diff = _into(ws, "diff", np.matmul, self.decoder.output, rows.T)  # x_hat
             np.subtract(X, self.diff, out=self.diff)

@@ -66,7 +66,7 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     assert manifest["command"] == "train"
     assert manifest["seed"] == 1
     assert manifest["config"]["n_select"] == 3
-    assert set(manifest["inputs"]) == {"toy.csv"}
+    assert set(manifest["inputs"]) == {data_csv}
     assert all(len(h) == 64 for h in manifest["inputs"].values())
     assert sorted(manifest["outputs"]) == ["run.model", "run.train.csv"]
     numerics = manifest["numerics"]
@@ -138,6 +138,40 @@ def test_unknown_config_file_key_is_a_usage_error(tmp_path, data_csv, capsys):
     code = main(["train", "--data", data_csv, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [({"epochs": "10"}, "epochs"), ({"epochs": 10.0}, "epochs"), ({"use_bias": "no"}, "use_bias")],
+)
+def test_mistyped_config_value_is_a_usage_error_naming_file_and_key(tmp_path, data_csv, capsys, doc, key):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["train", "--data", data_csv, "--config", str(cfg_path), "--k", "2",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and key in err
+    assert not (tmp_path / "x.model").exists()
+
+
+def test_config_file_that_is_not_an_object_is_a_usage_error(tmp_path, data_csv, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text("[1, 2]")
+    code = main(["train", "--data", data_csv, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "object" in err
+
+
+def test_bad_flag_beside_a_good_config_file_is_reported_as_the_flag(tmp_path, data_csv, capsys):
+    cfg_path = tmp_path / "good.json"
+    cfg_path.write_text(json.dumps({"epochs": 2}))
+    code = main(["train", "--data", data_csv, "--config", str(cfg_path), "--k", "0",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "n_select" in err and str(cfg_path) not in err
 
 
 def test_malformed_config_file_is_a_usage_error(tmp_path, data_csv, capsys):
@@ -214,6 +248,35 @@ def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     saved = (tmp_path / "e.eval.txt").read_text().splitlines()
     assert saved[0] == "manifest e.eval.manifest.json"
     assert len(saved) == 1 + len(REPORT_KEYS)
+
+
+def test_manifest_keeps_one_digest_per_input_path(tmp_path, capsys):
+    # two inputs with one file name must not share a manifest entry
+    paths = []
+    for sub, seed in (("a", 0), ("b", 1)):
+        (tmp_path / sub).mkdir()
+        dataset, _ = make_synthetic(40, 6, 2, seed=seed)
+        paths.append(str(tmp_path / sub / "t.csv"))
+        save_delimited(dataset, paths[-1])
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", paths[0], "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    code = main(["eval", "--model", out + ".model", "--data", paths[0], "--embed-data", paths[1],
+                 "--out", str(tmp_path / "e")])
+    assert code == 0
+    inputs = json.loads((tmp_path / "e.eval.manifest.json").read_text())["inputs"]
+    assert set(inputs) == {out + ".model", *paths}
+    assert inputs[paths[0]] != inputs[paths[1]]
+
+
+def test_select_rejects_a_model_with_a_mistyped_header(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    lines = Path(out + ".model").read_text().split("\n")
+    lines[6] = "selected [1.5, 0]"
+    Path(out + ".model").write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["select", "--model", out + ".model"]) == 2
+    assert "'selected' header" in capsys.readouterr().err
 
 
 def test_eval_embed_data_is_standardized_like_the_eval_data(tmp_path, data_csv, capsys):

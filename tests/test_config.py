@@ -44,6 +44,11 @@ def test_reference_defaults():
         {"rms_eps": -1e-8},
         {"rms_eps": float("nan")},
         {"rms_eps": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"recon_weight": float("nan")},
+        {"recon_weight": float("inf")},
+        {"tau_start": float("inf")},
     ],
 )
 def test_invalid_values_rejected(kwargs):
@@ -73,7 +78,40 @@ def test_unknown_keys_rejected():
         TrainConfig.from_dict({"momentum": 0.9})
 
 
-def test_widths_coerced_to_ints():
-    cfg = TrainConfig(encoder=[16.0, 8.0], decoder=[8.0, 16.0])
-    assert cfg.encoder == (16, 8)
-    assert all(isinstance(w, int) for w in cfg.encoder)
+def test_width_lists_become_tuples():
+    cfg = TrainConfig(encoder=[16, 8], decoder=[8, 16])
+    assert cfg.encoder == (16, 8) and cfg.decoder == (8, 16)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("epochs", "10"),
+        ("epochs", 10.0),
+        ("epochs", True),
+        ("n_select", 3.0),
+        ("seed", "1"),
+        ("recon_weight", True),
+        ("learning_rate", "0.1"),
+        ("use_bias", "no"),
+        ("use_bias", 1),
+        ("mode", 3),
+        ("encoder", [16.0, 8.0]),
+        ("encoder", [True]),
+        ("encoder", "64"),
+        ("decoder", 64),
+    ],
+)
+def test_mistyped_values_rejected_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_number_fields_take_integers():
+    cfg = TrainConfig(recon_weight=0, learning_rate=1, tau_start=20)
+    assert (cfg.recon_weight, cfg.learning_rate, cfg.tau_start) == (0, 1, 20)
+
+
+def test_from_dict_needs_an_object():
+    with pytest.raises(ValueError, match="object"):
+        TrainConfig.from_dict([1, 2])

@@ -1,5 +1,6 @@
 """Model container validation and the versioned text serialization."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -218,4 +219,33 @@ def test_load_rejects_missing_end_marker(tmp_path):
 def test_load_rejects_unknown_binning(tmp_path):
     path = corrupt(tmp_path, lambda ls: ls.__setitem__(4, 'binning "quantile"'))
     with pytest.raises(ModelFormatError, match="binning"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "index,line,header",
+    [
+        (5, 'labels "01"', "labels"),
+        (6, "selected [11.9, 7, 9]", "selected"),
+        (6, "selected [true, 0, 7]", "selected"),
+        (7, 'selected_names "abc"', "selected_names"),
+        (3, 'arch {"decoder": [4, 6], "encoder": [6.0, 4], "n_classes": 2, "n_features": 12,'
+            ' "n_select": 3}', "arch"),
+        (3, 'arch {"decoder": [4, 6], "encoder": [6, 4], "n_classes": 2, "n_features": "12",'
+            ' "n_select": 3}', "arch"),
+    ],
+)
+def test_load_rejects_a_mistyped_header(tmp_path, index, line, header):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(index, line))
+    with pytest.raises(ModelFormatError, match=f"'{header}' header"):
+        load_model(path)
+
+
+def test_load_rejects_a_config_that_disagrees_with_the_arch(tmp_path):
+    def mutate(lines):
+        doc = json.loads(lines[2].split(" ", 1)[1])
+        doc["encoder"] = [8]
+        lines[2] = "config " + json.dumps(doc, sort_keys=True)
+    path = corrupt(tmp_path, mutate)
+    with pytest.raises(ModelFormatError, match="'config' header"):
         load_model(path)

@@ -4,6 +4,7 @@ parameter accounting."""
 import numpy as np
 import pytest
 
+from fsnet.autodiff import Tape
 from fsnet.embedding import compute_embeddings
 from fsnet.network import (
     Architecture,
@@ -11,6 +12,7 @@ from fsnet.network import (
     classify,
     decode,
     encode,
+    hard_forward,
     init_params,
     recon_matrix,
     reconstruct,
@@ -19,6 +21,7 @@ from fsnet.network import (
 )
 from fsnet.numerics import DimensionError
 from fsnet.rng import RngState
+from fsnet.trainer import _graph_stack
 
 DEFAULT = Architecture(n_features=500, n_select=10, n_classes=2)
 
@@ -102,6 +105,87 @@ def test_stack_dimension_mismatch_errors():
     enc = DenseStack([np.zeros((4, 3))])
     with pytest.raises(DimensionError):
         encode(enc, np.zeros((1, 5)), 0.2)
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize(
+    "apply,final_softmax", [(encode, False), (classify, True), (decode, False)]
+)
+def test_stacks_equal_the_tape_stack_to_the_byte(apply, final_softmax, use_bias):
+    # the inference stacks run the training pass's StackPass; the tape's
+    # _graph_stack is the reference, with np.where(z >= 0, z, slope * z)
+    rng = np.random.default_rng(10)
+    weights = [rng.normal(size=(5, 4)), rng.normal(size=(3, 5))]
+    biases = None
+    if use_bias:  # a zero bias leaves the zero row's pre-activation at 0
+        biases = [rng.normal(size=5) * (np.arange(5) % 2), rng.normal(size=3) * (np.arange(3) % 2)]
+    stack = DenseStack(weights, biases)
+    batch = np.vstack([rng.normal(size=(6, 4)), np.zeros((1, 4))])
+    z = batch @ weights[0].T + (0.0 if biases is None else biases[0])
+    assert (z < 0).any() and (z == 0).any() and (z > 0).any()
+
+    tape = Tape()
+    leaves = DenseStack(
+        [tape.leaf(w) for w in weights], None if biases is None else [tape.leaf(b) for b in biases]
+    )
+    expected = _graph_stack(tape, leaves, tape.leaf(batch), 0.2, None, final_softmax).value
+    out = apply(stack, batch, 0.2)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------- hard forward
+
+
+def hard_setup(seed=1, n=30, d=10):
+    arch = Architecture(d, 3, 2, encoder=(6, 4), decoder=(4, 6))
+    params = init_params(arch, 4, "predictor", RngState(seed))
+    return params, RngState(seed + 1).normal((n, d)), [7, 0, 4]
+
+
+def test_hard_forward_gives_deterministic_rows_on_the_simplex():
+    params, X, selected = hard_setup()
+    p1, _ = hard_forward(params, X[:1], selected, 0.2)
+    p2, _ = hard_forward(params, X[:1], selected, 0.2)
+    assert np.array_equal(p1, p2)
+    assert p1.shape == (1, 2)
+    assert abs(p1.sum() - 1.0) < 1e-12
+
+
+def test_hard_forward_rejects_a_selection_of_wrong_length_or_range():
+    params, X, _ = hard_setup()
+    with pytest.raises(ValueError):
+        hard_forward(params, X, [0, 1], 0.2)
+    with pytest.raises(IndexError):
+        hard_forward(params, X, [0, 1, 99], 0.2)
+
+
+def test_hard_forward_of_a_batch_equals_that_of_its_rows():
+    params, X, selected = hard_setup()
+    probs, h_tilde = hard_forward(params, X[:4], selected, 0.2)
+    for i in range(4):
+        p_row, h_row = hard_forward(params, X[i : i + 1], selected, 0.2)
+        assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], h_row[0])
+    with pytest.raises(IndexError):  # one row must come as a 1 x d matrix
+        hard_forward(params, X[0], selected, 0.2)
+
+
+def test_one_hot_gates_feed_the_encoder_the_columns_hard_forward_reads():
+    # when M is exactly the one-hot matrix of S, the training-path features
+    # M x equal the inference lookup x[S]
+    _, X, selected = hard_setup()
+    gates = np.zeros((len(selected), X.shape[1]))
+    for k, j in enumerate(selected):
+        gates[k, j] = 1.0
+    assert np.array_equal(X @ gates.T, X[:, selected])
+
+
+def test_hard_forward_decoder_output_reconstructs_every_feature():
+    params, X, selected = hard_setup()
+    emb = compute_embeddings(X, 4)
+    _, h_tilde = hard_forward(params, X, selected, 0.2)
+    x_hat = reconstruct(params.recon_w, emb, h_tilde)
+    assert x_hat.shape == X.shape
+    assert np.all(np.isfinite(x_hat))
 
 
 # ---------------------------------------------------------------- recon

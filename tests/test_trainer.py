@@ -1,5 +1,4 @@
-"""Training loop: loss, optimizer, annealed gate sampling, reporting, and the
-hard-selection inference path."""
+"""Training loop: loss, optimizer, annealed gate sampling and reporting."""
 
 import tracemalloc
 import warnings
@@ -14,10 +13,8 @@ from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
 from fsnet.network import (
     Architecture,
-    hard_forward,
     init_params,
     recon_matrix,
-    reconstruct,
     zeros_params,
 )
 from fsnet.rng import RngState
@@ -452,65 +449,3 @@ def test_report_save_layout(tmp_path):
     assert len(lines) == 3 + 3
     # no test split: trailing metric cells stay empty
     assert lines[3].endswith(",,")
-
-
-# ---------------------------------------------------------------- predict
-
-
-def trained_tiny():
-    ds = separable(8, n=30, d=10)
-    model, _, _ = train(ds, TrainConfig(n_select=3, epochs=5, seed=1))
-    return model, ds
-
-
-def predict(model, X):
-    return hard_forward(model.params, X, model.selected, model.config.leaky_slope)[0]
-
-
-def test_predict_on_simplex_and_deterministic():
-    model, ds = trained_tiny()
-    p1 = predict(model, ds.X[:1])
-    p2 = predict(model, ds.X[:1])
-    assert np.array_equal(p1, p2)
-    assert p1.shape == (1, 2)
-    assert abs(p1.sum() - 1.0) < 1e-12
-
-
-def test_predict_validates_selection():
-    model, ds = trained_tiny()
-    slope = model.config.leaky_slope
-    with pytest.raises(ValueError):
-        hard_forward(model.params, ds.X, [0, 1], slope)
-    with pytest.raises(IndexError):
-        hard_forward(model.params, ds.X, [0, 1, 99], slope)
-
-
-def test_predict_batch_matches_rowwise():
-    model, ds = trained_tiny()
-    probs, h_tilde = hard_forward(model.params, ds.X[:4], model.selected, model.config.leaky_slope)
-    for i in range(4):
-        p_row, h_row = hard_forward(model.params, ds.X[i : i + 1], model.selected, model.config.leaky_slope)
-        assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], h_row[0])
-    with pytest.raises(IndexError):  # one row must come as a 1 x d matrix
-        predict(model, ds.X[0])
-
-
-def test_one_hot_gates_match_inference_path():
-    # when M is exactly the one-hot matrix of S, the training-path features
-    # M x equal the inference lookup x[S]
-    model, ds = trained_tiny()
-    S = model.selected
-    gates = np.zeros((len(S), ds.n_features))
-    for k, j in enumerate(S):
-        gates[k, j] = 1.0
-    soft = ds.X @ gates.T
-    assert np.array_equal(soft, ds.X[:, S])
-
-
-def test_reconstruct_batch_shapes():
-    model, ds = trained_tiny()
-    emb = compute_embeddings(ds.X, model.config.embed_size)
-    _, h_tilde = hard_forward(model.params, ds.X, model.selected, model.config.leaky_slope)
-    x_hat = reconstruct(model.params.recon_w, emb, h_tilde)
-    assert x_hat.shape == ds.X.shape
-    assert np.all(np.isfinite(x_hat))
