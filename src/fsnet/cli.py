@@ -216,9 +216,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
     model = load_model(args.model)
+    if args.embed_data and model.config.mode != "predictor":
+        raise DataError(
+            f"--embed-data {args.embed_data}: a {model.config.mode}-mode model"
+            " reads no embedding table"
+        )
     dataset = _load_table(args, args.data, model.arch.n_features)
     emb = None
-    if args.embed_data and model.config.mode == "predictor":
+    if args.embed_data:
         emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
         if not args.no_standardize:
             emb_ds, _, _ = standardize(emb_ds)

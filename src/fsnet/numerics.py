@@ -37,7 +37,8 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     """Softmax along `axis`, computed with max-subtraction for stability.
 
     The shift, exponential and division all write into one array: `out` if
-    given (it must not be x), else a fresh one with the layout of x - max.
+    given, else a fresh one with the layout of x - max. `out` may be x itself:
+    a C- or F-ordered x then holds the bytes of the fresh result.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:

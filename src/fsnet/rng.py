@@ -21,12 +21,21 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _GUMBEL_EPS = 1e-12
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (bijective on 64-bit words)."""
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer (bijective on 64-bit words), applied in place.
+
+    A uint64 array z is overwritten with its mix; a scalar is mixed in a 0-d
+    copy. scratch, an array of z's shape (default: a fresh one), holds each
+    shifted word. uint64 arithmetic wraps around, which is the point.
+    """
+    z = np.asarray(z, dtype=np.uint64)
+    t = np.empty_like(z) if scratch is None else scratch
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        np.bitwise_xor(z, t, out=z)
+        if mult is not None:
+            np.multiply(z, mult, out=z)
+    return z
 
 
 def _fnv1a64(text: str) -> int:
@@ -60,16 +69,26 @@ class RngState:
         child_seed = int(_mix64(np.uint64(self.seed ^ _fnv1a64(label))))
         return RngState(child_seed)
 
-    def _raw(self, n: int) -> np.ndarray:
-        ks = np.arange(self._counter + 1, self._counter + 1 + n, dtype=np.uint64)
+    def _raw(self, n: int, scratch: np.ndarray) -> np.ndarray:
+        """The next n raw words, computed in one uint64 array; scratch, n
+        words, holds _mix64's shifted words."""
+        z = np.arange(self._counter + 1, self._counter + 1 + n, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + ks * _GAMMA)
+        np.multiply(z, _GAMMA, out=z)
+        np.add(z, self._key, out=z)
+        return _mix64(z, scratch)
 
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
-        """Uniform draws on the open interval (0, 1) with 53-bit resolution."""
+        """Uniform draws on the open interval (0, 1) with 53-bit resolution.
+
+        The draws are made in one float64 array, whose memory first serves
+        as the generator's scratch words."""
         size = int(np.prod(shape)) if shape != () else 1
-        u = ((self._raw(size) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = np.empty(size)
+        words = self._raw(size, u.view(np.uint64))
+        np.right_shift(words, np.uint64(11), out=words)
+        np.add(words, 0.5, out=u)  # each word < 2**53 converts to float64 exactly
+        np.multiply(u, 2.0**-53, out=u)
         if shape == ():
             return float(u[0])
         return u.reshape(shape)

@@ -7,7 +7,9 @@ reference that LossPass must equal byte for byte.
 Every d-wide array of the loop (the pass's K x d, n x d and d x h' arrays,
 the optimizer's terms and the reconstruction matrix) is a buffer made once
 per train() call and overwritten each epoch; the parameters are updated in
-place.
+place. Within the pass, each chain of elementwise steps on a d-wide value
+runs in one buffer, and the backward of the reconstruction's tanh runs in the
+reconstruction matrix, which train() recomputes after every update.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -186,22 +188,33 @@ class LossPass:
     operand layout: transposes stay views, a weight's gradient is
     (a.T @ g).T and an input's g @ w. So the gradients also have the tape's
     strides, and the matrix products that later read them sum in the same
-    order. A tape op that is its own node stays its own statement here, and
-    an op that NumPy would compute into a large temporary writes into that
-    temporary's buffer, so every array that a sum or a matrix product reads
-    has the layout it has on the tape. Nothing is differentiated into X, the
-    embedding table, the Gumbel noise or the dropout masks.
+    order. Each tape op stays one IEEE step here, in the tape's order, and
+    every array that a row sum or a matrix product reads has the layout it
+    has on the tape. Nothing is differentiated into X, the embedding table,
+    the Gumbel noise or the dropout masks.
+
+    Each chain of elementwise steps on a d-wide value runs in one array: the
+    selection scores become delta; the log of the floored delta becomes the
+    noisy logits, the logits and the gates; the reconstruction error becomes
+    its gradient; the gradient of the gates becomes those of the logits and
+    the noisy logits; and the gradient of the floored delta becomes those of
+    delta and of the scores. A chain ends where NumPy would give the next
+    step's fresh result another layout: the gradient through the log (an
+    F-ordered gradient divided by a C-ordered array) starts a new one. The
+    two g * p products that the softmax backwards' row sums read are both
+    C-ordered, as NumPy makes them, and share one buffer.
 
     rows is recon_matrix(params.recon_w, emb), passed in so the caller can
-    share it; it is read only when recon_weight > 0. Callers read loss,
-    class_loss, recon_loss (0.0 when recon_weight is 0), gates, and grads in
-    FsNetParams.named() order.
+    share it. When recon_weight > 0 the pass uses it up: the backward of its
+    tanh is computed in its storage, and in dense mode the recon_w gradient
+    is a view of it. Callers read loss, class_loss, recon_loss (0.0 when
+    recon_weight is 0), gates, and grads in FsNetParams.named() order.
 
     workspace, if given, is a dict that the K x d, n x d and d x h' arrays are
     written into: the first pass through it stores its fresh arrays there,
-    and each later pass of the same shapes overwrites them. gates, grads and
-    the other attributes of a pass are then views of the workspace, valid
-    until the next pass through it. Without a workspace every array is fresh.
+    and each later pass of the same shapes overwrites them. gates and grads
+    are then views of the workspace, valid until the next pass through it.
+    Without a workspace every array is fresh.
     """
 
     def __init__(
@@ -226,50 +239,50 @@ class LossPass:
         lam = float(recon_weight)
         ws = {} if workspace is None else workspace
 
-        # forward: the selection layer, encoder and classifier, then the reconstruction
-        self.scores = (
-            params.select_w if emb is None else _into(ws, "scores", np.matmul, params.select_w, emb.T)
-        )
-        self.delta = _into(ws, "delta", numerics.softmax, self.scores, axis=1)
-        self.floored = _into(ws, "floored", np.maximum, self.delta, LOG_FLOOR)
-        self.noisy = _into(ws, "noisy", np.log, self.floored)
-        np.add(self.noisy, gumbel, out=self.noisy)
-        self.logits = _into(ws, "logits", np.multiply, self.noisy, inv_tau)
-        self.gates = _into(ws, "gates", numerics.softmax, self.logits, axis=1)
-        self.selected = X @ self.gates.T
-        self.encoder = StackPass(params.encoder, self.selected, slope, encoder_masks, False)
-        hidden = self.encoder.output
-        self.classifier = StackPass(params.classifier, hidden, slope, None, True)
-        picked = self.classifier.output[picks]
+        # forward: the selection layer (scores -> delta, log -> noisy ->
+        # logits -> gates), the encoder and classifier, then the reconstruction
+        if emb is None:
+            delta = _into(ws, "delta", numerics.softmax, params.select_w, axis=1)
+        else:
+            delta = _into(ws, "delta", np.matmul, params.select_w, emb.T)  # scores
+            numerics.softmax(delta, axis=1, out=delta)
+        floored = _into(ws, "floored", np.maximum, delta, LOG_FLOOR)
+        gates = _into(ws, "gates", np.log, floored)  # noisy
+        np.add(gates, gumbel, out=gates)
+        np.multiply(gates, inv_tau, out=gates)  # logits
+        self.gates = numerics.softmax(gates, axis=1, out=gates)
+        encoder = StackPass(params.encoder, X @ gates.T, slope, encoder_masks, False)
+        hidden = encoder.output
+        classifier = StackPass(params.classifier, hidden, slope, None, True)
+        picked = classifier.output[picks]
         self.class_loss = -np.sum(np.log(np.maximum(picked, PROB_FLOOR)))
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
-            self.decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
-            self.rows = rows
-            self.diff = _into(ws, "diff", np.matmul, self.decoder.output, rows.T)  # x_hat
-            np.subtract(X, self.diff, out=self.diff)
-            squared = _into(ws, "squared", np.multiply, self.diff, self.diff)
+            decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
+            diff = _into(ws, "diff", np.matmul, decoder.output, rows.T)  # x_hat
+            np.subtract(X, diff, out=diff)
+            squared = _into(ws, "squared", np.multiply, diff, diff)
             self.recon_loss = np.sum(squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
         # backward: the classifier, then the reconstruction
-        self.g_probs = np.zeros(self.classifier.output.shape)
-        self.g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
-        self.g_hidden = self.classifier.backward(self.g_probs)
+        g_probs = np.zeros(classifier.output.shape)
+        g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
+        g_hidden = classifier.backward(g_probs)
         if lam != 0.0:
             # the tape's -(2 * broadcast(lambda) * diff) without its (n, d)
             # broadcast temporary; doubling and negation are exact
-            self.g_x_hat = _into(ws, "g_x_hat", np.multiply, -2.0 * lam, self.diff)
-            self.g_rows = _into(ws, "g_rows", np.matmul, self.decoder.output.T, self.g_x_hat).T  # (d, h')
-            self.g_hidden = self.decoder.backward(self.g_x_hat @ rows) + self.g_hidden
-            # g_rows * (1.0 - rows * rows), the product computed into the
-            # temporary as NumPy does: the layout of rows
-            self.g_pre_tanh = _into(ws, "g_pre_tanh", np.multiply, rows, rows)
-            np.subtract(1.0, self.g_pre_tanh, out=self.g_pre_tanh)
-            np.multiply(self.g_rows, self.g_pre_tanh, out=self.g_pre_tanh)
-            g_recon_w = (self.g_pre_tanh if emb is None else emb.T @ self.g_pre_tanh).T
-            g_decoder = self.decoder.grads
+            g_x_hat = np.multiply(-2.0 * lam, diff, out=diff)
+            g_rows = _into(ws, "g_rows", np.matmul, decoder.output.T, g_x_hat).T  # (d, h')
+            g_hidden = decoder.backward(g_x_hat @ rows) + g_hidden
+            # g_rows * (1.0 - rows * rows) in the storage of rows, whose
+            # layout the tape's temporary has
+            g_pre_tanh = np.multiply(rows, rows, out=rows)
+            np.subtract(1.0, g_pre_tanh, out=g_pre_tanh)
+            np.multiply(g_rows, g_pre_tanh, out=g_pre_tanh)
+            g_recon_w = (g_pre_tanh if emb is None else emb.T @ g_pre_tanh).T
+            g_decoder = decoder.grads
         else:  # the tape's zero gradients for the leaves the loss does not reach
             dec = params.decoder
             g_decoder = DenseStack(
@@ -278,29 +291,25 @@ class LossPass:
             )
             g_recon_w = np.zeros_like(params.recon_w)
 
-        # backward: the encoder, then the selection layer; each softmax
-        # backward is p * (g - sum(g * p)), the product computed into the
-        # (g - sum) temporary as NumPy does
-        self.g_selected = self.encoder.backward(self.g_hidden)
-        self.g_gates = _into(ws, "g_gates", np.matmul, X.T, self.g_selected).T
-        gates, delta = self.gates, self.delta
-        weighted = _into(ws, "g_gates_weighted", np.multiply, self.g_gates, gates)
-        self.g_logits = _into(
-            ws, "g_logits", np.subtract, self.g_gates, np.sum(weighted, axis=1, keepdims=True)
-        )
-        np.multiply(gates, self.g_logits, out=self.g_logits)
-        self.g_noisy = _into(ws, "g_noisy", np.multiply, self.g_logits, inv_tau)
-        self.g_floored = _into(ws, "g_floored", np.divide, self.g_noisy, self.floored)
+        # backward: the encoder, then the selection layer (g_gates ->
+        # g_logits -> g_noisy, then g_floored -> g_delta -> g_scores); each
+        # softmax backward is p * (g - sum(g * p)), the product computed into
+        # the (g - sum) array as NumPy computes it into that temporary
+        g_selected = encoder.backward(g_hidden)
+        g_gates = _into(ws, "g_gates", np.matmul, X.T, g_selected).T
+        weighted = _into(ws, "weighted", np.multiply, g_gates, gates)
+        g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
+        np.multiply(gates, g_logits, out=g_logits)
+        g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
+        g_delta = _into(ws, "g_delta", np.divide, g_noisy, floored)  # g_floored
         live = _into(ws, "live", np.greater, delta, LOG_FLOOR)
-        self.g_delta = _into(ws, "g_delta", np.multiply, self.g_floored, live)
-        weighted = _into(ws, "g_delta_weighted", np.multiply, self.g_delta, delta)
-        self.g_scores = _into(
-            ws, "g_scores", np.subtract, self.g_delta, np.sum(weighted, axis=1, keepdims=True)
-        )
-        np.multiply(delta, self.g_scores, out=self.g_scores)
-        g_select_w = self.g_scores if emb is None else self.g_scores @ emb
+        np.multiply(g_delta, live, out=g_delta)
+        weighted = _into(ws, "weighted", np.multiply, g_delta, delta)
+        g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
+        np.multiply(delta, g_scores, out=g_scores)
+        g_select_w = g_scores if emb is None else g_scores @ emb
         self.grads = FsNetParams(
-            g_select_w, self.encoder.grads, self.classifier.grads, g_decoder, g_recon_w
+            g_select_w, encoder.grads, classifier.grads, g_decoder, g_recon_w
         ).arrays()
 
 
@@ -443,7 +452,7 @@ def train(
             config.rms_decay,
             config.rms_eps,
         )
-        if need_rows:  # shared by the monitor and the next epoch's pass
+        if need_rows:  # the pass used rows up; the monitor and the next pass share this
             recon_matrix(params.recon_w, emb, out=rows)
 
         sel_epoch = unique_argmax(step.gates.T)

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient oracle, a pure-Python
-reference implementation of the counter-based generator, the per-column
+reference implementation of the counter-based generator and the fresh-array
+NumPy formula of its uniform and Gumbel draws, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
 loader, the NumPy oracle of the training loss, the out-of-place RMSprop
 formula, and a planted class-mean-shift instance for feature-recovery
@@ -36,6 +37,28 @@ def ref_raw_stream(seed: int, count: int) -> list[int]:
 
 def ref_uniform_stream(seed: int, count: int) -> list[float]:
     return [((w >> 11) + 0.5) * 2.0**-53 for w in ref_raw_stream(seed, count)]
+
+
+def numpy_uniform_formula(seed: int, counter: int, shape=()):
+    """RngState(seed, counter).uniform(shape) as one NumPy expression, each
+    step a fresh array: the byte oracle of its in-place steps."""
+
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    size = int(np.prod(shape)) if shape != () else 1
+    key = np.uint64(ref_mix64(seed & _MASK64))
+    ks = np.arange(counter + 1, counter + 1 + size, dtype=np.uint64)
+    u = ((mix(key + ks * np.uint64(_GAMMA)) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return float(u[0]) if shape == () else u.reshape(shape)
+
+
+def numpy_gumbel_formula(seed: int, counter: int, shape=()):
+    """RngState(seed, counter).gumbel(shape) as fresh arrays."""
+    u = np.clip(numpy_uniform_formula(seed, counter, shape), 1e-12, 1.0 - 1e-12)
+    return -np.log(-np.log(u))
 
 
 def central_diff(f, arrays, step=1e-5):

@@ -293,6 +293,24 @@ def test_eval_embed_data_is_standardized_like_the_eval_data(tmp_path, data_csv, 
     assert recon[0] == recon[1]
 
 
+def test_eval_rejects_embed_data_for_a_dense_model(tmp_path, data_csv, capsys):
+    # a dense-mode model reads no embedding table, so naming one is an error,
+    # not an input to record
+    out = str(tmp_path / "m")
+    args = ["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]
+    assert main(args + ["--mode", "dense"]) == 0
+    junk = tmp_path / "junk.csv"
+    junk.write_text("not,a,table\n")
+    capsys.readouterr()
+    code = main(["eval", "--model", out + ".model", "--data", data_csv,
+                 "--embed-data", str(junk), "--out", str(tmp_path / "e")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--embed-data" in err and "dense" in err
+    assert not (tmp_path / "e.eval.txt").exists()
+    assert not (tmp_path / "e.eval.manifest.json").exists()
+
+
 def test_eval_rejects_dimension_mismatch(tmp_path, data_csv, capsys):
     out = str(tmp_path / "m")
     assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0

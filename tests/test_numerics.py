@@ -50,6 +50,16 @@ def test_softmax_rows_and_columns():
     assert np.allclose(softmax(x, axis=0).sum(axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_in_place_gives_the_bytes_of_the_fresh_result(order, axis):
+    x = np.asarray(np.random.default_rng(0).normal(size=(6, 3000)) * 5.0, order=order)
+    fresh = softmax(x, axis=axis)
+    p = softmax(x, axis=axis, out=x)
+    assert p is x
+    assert (p.strides, p.tobytes()) == (fresh.strides, fresh.tobytes())
+
+
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
         softmax(np.array([]))

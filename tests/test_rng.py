@@ -2,10 +2,11 @@
 and distributional sanity checks."""
 
 import numpy as np
+import pytest
 
 from fsnet.rng import RngState, _mix64
 
-from helpers import ref_uniform_stream
+from helpers import numpy_gumbel_formula, numpy_uniform_formula, ref_uniform_stream
 
 # published reference outputs of the splitmix64 stream started at state 0,
 # i.e. finalizer applied to k * golden-gamma for k = 1, 2, 3
@@ -24,6 +25,21 @@ def test_uniform_matches_pure_python_reference():
     got = rng.uniform(50)
     expected = ref_uniform_stream(42, 50)
     assert np.array_equal(got, np.array(expected))
+
+
+@pytest.mark.parametrize("counter", [0, 1, 1000, 2**40])
+@pytest.mark.parametrize("shape", [(), (0,), 1, (7,), (3, 5), (10, 7129)])
+def test_in_place_draws_equal_the_fresh_array_formula(counter, shape):
+    # three consecutive draws of each kind from one state, against the
+    # formula at the counter each draw starts from
+    rng = RngState(42, counter)
+    for _ in range(3):
+        for draw, formula in ((rng.uniform, numpy_uniform_formula), (rng.gumbel, numpy_gumbel_formula)):
+            start = rng.counter
+            got, want = np.asarray(draw(shape)), np.asarray(formula(42, start, shape))
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+            assert rng.counter == start + (int(np.prod(shape)) if shape != () else 1)
 
 
 def test_same_seed_same_stream():

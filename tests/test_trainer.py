@@ -191,20 +191,14 @@ def test_graph_leaves_hold_the_parameters_in_named_order(mode, use_bias):
     assert [gmap[leaf].shape for leaf in leaves] == [arr.shape for arr in arrays]
 
 
-@pytest.mark.parametrize("mode", ["predictor", "dense"])
-@pytest.mark.parametrize("use_bias", [False, True])
-@pytest.mark.parametrize("recon_weight", [0.0, 1.3])
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
-@pytest.mark.parametrize("reused", [False, True])
-def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dropout, reused):
-    # d is large enough that the (K, d) and (n, d) arrays pass 256 KiB, the
-    # size from which NumPy computes `temporary * x` into the temporary and
-    # keeps its layout; gradient strides decide the summation order of the
-    # matrix products that read them in the next epoch. With `reused`, the
-    # checked pass writes into a workspace that a pass with other parameters
-    # and other noise filled first, as the second epoch of train() does: a
-    # stale buffer or one of the wrong layout fails here.
-    n, d, k, b = 12, 8000, 5, 4
+def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, reused):
+    """LossPass at n=12, K=5 against build_loss_graph + grad: loss, class
+    and reconstruction loss, gate bytes, and each gradient's bytes, shape and
+    strides. With `reused`, the checked pass writes into a workspace that a
+    pass with other parameters and other noise filled first, as the second
+    epoch of train() does: a stale buffer or one of the wrong layout fails
+    here."""
+    n, k, b = 12, 5, 4
     rng = RngState(21)
     X = rng.normal((n, d))
     y = np.arange(n) % 2
@@ -243,6 +237,35 @@ def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dro
         assert g.tobytes() == want.tobytes(), name
         if recon_weight == 0.0 and (name.startswith("decoder.") or name == "recon_w"):
             assert g.shape == arr.shape and not g.any(), name
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("recon_weight", [0.0, 1.3])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("reused", [False, True])
+def test_loss_pass_equals_the_tape_to_the_byte(mode, use_bias, recon_weight, dropout, reused):
+    # d is large enough that the (K, d) and (n, d) arrays pass 256 KiB, the
+    # size from which NumPy computes `temporary * x` into the temporary and
+    # keeps its layout; gradient strides decide the summation order of the
+    # matrix products that read them in the next epoch.
+    check_loss_pass_equals_the_tape(8000, mode, use_bias, recon_weight, dropout, reused)
+
+
+@pytest.mark.parametrize("d", [500, 3000])
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("recon_weight", [0.0, 1.3])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+@pytest.mark.parametrize("reused", [False, True])
+def test_loss_pass_equals_the_tape_to_the_byte_under_256_kib(
+    d, mode, use_bias, recon_weight, dropout, reused
+):
+    # under 256 KiB NumPy computes `temporary * x` into a fresh array, whose
+    # layout can differ from the temporary's: at d=500 (the tall-predictor
+    # width) every array is under the threshold, at d=3000 the (K, d) arrays
+    # are and the (n, d) arrays are not
+    check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, reused)
 
 
 def test_one_hot_embeddings_reproduce_dense_mode():
@@ -358,6 +381,33 @@ def test_training_memory_is_the_first_epochs(mode):
         finally:
             tracemalloc.stop()
     assert peaks[5] <= 1.05 * peaks[1]
+
+
+@pytest.mark.parametrize("mode, train_peak_mib", [("predictor", 25.0), ("dense", 41.0)])
+def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib):
+    # each chain of elementwise steps on a d-wide value runs in one buffer:
+    # the workspace of two passes holds 13.1 MiB in either mode (20 buffers
+    # and 24.1 MiB before, 23.6 in dense mode), and a 3-epoch train() peaks
+    # at 20.3 and 35.8 MiB of tracemalloc (31.5 and 46.4 before)
+    data, _ = make_synthetic(58, 7129, 5, 0)
+    config = TrainConfig(n_select=10, epochs=3, seed=0, mode=mode)
+    arch = Architecture(7129, 10, data.n_classes, config.encoder, config.decoder)
+    emb = compute_embeddings(data.X, config.embed_size) if mode == "predictor" else None
+    params = init_params(arch, config.embed_size, mode, RngState(1))
+    workspace = {}
+    for seed in (2, 3):
+        gumbel = RngState(seed).gumbel((10, 7129))
+        rows = recon_matrix(params.recon_w, emb)
+        LossPass(params, emb, rows, data.X, data.y, gumbel, 0.5, 1.0, 0.2, None, None, workspace)
+    assert sum(buf.nbytes for buf in workspace.values()) <= 15 * 2**20
+
+    tracemalloc.start()
+    try:
+        train(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= train_peak_mib * 2**20
 
 
 def test_train_with_test_split_records_test_curves():
