@@ -12,7 +12,15 @@ from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
 from .model import FsNetModel, record_cells, saved_size
-from .network import Architecture, hard_forward, init_params, reconstruct, trainable_param_count
+from .network import (
+    Architecture,
+    classify,
+    encode,
+    hard_forward,
+    init_params,
+    reconstruct,
+    trainable_param_count,
+)
 from .rng import RngState
 
 
@@ -55,7 +63,9 @@ def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
     if dataset.n_samples == 0:
         raise ValueError("cannot score an empty dataset")
-    probs, _ = hard_forward(model.params, dataset.X, model.selected, model.config.leaky_slope)
+    slope = model.config.leaky_slope
+    hidden = encode(model.params.encoder, dataset.X[:, model.selected], slope)
+    probs = classify(model.params.classifier, hidden, slope)
     return float((probs.argmax(axis=1) == dataset.y).mean())
 
 

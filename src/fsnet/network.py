@@ -213,7 +213,9 @@ class StackPass:
             if i == last and final_softmax:
                 a = softmax(z, axis=1)
             else:
-                self.leaks.append(np.where(z >= 0.0, 1.0, slope))
+                # 1.0 where z >= 0, else slope (0 < slope < 1): exact, and no
+                # np.where, which is slow with two scalar operands
+                self.leaks.append(np.maximum(z >= 0.0, slope, dtype=np.float64))
                 a = z * self.leaks[-1]  # leaky ReLU: z * 1.0 is z, z * slope is slope * z
                 if masks is not None:
                     a = a * masks[i]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
+
 
 class DimensionError(ValueError):
     """Operand shapes do not chain."""
@@ -36,16 +38,25 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis`, computed with max-subtraction for stability.
 
-    The shift, exponential and division all write into one array: `out` if
-    given, else a fresh one with the layout of x - max. `out` may be x itself:
-    a C- or F-ordered x then holds the bytes of the fresh result.
+    Outputs below the smallest normal double (np.finfo(np.float64).tiny,
+    about 2.2e-308) are written as 0: entries about 708 or more below the
+    max along `axis` would otherwise come out subnormal, and on x86 every product
+    that reads a subnormal runs many times slower. At the cold end of the
+    temperature anneal a gate matrix holds thousands of them. Every other
+    output has the bytes of the plain exp-and-divide.
+
+    The shift, exponential, division and flush all write into one array:
+    `out` if given, else a fresh one with the layout of x - max. `out` may be
+    x itself: a C- or F-ordered x then holds the bytes of the fresh result.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of an empty array is undefined")
     e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
-    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
+    np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
+    np.copyto(e, 0.0, where=e < _TINY)
+    return e
 
 
 def leaky_relu(x, slope: float):

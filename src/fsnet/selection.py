@@ -68,19 +68,39 @@ def unique_argmax(a: np.ndarray) -> list[int]:
     (row, column) pair. Input is (d, K) with d >= K and nonnegative
     entries; the result is the list of K distinct row indices in column
     order, so entry y is the row assigned to column y.
+
+    The matrix is read once: each column's largest cell (its lowest row on a
+    tie) is a candidate, and the largest cell left is always the best
+    candidate of an open column. Only a column whose candidate row was just
+    retired is scanned again, in a copy with the retired rows masked.
+
+    The gates train() passes in are softmax outputs, in which a cell that
+    would be subnormal holds 0 (numerics.softmax): a column whose open rows
+    all hold 0 takes the lowest of them.
     """
     a = as_matrix(a, "selection matrix")
     d, k = a.shape
     if k > d:
         raise ValueError(f"need at least as many rows as columns, got shape {a.shape}")
-    if a.size and a.min() < 0.0:
-        raise ValueError("selection matrix entries must be nonnegative")
-    work = a.copy()
+    if a.size and not a.min() >= 0.0:
+        raise ValueError("selection matrix entries must be nonnegative (and not NaN)")
+    cols = a.T  # row y is column y: contiguous when a is a transposed C array
+    rows = np.argmax(cols, axis=1)
+    best = cols[np.arange(k), rows].tolist()
+    rows = rows.tolist()
+    open_cols = list(range(k))
+    retired: list[int] = []
     selected = [0] * k
     for _ in range(k):
-        x, y = np.unravel_index(int(np.argmax(work)), work.shape)
-        selected[y] = int(x)
-        # mask below zero so retired rows/columns can never win again
-        work[x, :] = -1.0
-        work[:, y] = -1.0
+        y = min(open_cols, key=lambda c: (-best[c], rows[c], c))
+        x = rows[y]
+        selected[y] = x
+        open_cols.remove(y)
+        retired.append(x)
+        for c in open_cols:
+            if rows[c] == x:  # its candidate is gone: scan it again without the retired rows
+                col = cols[c].copy()
+                col[retired] = -1.0
+                rows[c] = int(np.argmax(col))
+                best[c] = float(col[rows[c]])
     return selected

@@ -18,6 +18,12 @@ replaces M with the hard index list S = unique_argmax(M^T): S[k] is the
 feature assigned to gate row k, so x[S] feeds encoder input k as M x did
 (network.hard_forward). Each epoch's curve scores the S of that epoch's M;
 the saved model keeps the S of one more gate draw at the final temperature.
+
+Every softmax of the loop, on the tape as in LossPass, writes 0 where its
+output would be subnormal (numerics.softmax). Near the final temperature the
+gates would otherwise hold thousands of subnormals, and the gate products
+(X @ M^T, the softmax backwards) would run several times slower on x86.
+Results can change only where values below 2.2e-308 decide them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .network import (
     DenseStack,
     FsNetParams,
     StackPass,
+    classify,
+    encode,
     hard_forward,
     init_params,
     recon_matrix,
@@ -362,11 +370,18 @@ def rmsprop_step(
 def _dropout_masks(
     rng: RngState, n: int, widths: tuple[int, ...], rate: float
 ) -> list[np.ndarray] | None:
+    """One (n, w) mask per width, (uniform >= rate) / (1 - rate): inverted
+    scaling boosts kept activations so inference needs no rescale. All masks
+    come from one draw, made and scaled in place and split into C-ordered
+    views; the generator is counter-based, so they hold the bits of one draw
+    per mask made in order."""
     if rate == 0.0:
         return None
-    keep = 1.0 - rate
-    # inverted scaling: kept activations are boosted so inference needs no rescale
-    return [(rng.uniform((n, w)) >= rate) / keep for w in widths]
+    u = rng.uniform(n * sum(widths))
+    np.greater_equal(u, rate, out=u)
+    np.divide(u, 1.0 - rate, out=u)
+    ends = np.cumsum([n * w for w in widths]).tolist()
+    return [u[end - n * w : end].reshape(n, w) for w, end in zip(widths, ends)]
 
 
 def train(
@@ -408,16 +423,17 @@ def train(
     test_err = None  # the monitor's (n_test, d) reconstruction error, made in epoch 1
 
     n = dataset.n_samples
+    # one draw per epoch for the encoder's masks, then the decoder's if it runs
+    n_enc = len(arch.encoder)
+    mask_widths = arch.encoder + arch.decoder if config.recon_weight > 0.0 else arch.encoder
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
         gumbel = rng_gumbel.gumbel((config.n_select, dataset.n_features))
-        enc_masks = _dropout_masks(rng_dropout, n, arch.encoder, config.dropout)
-        dec_masks = (
-            _dropout_masks(rng_dropout, n, arch.decoder, config.dropout)
-            if config.recon_weight > 0.0
-            else None
-        )
+        masks = _dropout_masks(rng_dropout, n, mask_widths, config.dropout)
+        enc_masks = dec_masks = None
+        if masks is not None:
+            enc_masks, dec_masks = masks[:n_enc], masks[n_enc:]
 
         # Every d-wide array of the pass, the optimizer and the reconstruction
         # matrix is a buffer made once and overwritten each epoch, so
@@ -456,7 +472,8 @@ def train(
             recon_matrix(params.recon_w, emb, out=rows)
 
         sel_epoch = unique_argmax(step.gates.T)
-        probs, _ = hard_forward(params, dataset.X, sel_epoch, config.leaky_slope)
+        hidden = encode(params.encoder, dataset.X[:, sel_epoch], config.leaky_slope)
+        probs = classify(params.classifier, hidden, config.leaky_slope)
         train_acc = float((probs.argmax(axis=1) == dataset.y).mean())
         test_acc = test_rec = None
         if test is not None:

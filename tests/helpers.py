@@ -3,8 +3,8 @@ reference implementation of the counter-based generator and the fresh-array
 NumPy formula of its uniform and Gumbel draws, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
 loader, the NumPy oracle of the training loss, the out-of-place RMSprop
-formula, and a planted class-mean-shift instance for feature-recovery
-tests."""
+formula, two oracles of the unique-argmax rule, and a planted
+class-mean-shift instance for feature-recovery tests."""
 
 import csv
 from typing import NamedTuple
@@ -59,6 +59,38 @@ def numpy_gumbel_formula(seed: int, counter: int, shape=()):
     """RngState(seed, counter).gumbel(shape) as fresh arrays."""
     u = np.clip(numpy_uniform_formula(seed, counter, shape), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
+
+
+def brute_force_uargmax(a: np.ndarray) -> list[int]:
+    """Literal transcription of the greedy rule with naive max search; entry
+    y of the result is the row assigned to column y."""
+    work = a.copy()
+    d, k = work.shape
+    out = [None] * k
+    for _ in range(k):
+        best, bx, by = -np.inf, -1, -1
+        for x in range(d):
+            for y in range(k):
+                if work[x, y] > best:
+                    best, bx, by = work[x, y], x, y
+        out[by] = bx
+        work[bx, :] = -1.0
+        work[:, by] = -1.0
+    return out
+
+
+def greedy_uargmax(a: np.ndarray) -> list[int]:
+    """The greedy rule as K full scans: each takes the first largest cell of
+    a C-ordered working copy in row-major order (so ties go to the lowest row,
+    then the lowest column) and retires its row and column."""
+    work = np.array(a, dtype=np.float64, order="C")
+    out = [0] * work.shape[1]
+    for _ in range(work.shape[1]):
+        x, y = np.unravel_index(int(np.argmax(work)), work.shape)
+        out[y] = int(x)
+        work[x, :] = -1.0
+        work[:, y] = -1.0
+    return out
 
 
 def central_diff(f, arrays, step=1e-5):

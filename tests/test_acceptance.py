@@ -26,7 +26,7 @@ from fsnet.network import Architecture, init_params, recon_matrix, trainable_par
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates, unique_argmax, ConcreteState
 from fsnet.trainer import LossPass, build_loss_graph, selection_weights, train
-from helpers import concrete_loss, mean_shift_instance
+from helpers import brute_force_uargmax, concrete_loss, mean_shift_instance
 
 
 def report(number, name, ok, detail=""):
@@ -91,22 +91,6 @@ def test_criterion_1_gradients_match_finite_differences():
 
 
 # ------------------------------------------------------------ criterion 2
-
-
-def brute_force_uargmax(a):
-    work = a.copy()
-    d, k = work.shape
-    out = [None] * k
-    for _ in range(k):
-        best, bx, by = -np.inf, -1, -1
-        for x in range(d):
-            for y in range(k):
-                if work[x, y] > best:
-                    best, bx, by = work[x, y], x, y
-        out[by] = bx
-        work[bx, :] = -1.0
-        work[:, by] = -1.0
-    return out
 
 
 def test_criterion_2_unique_argmax_matches_brute_force():

@@ -60,6 +60,26 @@ def test_softmax_in_place_gives_the_bytes_of_the_fresh_result(order, axis):
     assert (p.strides, p.tobytes()) == (fresh.strides, fresh.tobytes())
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_softmax_flushes_outputs_below_the_smallest_normal(order, axis):
+    tiny = np.finfo(np.float64).tiny
+    # rows spanning 800 > 745: the plain exp-and-divide gives subnormals
+    # (inputs 708-745 below the max) and underflows to 0 further down
+    x = np.linspace(0.0, -800.0, 3201)[None, :] + np.arange(4.0)[:, None]
+    x = np.asarray(x if axis == 1 else x.T, order=order)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    plain = e / e.sum(axis=axis, keepdims=True)
+    subnormal = (plain > 0.0) & (plain < tiny)
+    assert subnormal.any()
+    p = softmax(x, axis=axis)
+    assert not ((p > 0.0) & (p < tiny)).any()
+    assert np.array_equal(p[plain < tiny], np.zeros(int((plain < tiny).sum())))
+    assert p[plain >= tiny].tobytes() == plain[plain >= tiny].tobytes()
+    q = softmax(x, axis=axis, out=x)
+    assert (q.strides, q.tobytes()) == (p.strides, p.tobytes())
+
+
 def test_softmax_empty_errors():
     with pytest.raises(ValueError):
         softmax(np.array([]))

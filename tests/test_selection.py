@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsnet.embedding import compute_embeddings
-from fsnet.numerics import DimensionError
+from fsnet.numerics import DimensionError, softmax
 from fsnet.rng import RngState
 from fsnet.selection import (
     ConcreteState,
@@ -17,24 +17,7 @@ from fsnet.selection import (
     selection_weights,
     unique_argmax,
 )
-
-
-def brute_force_uargmax(a: np.ndarray) -> list[int]:
-    """Literal transcription of the greedy rule with naive max search; entry
-    y of the result is the row assigned to column y."""
-    work = a.copy()
-    d, k = work.shape
-    out = [None] * k
-    for _ in range(k):
-        best, bx, by = -np.inf, -1, -1
-        for x in range(d):
-            for y in range(k):
-                if work[x, y] > best:
-                    best, bx, by = work[x, y], x, y
-        out[by] = bx
-        work[bx, :] = -1.0
-        work[:, by] = -1.0
-    return out
+from helpers import brute_force_uargmax, greedy_uargmax
 
 
 # ---------------------------------------------------------------- predict
@@ -213,6 +196,47 @@ def test_uargmax_rejects_wide_or_negative_input():
         unique_argmax(np.full((2, 3), 0.5))
     with pytest.raises(ValueError):
         unique_argmax(np.array([[0.5, -0.1], [0.2, 0.3]]))
+
+
+def test_uargmax_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        unique_argmax(np.array([[0.5, np.nan], [0.2, 0.3]]))
+
+
+def _tied_or_cold(kind, rng, d, k):
+    if kind == "tied":  # few distinct values: most columns tie
+        return rng.choice([0.0, 0.5, 1.0], size=(d, k))
+    if kind == "integer":
+        return rng.integers(0, 4, size=(d, k)).astype(np.float64)
+    if kind == "zero":
+        return np.zeros((d, k))
+    if kind == "fortran":
+        return np.asfortranarray(rng.integers(0, 2, size=(d, k)).astype(np.float64))
+    # the transpose of a cold (K, d) gate matrix, as train() passes it: one
+    # near-one entry per row, most of the rest exact or flushed zeros
+    return softmax(rng.normal(size=(k, d)) / 0.01, axis=1).T
+
+
+@pytest.mark.parametrize("kind", ["tied", "integer", "zero", "fortran", "cold_gates"])
+def test_uargmax_equals_the_full_scan_greedy_on_ties_and_zeros(kind):
+    # one read of the matrix and re-scans of single columns give the picks,
+    # tie-breaks included, of K scans over a masked copy of the whole matrix
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        d = int(rng.integers(1, 25))
+        k = int(rng.integers(1, d + 1))
+        a = _tied_or_cold(kind, rng, d, k)
+        assert unique_argmax(a) == greedy_uargmax(a)
+    a = _tied_or_cold(kind, rng, 7129, 10)
+    assert unique_argmax(a) == greedy_uargmax(a)
+
+
+def test_uargmax_gives_a_column_of_zeros_the_lowest_row_left():
+    a = np.zeros((4, 3))
+    a[0, 0] = a[0, 1] = 1.0
+    a[2, 2] = 0.5
+    # column 0 takes row 0, column 2 row 2; column 1 holds only zeros then
+    assert unique_argmax(a) == [0, 1, 2]
 
 
 def test_uargmax_matches_brute_force_on_random_matrices():

@@ -309,6 +309,42 @@ def test_dropout_rate_zero_is_disabled():
     assert _dropout_masks(RngState(0), 5, (4,), 0.0) is None
 
 
+def test_one_draw_masks_hold_the_bits_of_a_draw_per_mask():
+    n, widths, rate = 9, (6, 4, 3, 4, 6), 0.3
+    rng, ref = RngState(7), RngState(7)
+    masks = _dropout_masks(rng, n, widths, rate)
+    expected = [(ref.uniform((n, w)) >= rate) / (1.0 - rate) for w in widths]
+    for m, e in zip(masks, expected):
+        assert (m.shape, m.strides, m.tobytes()) == (e.shape, e.strides, e.tobytes())
+    assert rng.counter == ref.counter
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_a_cold_loss_pass_leaves_no_subnormal_in_its_arrays(mode):
+    # at tau = 0.01 and the ALLAML shape, unflushed softmax gates hold
+    # thousands of subnormals, and the g_gates products inherit them
+    n, d, k, b = 58, 7129, 10, 10
+    tiny = np.finfo(np.float64).tiny
+    rng = RngState(41)
+    X = rng.normal((n, d))
+    y = np.arange(n) % 2
+    emb = compute_embeddings(X, b) if mode == "predictor" else None
+    arch = Architecture(d, k, 2)
+    params = init_params(arch, b, mode, RngState(42))
+    masks = _dropout_masks(RngState(43), n, arch.encoder + arch.decoder, 0.2)
+    n_enc = len(arch.encoder)
+    workspace = {}
+    step = LossPass(
+        params, emb, recon_matrix(params.recon_w, emb), X, y, RngState(44).gumbel((k, d)),
+        0.01, 1.0, 0.2, masks[:n_enc], masks[n_enc:], workspace,
+    )
+    arrays = {"gates": step.gates, **workspace}
+    for name, arr in arrays.items():
+        if arr.dtype == np.float64:
+            magnitude = np.abs(arr)
+            assert not ((magnitude > 0.0) & (magnitude < tiny)).any(), name
+
+
 # ---------------------------------------------------------------- train
 
 
