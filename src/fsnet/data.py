@@ -59,9 +59,11 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """The rows at an integer index array, as copies: indexing with an
+        array already copies."""
         return Dataset(
-            self.X[indices].copy(),
-            self.y[indices].copy(),
+            self.X[indices],
+            self.y[indices],
             self.n_classes,
             list(self.label_names),
             list(self.feature_names) if self.feature_names is not None else None,
@@ -91,7 +93,9 @@ class Standardizer:
     scale: np.ndarray  # std with zero-variance features mapped to 1
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
+        """(X - mean) / scale, divided in the array of the subtraction."""
+        out = np.subtract(np.asarray(X, dtype=np.float64), self.mean)
+        return np.divide(out, self.scale, out=out)
 
 
 def load_delimited(

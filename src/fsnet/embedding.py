@@ -25,11 +25,20 @@ def compute_embeddings(X: np.ndarray, n_bins: int) -> np.ndarray:
     # All columns at once: one bincount over bins offset by j*b. Column-major
     # flattening adds each bin's values in row order, as a per-column
     # bincount would, so the table matches per-column histograms to the byte.
+    # The bin indices take one float and one int (n, d) array, each step
+    # written in place, and the float one is freed before the column-major
+    # copy of the int one.
     lo, hi = X.min(axis=0), X.max(axis=0)
     span = hi - lo
-    scaled = (X - lo) / np.where(span == 0.0, 1.0, span) * n_bins  # constant columns: all 0
-    idx = np.minimum(np.floor(scaled).astype(np.intp), n_bins - 1)
-    flat = (idx + np.arange(d) * n_bins).ravel(order="F")
+    scaled = np.subtract(X, lo)
+    np.divide(scaled, np.where(span == 0.0, 1.0, span), out=scaled)  # constant columns: all 0
+    np.multiply(scaled, n_bins, out=scaled)
+    idx = np.floor(scaled, out=scaled).astype(np.intp)
+    del scaled
+    np.minimum(idx, n_bins - 1, out=idx)
+    np.add(idx, np.arange(d) * n_bins, out=idx)
+    flat = idx.ravel(order="F")
+    del idx
     counts = np.bincount(flat, minlength=d * n_bins).astype(np.float64).reshape(d, n_bins)
     sums = np.bincount(flat, weights=X.ravel(order="F"), minlength=d * n_bins).reshape(d, n_bins)
     midpoints = lo[:, None] + (np.arange(n_bins) + 0.5) * (span / n_bins)[:, None]

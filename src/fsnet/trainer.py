@@ -4,12 +4,16 @@ annealing, per-epoch monitoring, and the final hard feature selection. The
 same loss as an autodiff tape graph (build_loss_graph) is kept as the
 reference that LossPass must equal byte for byte.
 
-Every d-wide array of the loop (the pass's K x d, n x d and d x h' arrays,
-the optimizer's terms and the reconstruction matrix) is a buffer made once
-per train() call and overwritten each epoch; the parameters are updated in
-place. Within the pass, each chain of elementwise steps on a d-wide value
-runs in one buffer, and the backward of the reconstruction's tanh runs in the
-reconstruction matrix, which train() recomputes after every update.
+Every d-wide array of the loop (the pass's K x d, n x d and d x h' arrays
+and the reconstruction matrix) is a buffer made once per train() call and
+overwritten each epoch; the parameters are updated in place. Within the
+pass, each chain of elementwise steps on a d-wide value runs in one buffer,
+the squared reconstruction error and the gradient of the reconstruction
+matrix share one, and the backward of the reconstruction's tanh runs in the
+reconstruction matrix, which train() recomputes after every update. RMSprop
+walks each parameter in blocks of about RMSPROP_BLOCK elements, whose five
+operands stay in a core's L2 cache, through one pair of block-sized scratch
+buffers.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -28,6 +32,7 @@ Results can change only where values below 2.2e-308 decide them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -60,6 +65,7 @@ from .selection import (
 )
 
 PROB_FLOOR = 1e-12  # inside log of the cross-entropy term
+RMSPROP_BLOCK = 32768  # elements per term of an RMSprop block: 256 KiB, so five stay in L2
 
 
 class TrainingDiverged(RuntimeError):
@@ -212,6 +218,12 @@ class LossPass:
     two g * p products that the softmax backwards' row sums read are both
     C-ordered, as NumPy makes them, and share one buffer.
 
+    The squared reconstruction error (n, d) and the (h', d) product whose
+    transpose is g_rows also share one flat buffer of max(n, h') * d, each a
+    C-ordered view of its prefix, the layout NumPy gives either expression.
+    This is safe because the squared error is dead once it is summed, before
+    the product is written, and the buffer is read again only through g_rows.
+
     rows is recon_matrix(params.recon_w, emb), passed in so the caller can
     share it. When recon_weight > 0 the pass uses it up: the backward of its
     tanh is computed in its storage, and in dense mode the recon_w gradient
@@ -219,10 +231,11 @@ class LossPass:
     recon_weight is 0), gates, and grads in FsNetParams.named() order.
 
     workspace, if given, is a dict that the K x d, n x d and d x h' arrays are
-    written into: the first pass through it stores its fresh arrays there,
-    and each later pass of the same shapes overwrites them. gates and grads
-    are then views of the workspace, valid until the next pass through it.
-    Without a workspace every array is fresh.
+    written into, the shared one under "squared_g_rows": the first pass
+    through it stores its fresh arrays there, and each later pass of the
+    same shapes overwrites them. gates and grads are then views of the
+    workspace, valid until the next pass through it. Without a workspace
+    every array is fresh.
     """
 
     def __init__(
@@ -270,7 +283,12 @@ class LossPass:
             decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
             diff = _into(ws, "diff", np.matmul, decoder.output, rows.T)  # x_hat
             np.subtract(X, diff, out=diff)
-            squared = _into(ws, "squared", np.multiply, diff, diff)
+            n, d = diff.shape
+            h = rows.shape[1]
+            shared = ws.get("squared_g_rows")
+            if shared is None:
+                shared = ws["squared_g_rows"] = np.empty(max(n, h) * d)
+            squared = np.multiply(diff, diff, out=shared[: n * d].reshape(n, d))
             self.recon_loss = np.sum(squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
@@ -282,7 +300,9 @@ class LossPass:
             # the tape's -(2 * broadcast(lambda) * diff) without its (n, d)
             # broadcast temporary; doubling and negation are exact
             g_x_hat = np.multiply(-2.0 * lam, diff, out=diff)
-            g_rows = _into(ws, "g_rows", np.matmul, decoder.output.T, g_x_hat).T  # (d, h')
+            g_rows = np.matmul(  # (d, h'), in the storage of the dead squared error
+                decoder.output.T, g_x_hat, out=shared[: h * d].reshape(h, d)
+            ).T
             g_hidden = decoder.backward(g_x_hat @ rows) + g_hidden
             # g_rows * (1.0 - rows * rows) in the storage of rows, whose
             # layout the tape's temporary has
@@ -323,18 +343,46 @@ class LossPass:
 
 @dataclass
 class RmsPropState:
-    """Running mean of squared gradients, one slot per parameter array, and
-    two scratch arrays per slot that each step writes its terms into."""
+    """Running mean of squared gradients, one slot per parameter array.
+
+    Each step walks a parameter in blocks of whole axis-0 rows, about
+    RMSPROP_BLOCK elements each (one row when a row is longer), and writes
+    a block's terms into one pair of scratch buffers that all slots share.
+    scratch holds each slot's (step, root) views of that pair, made once:
+    of the parameter's own shape when it is one block, of one full block's
+    shape otherwise. block_rows is the rows per block, or None for a
+    one-block parameter, which is updated without slicing.
+    """
 
     mean_square: list[np.ndarray]
     scratch: list[tuple[np.ndarray, np.ndarray]]
+    block_rows: list[int | None]
 
 
 def rmsprop_init(arrays: list[np.ndarray]) -> RmsPropState:
-    return RmsPropState(
-        [np.zeros_like(a) for a in arrays],
-        [(np.empty_like(a), np.empty_like(a)) for a in arrays],
-    )
+    block_rows: list[int | None] = []
+    shapes = []  # each slot's scratch view shape
+    for a in arrays:
+        rows = max(1, RMSPROP_BLOCK // math.prod(a.shape[1:]))
+        one_block = len(a) <= rows
+        block_rows.append(None if one_block else rows)
+        shapes.append(a.shape if one_block else (rows, *a.shape[1:]))
+    size = max(map(math.prod, shapes), default=0)
+    pair = np.empty(size), np.empty(size)
+    scratch = [tuple(buf[: math.prod(shape)].reshape(shape) for buf in pair) for shape in shapes]
+    return RmsPropState([np.zeros_like(a) for a in arrays], scratch, block_rows)
+
+
+def _rmsprop_terms(w, g, v, step, root, learning_rate, decay, eps) -> None:
+    np.multiply(decay, v, out=v)
+    np.multiply(1.0 - decay, g, out=step)
+    np.multiply(step, g, out=step)
+    np.add(v, step, out=v)
+    np.multiply(learning_rate, g, out=step)
+    np.sqrt(v, out=root)
+    np.add(root, eps, out=root)
+    np.divide(step, root, out=step)
+    np.subtract(w, step, out=w)
 
 
 def rmsprop_step(
@@ -347,23 +395,25 @@ def rmsprop_step(
 ) -> tuple[list[np.ndarray], RmsPropState]:
     """One RMSprop update, in place: v = decay * v + (1 - decay) * g * g,
     then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
-    IEEE step in that order. Returns `arrays` and `state`, the same objects,
-    updated."""
+    IEEE step in that order. Every element takes the same steps whatever
+    block it falls in, so the result does not depend on RMSPROP_BLOCK.
+    Returns `arrays` and `state`, the same objects, updated."""
     if len(arrays) != len(grads) or len(arrays) != len(state.mean_square):
         raise ValueError("parameter, gradient, and state lists must align")
     for w, g, v in zip(arrays, grads, state.mean_square):
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
-    for w, g, v, (step, root) in zip(arrays, grads, state.mean_square, state.scratch):
-        np.multiply(decay, v, out=v)
-        np.multiply(1.0 - decay, g, out=step)
-        np.multiply(step, g, out=step)
-        np.add(v, step, out=v)
-        np.multiply(learning_rate, g, out=step)
-        np.sqrt(v, out=root)
-        np.add(root, eps, out=root)
-        np.divide(step, root, out=step)
-        np.subtract(w, step, out=w)
+    slots = zip(arrays, grads, state.mean_square, state.scratch, state.block_rows)
+    for w, g, v, (step, root), rows in slots:
+        if rows is None:
+            _rmsprop_terms(w, g, v, step, root, learning_rate, decay, eps)
+            continue
+        for start in range(0, len(w), rows):
+            k = min(rows, len(w) - start)
+            block = slice(start, start + k)
+            _rmsprop_terms(
+                w[block], g[block], v[block], step[:k], root[:k], learning_rate, decay, eps
+            )
     return arrays, state
 
 

@@ -3,10 +3,12 @@ reference implementation of the counter-based generator and the fresh-array
 NumPy formula of its uniform and Gumbel draws, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
 loader, the NumPy oracle of the training loss, the out-of-place RMSprop
-formula, two oracles of the unique-argmax rule, and a planted
-class-mean-shift instance for feature-recovery tests."""
+formula, two oracles of the unique-argmax rule, a planted
+class-mean-shift instance for feature-recovery tests, and the tracemalloc
+peak of one call."""
 
 import csv
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -281,3 +283,14 @@ def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
         new_arrays.append(w - learning_rate * g / (np.sqrt(v2) + eps))
         new_ms.append(v2)
     return new_arrays, new_ms
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

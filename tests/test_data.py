@@ -1,7 +1,6 @@
 """Dataset loading, standardization, splitting, and the synthetic benchmark."""
 
 import codecs
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from fsnet.data import (
     split,
     standardize,
 )
-from helpers import ref_load_delimited
+from helpers import ref_load_delimited, traced_peak
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -54,6 +53,7 @@ def test_dataset_subset_preserves_metadata():
     assert np.array_equal(sub.y, [1, 0])
     assert sub.label_names == ["no", "yes"]
     assert sub.feature_names == ["f0", "f1"]
+    assert not np.shares_memory(sub.X, ds.X) and not np.shares_memory(sub.y, ds.y)
 
 
 # ---------------------------------------------------------------- loading
@@ -214,12 +214,7 @@ def test_load_peak_memory_stays_near_the_array_size(tmp_path):
     ds = Dataset(rng.normal(size=(72, 2000)), np.arange(72) % 2, 2, ["a", "b"])
     path = str(tmp_path / "wide.csv")
     save_delimited(ds, path)
-    tracemalloc.start()
-    try:
-        loaded = load_delimited(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(load_delimited, path)
     assert np.array_equal(loaded.X, ds.X)
     assert peak <= 3 * ds.X.nbytes
 
@@ -262,6 +257,14 @@ def test_standardizer_not_idempotent():
     once = out.X
     twice = transform.apply(once)
     assert not np.allclose(once, twice)
+
+
+def test_standardizer_apply_gives_the_bytes_of_the_expression():
+    rng = np.random.default_rng(5)
+    X = rng.normal(3.0, 2.0, size=(30, 50))
+    _, _, transform = standardize(Dataset(X, np.arange(30) % 2, 2, ["a", "b"]))
+    want = (X - transform.mean) / transform.scale
+    assert transform.apply(X).tobytes() == want.tobytes()
 
 
 def test_standardize_leaves_input_untouched():

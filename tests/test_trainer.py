@@ -1,6 +1,5 @@
 """Training loop: loss, optimizer, annealed gate sampling and reporting."""
 
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from fsnet.network import (
 from fsnet.rng import RngState
 from fsnet.selection import anneal_temperature, sample_gates
 from fsnet.trainer import (
+    RMSPROP_BLOCK,
     LossPass,
     TrainingDiverged,
     TrainReport,
@@ -30,7 +30,7 @@ from fsnet.trainer import (
     selection_weights,
     train,
 )
-from helpers import concrete_loss, joint_loss, rmsprop_reference
+from helpers import concrete_loss, joint_loss, rmsprop_reference, traced_peak
 
 
 def separable(seed, n=40, d=20):
@@ -90,6 +90,34 @@ def test_rmsprop_in_place_steps_equal_the_out_of_place_formula(w_order, g_order)
         for got, want in zip(w + state.mean_square, want_w + want_ms):
             assert got.tobytes() == want.tobytes()
     assert w[0].flags[f"{w_order}_CONTIGUOUS"]
+
+
+def test_blocked_rmsprop_equals_the_out_of_place_formula():
+    # parameters of many blocks, of one block, and with rows longer than a
+    # block, against C-ordered and transposed gradients
+    rng = RngState(37)
+    shapes = [(64, 7129), (10, 7129), (64, 7129), (10, 7129), (3 * RMSPROP_BLOCK + 5,), (2, 40000), (2, 16)]
+    transposed = [False, False, True, True, False, False, False]
+
+    def gradients():
+        return [
+            rng.normal(shape[::-1]).T if t else rng.normal(shape)
+            for shape, t in zip(shapes, transposed)
+        ]
+
+    w = [rng.normal(shape) for shape in shapes]
+    want_w, want_ms = [a.copy() for a in w], [np.zeros_like(a) for a in w]
+    state = rmsprop_init(w)
+    for _ in range(3):
+        g = gradients()
+        rmsprop_step(w, g, state, 1e-2, 0.9, 1e-8)
+        want_w, want_ms = rmsprop_reference(want_w, g, want_ms, 1e-2, 0.9, 1e-8)
+        for got, want in zip(w + state.mean_square, want_w + want_ms):
+            assert got.tobytes() == want.tobytes()
+    # one scratch pair for all slots, sized to a block or to the longest row
+    buffers = {id(v.base): v.base for pair in state.scratch for v in pair}
+    assert len(buffers) == 2
+    assert sum(b.nbytes for b in buffers.values()) <= 2 * max(RMSPROP_BLOCK, 40000) * 8
 
 
 def test_rmsprop_equal_gradients_equal_updates():
@@ -392,12 +420,7 @@ def test_training_memory_does_not_grow_with_the_epoch_count():
     peaks = {}
     for epochs in (2, 20):
         config = TrainConfig(n_select=5, encoder=(16,), decoder=(16,), epochs=epochs, seed=0)
-        tracemalloc.start()
-        try:
-            train(data, config)
-            peaks[epochs] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[epochs] = traced_peak(train, data, config)[1]
     assert peaks[20] <= 1.2 * peaks[2]
 
 
@@ -410,21 +433,17 @@ def test_training_memory_is_the_first_epochs(mode):
     peaks = {}
     for epochs in (1, 5):
         config = TrainConfig(n_select=10, epochs=epochs, seed=0, mode=mode)
-        tracemalloc.start()
-        try:
-            train(data, config)
-            peaks[epochs] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peaks[epochs] = traced_peak(train, data, config)[1]
     assert peaks[5] <= 1.05 * peaks[1]
 
 
-@pytest.mark.parametrize("mode, train_peak_mib", [("predictor", 25.0), ("dense", 41.0)])
+@pytest.mark.parametrize("mode, train_peak_mib", [("predictor", 18.5), ("dense", 30.0)])
 def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib):
-    # each chain of elementwise steps on a d-wide value runs in one buffer:
-    # the workspace of two passes holds 13.1 MiB in either mode (20 buffers
-    # and 24.1 MiB before, 23.6 in dense mode), and a 3-epoch train() peaks
-    # at 20.3 and 35.8 MiB of tracemalloc (31.5 and 46.4 before)
+    # each chain of elementwise steps on a d-wide value runs in one buffer,
+    # and the squared error and g_rows share one: the workspace of two
+    # passes holds 9.97 MiB in either mode (13.1 with a buffer each), and a
+    # 3-epoch train(), with RMSprop in blocks, peaks at 17.1 and 25.0 MiB of
+    # tracemalloc (20.3 and 35.8 with full-size RMSprop scratch per slot)
     data, _ = make_synthetic(58, 7129, 5, 0)
     config = TrainConfig(n_select=10, epochs=3, seed=0, mode=mode)
     arch = Architecture(7129, 10, data.n_classes, config.encoder, config.decoder)
@@ -435,15 +454,8 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib)
         gumbel = RngState(seed).gumbel((10, 7129))
         rows = recon_matrix(params.recon_w, emb)
         LossPass(params, emb, rows, data.X, data.y, gumbel, 0.5, 1.0, 0.2, None, None, workspace)
-    assert sum(buf.nbytes for buf in workspace.values()) <= 15 * 2**20
-
-    tracemalloc.start()
-    try:
-        train(data, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= train_peak_mib * 2**20
+    assert sum(buf.nbytes for buf in workspace.values()) <= 11.5 * 2**20
+    assert traced_peak(train, data, config)[1] <= train_peak_mib * 2**20
 
 
 def test_train_with_test_split_records_test_curves():
