@@ -222,6 +222,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             " reads no embedding table"
         )
     dataset = _load_table(args, args.data, model.arch.n_features)
+    # score against the model's label codes, not the file's order of first appearance
+    labels = model.label_names
+    if sorted(dataset.label_names) != sorted(labels):
+        raise DataError(f"{args.data}: labels {dataset.label_names} are not the model's {labels}")
+    codes = [labels.index(name) for name in dataset.label_names]
+    dataset = dataclasses.replace(dataset, y=np.take(codes, dataset.y), label_names=list(labels))
     emb = None
     if args.embed_data:
         emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
@@ -249,7 +255,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     started = _now()
-    dataset, planted = make_synthetic(args.n, args.d, args.k_star, args.seed)
+    try:
+        dataset, planted = make_synthetic(args.n, args.d, args.k_star, args.seed)
+    except ValueError as exc:
+        raise DataError(f"--n {args.n} --d {args.d} --k-star {args.k_star}: {exc}") from None
     out = args.out
     data_path, planted_path = f"{out}.csv", f"{out}.planted.json"
     manifest_path = f"{out}.synth.manifest.json"

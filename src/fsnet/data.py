@@ -260,7 +260,7 @@ def make_synthetic(
     sample median, which keeps the classes balanced to within one sample.
     Returns the dataset and the sorted planted feature indices.
     """
-    if n_informative > d:
+    if not 1 <= n_informative <= d:
         raise ValueError(f"cannot plant {n_informative} features in {d}")
     if n < 2:
         raise ValueError("need at least 2 samples")

@@ -12,15 +12,7 @@ from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
 from .model import FsNetModel, record_cells, saved_size
-from .network import (
-    Architecture,
-    classify,
-    encode,
-    hard_forward,
-    init_params,
-    reconstruct,
-    trainable_param_count,
-)
+from .network import Architecture, hard_scores, init_params, recon_matrix, trainable_param_count
 from .rng import RngState
 
 
@@ -49,10 +41,9 @@ class EvalReport:
     def lines(self) -> list[str]:
         return [f"{key} {cell}" for key, cell in record_cells(self).items()]
 
-    def save(self, path: str, manifest_ref: str | None = None) -> None:
+    def save(self, path: str, manifest_ref: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            if manifest_ref is not None:
-                fh.write(f"manifest {manifest_ref}\n")
+            fh.write(f"manifest {manifest_ref}\n")
             fh.write("\n".join(self.lines()) + "\n")
 
 
@@ -61,12 +52,8 @@ REPORT_KEYS = tuple(f.name for f in fields(EvalReport))
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
-    if dataset.n_samples == 0:
-        raise ValueError("cannot score an empty dataset")
     slope = model.config.leaky_slope
-    hidden = encode(model.params.encoder, dataset.X[:, model.selected], slope)
-    probs = classify(model.params.classifier, hidden, slope)
-    return float((probs.argmax(axis=1) == dataset.y).mean())
+    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope)[0]
 
 
 def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float:
@@ -76,15 +63,19 @@ def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | 
     virtual reconstruction weights; when none is passed it is recomputed from
     the evaluated dataset itself. Dense-mode models ignore `emb`.
     """
-    if dataset.n_samples == 0:
-        raise ValueError("cannot score an empty dataset")
+    return _scores(model, dataset, emb)[1]
+
+
+def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tuple[float, float]:
+    """The accuracy and the reconstruction error of one hard-selection pass,
+    the virtual weights realized as reconstruction_error documents."""
     if model.config.mode == "dense":
         emb = None
     elif emb is None:
         emb = compute_embeddings(dataset.X, model.config.embed_size)
-    _, h_tilde = hard_forward(model.params, dataset.X, model.selected, model.config.leaky_slope)
-    x_hat = reconstruct(model.params.recon_w, emb, h_tilde)
-    return float(((dataset.X - x_hat) ** 2).sum(axis=1).mean())
+    rows = recon_matrix(model.params.recon_w, emb)
+    slope = model.config.leaky_slope
+    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, rows)
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
@@ -189,13 +180,16 @@ def evaluate(
         else 0.0
     )
     arch, b, bias = model.arch, model.config.embed_size, model.config.use_bias
+    acc, recon_error = _scores(model, dataset, emb)
+    predictor = trainable_param_count(arch, b, "predictor", bias)
+    dense = trainable_param_count(arch, b, "dense", bias)
     return EvalReport(
-        accuracy=accuracy(model, dataset),
-        recon_error=reconstruction_error(model, dataset, emb),
+        accuracy=acc,
+        recon_error=recon_error,
         avg_mi=avg_mi,
         mi_bins=mi_bins,
-        param_count_predictor=trainable_param_count(arch, b, "predictor", bias),
-        param_count_dense=trainable_param_count(arch, b, "dense", bias),
-        compression_ratio=compression_ratio(arch, arch.n_features, b, bias),
+        param_count_predictor=predictor,
+        param_count_dense=dense,
+        compression_ratio=dense / predictor,
         measured_compression_ratio=measured_compression_ratio(arch, b, model.config.seed, bias),
     )

@@ -1,5 +1,5 @@
 """Dense stacks (encoder, classifier head, decoder) and their one NumPy
-pass, the hard-selection forward pass, the embedding-predicted
+pass, the scores of the hard-selection pass, the embedding-predicted
 reconstruction layer, and the one parameter layout that initialization,
 counting, loading, the training pass and the loss graph share."""
 
@@ -258,14 +258,24 @@ def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     return StackPass(dec, hidden, slope, None, False).output
 
 
-def hard_forward(
-    params: FsNetParams, X: np.ndarray, selected: list[int], slope: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The hard-selection inference pass: encode the columns X[:, selected]
-    once, then return the class probabilities and the decoder output
-    h_tilde of that one hidden layer."""
+def hard_scores(
+    params: FsNetParams, X: np.ndarray, y: np.ndarray, selected: list[int], slope: float,
+    rows: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> tuple[float, float | None]:
+    """The hard-selection pass, which encodes X[:, selected] once: its accuracy
+    on y (argmax, ties to the lowest class) and, given rows = recon_matrix(...),
+    the mean summed squared reconstruction error per row, computed in `out`
+    if given; else None."""
+    if len(X) == 0:
+        raise ValueError("cannot score an empty dataset")
     hidden = encode(params.encoder, X[:, selected], slope)
-    return classify(params.classifier, hidden, slope), decode(params.decoder, hidden, slope)
+    acc = float((classify(params.classifier, hidden, slope).argmax(axis=1) == y).mean())
+    if rows is None:
+        return acc, None
+    err = matmul(decode(params.decoder, hidden, slope), rows.T, out=out)  # x_hat
+    np.subtract(X, err, out=err)
+    np.square(err, out=err)
+    return acc, float(err.sum(axis=1).mean())
 
 
 def recon_matrix(

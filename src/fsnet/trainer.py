@@ -20,7 +20,7 @@ plus `recon_weight` times the summed squared reconstruction error, with the
 soft gate matrix M resampled from fresh Gumbel noise every epoch. Inference
 replaces M with the hard index list S = unique_argmax(M^T): S[k] is the
 feature assigned to gate row k, so x[S] feeds encoder input k as M x did
-(network.hard_forward). Each epoch's curve scores the S of that epoch's M;
+(network.hard_scores). Each epoch's curve scores the S of that epoch's M;
 the saved model keeps the S of one more gate draw at the final temperature.
 
 Every softmax of the loop, on the tape as in LossPass, writes 0 where its
@@ -49,9 +49,7 @@ from .network import (
     DenseStack,
     FsNetParams,
     StackPass,
-    classify,
-    encode,
-    hard_forward,
+    hard_scores,
     init_params,
     recon_matrix,
 )
@@ -91,12 +89,11 @@ class TrainReport:
     records: list[EpochRecord]
     selected: list[int]
 
-    def save(self, path: str, manifest_ref: str | None = None) -> None:
+    def save(self, path: str, manifest_ref: str) -> None:
         """CSV with one column per EpochRecord field, after comment lines
         naming the manifest and the selection."""
         with open(path, "w", encoding="utf-8") as fh:
-            if manifest_ref is not None:
-                fh.write(f"# manifest {manifest_ref}\n")
+            fh.write(f"# manifest {manifest_ref}\n")
             fh.write("# selected " + " ".join(str(j) for j in self.selected) + "\n")
             fh.write(",".join(f.name for f in fields(EpochRecord)) + "\n")
             for r in self.records:
@@ -230,12 +227,11 @@ class LossPass:
     is a view of it. Callers read loss, class_loss, recon_loss (0.0 when
     recon_weight is 0), gates, and grads in FsNetParams.named() order.
 
-    workspace, if given, is a dict that the K x d, n x d and d x h' arrays are
-    written into, the shared one under "squared_g_rows": the first pass
-    through it stores its fresh arrays there, and each later pass of the
-    same shapes overwrites them. gates and grads are then views of the
-    workspace, valid until the next pass through it. Without a workspace
-    every array is fresh.
+    workspace is a dict that the K x d, n x d and d x h' arrays are written
+    into, the shared one under "squared_g_rows": the first pass through it
+    stores its fresh arrays there, and each later pass of the same shapes
+    overwrites them. gates and grads are views of the workspace, valid until
+    the next pass through it.
     """
 
     def __init__(
@@ -249,26 +245,25 @@ class LossPass:
         temperature: float,
         recon_weight: float,
         slope: float,
-        encoder_masks: list[np.ndarray] | None = None,
-        decoder_masks: list[np.ndarray] | None = None,
-        workspace: dict[str, np.ndarray] | None = None,
+        encoder_masks: list[np.ndarray] | None,
+        decoder_masks: list[np.ndarray] | None,
+        workspace: dict[str, np.ndarray],
     ):
         _check_labels(y, params.classifier.weights[-1].shape[0])
         X = np.asarray(X, dtype=np.float64)
         picks = (np.arange(X.shape[0]), np.asarray(y, dtype=np.intp))
         inv_tau = float(1.0 / temperature)
         lam = float(recon_weight)
-        ws = {} if workspace is None else workspace
 
         # forward: the selection layer (scores -> delta, log -> noisy ->
         # logits -> gates), the encoder and classifier, then the reconstruction
         if emb is None:
-            delta = _into(ws, "delta", numerics.softmax, params.select_w, axis=1)
+            delta = _into(workspace, "delta", numerics.softmax, params.select_w, axis=1)
         else:
-            delta = _into(ws, "delta", np.matmul, params.select_w, emb.T)  # scores
+            delta = _into(workspace, "delta", np.matmul, params.select_w, emb.T)  # scores
             numerics.softmax(delta, axis=1, out=delta)
-        floored = _into(ws, "floored", np.maximum, delta, LOG_FLOOR)
-        gates = _into(ws, "gates", np.log, floored)  # noisy
+        floored = _into(workspace, "floored", np.maximum, delta, LOG_FLOOR)
+        gates = _into(workspace, "gates", np.log, floored)  # noisy
         np.add(gates, gumbel, out=gates)
         np.multiply(gates, inv_tau, out=gates)  # logits
         self.gates = numerics.softmax(gates, axis=1, out=gates)
@@ -281,13 +276,13 @@ class LossPass:
         self.loss = self.class_loss
         if lam != 0.0:
             decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
-            diff = _into(ws, "diff", np.matmul, decoder.output, rows.T)  # x_hat
+            diff = _into(workspace, "diff", np.matmul, decoder.output, rows.T)  # x_hat
             np.subtract(X, diff, out=diff)
             n, d = diff.shape
             h = rows.shape[1]
-            shared = ws.get("squared_g_rows")
+            shared = workspace.get("squared_g_rows")
             if shared is None:
-                shared = ws["squared_g_rows"] = np.empty(max(n, h) * d)
+                shared = workspace["squared_g_rows"] = np.empty(max(n, h) * d)
             squared = np.multiply(diff, diff, out=shared[: n * d].reshape(n, d))
             self.recon_loss = np.sum(squared)
             self.loss = self.class_loss + self.recon_loss * lam
@@ -324,15 +319,15 @@ class LossPass:
         # softmax backward is p * (g - sum(g * p)), the product computed into
         # the (g - sum) array as NumPy computes it into that temporary
         g_selected = encoder.backward(g_hidden)
-        g_gates = _into(ws, "g_gates", np.matmul, X.T, g_selected).T
-        weighted = _into(ws, "weighted", np.multiply, g_gates, gates)
+        g_gates = _into(workspace, "g_gates", np.matmul, X.T, g_selected).T
+        weighted = _into(workspace, "weighted", np.multiply, g_gates, gates)
         g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)
         g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
-        g_delta = _into(ws, "g_delta", np.divide, g_noisy, floored)  # g_floored
-        live = _into(ws, "live", np.greater, delta, LOG_FLOOR)
+        g_delta = _into(workspace, "g_delta", np.divide, g_noisy, floored)  # g_floored
+        live = _into(workspace, "live", np.greater, delta, LOG_FLOOR)
         np.multiply(g_delta, live, out=g_delta)
-        weighted = _into(ws, "weighted", np.multiply, g_delta, delta)
+        weighted = _into(workspace, "weighted", np.multiply, g_delta, delta)
         g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
         np.multiply(delta, g_scores, out=g_scores)
         g_select_w = g_scores if emb is None else g_scores @ emb
@@ -470,7 +465,7 @@ def train(
     need_rows = config.recon_weight > 0.0 or test is not None
     rows = recon_matrix(params.recon_w, emb) if need_rows else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
-    test_err = None  # the monitor's (n_test, d) reconstruction error, made in epoch 1
+    test_err = None if test is None else np.empty(test.X.shape)  # the monitor's error, reused
 
     n = dataset.n_samples
     # one draw per epoch for the encoder's masks, then the decoder's if it runs
@@ -522,17 +517,12 @@ def train(
             recon_matrix(params.recon_w, emb, out=rows)
 
         sel_epoch = unique_argmax(step.gates.T)
-        hidden = encode(params.encoder, dataset.X[:, sel_epoch], config.leaky_slope)
-        probs = classify(params.classifier, hidden, config.leaky_slope)
-        train_acc = float((probs.argmax(axis=1) == dataset.y).mean())
+        train_acc, _ = hard_scores(params, dataset.X, dataset.y, sel_epoch, config.leaky_slope)
         test_acc = test_rec = None
         if test is not None:
-            probs, h_tilde = hard_forward(params, test.X, sel_epoch, config.leaky_slope)
-            test_acc = float((probs.argmax(axis=1) == test.y).mean())
-            test_err = numerics.matmul(h_tilde, rows.T, out=test_err)  # x_hat
-            np.subtract(test.X, test_err, out=test_err)
-            np.square(test_err, out=test_err)
-            test_rec = float(test_err.sum(axis=1).mean())
+            test_acc, test_rec = hard_scores(
+                params, test.X, test.y, sel_epoch, config.leaky_slope, rows, test_err
+            )
         class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
         records.append(
             EpochRecord(epoch, tau, total, class_loss, recon_loss, train_acc, test_acc, test_rec)

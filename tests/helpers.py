@@ -2,10 +2,10 @@
 reference implementation of the counter-based generator and the fresh-array
 NumPy formula of its uniform and Gumbel draws, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
-loader, the NumPy oracle of the training loss, the out-of-place RMSprop
-formula, two oracles of the unique-argmax rule, a planted
-class-mean-shift instance for feature-recovery tests, and the tracemalloc
-peak of one call."""
+loader, the NumPy oracle of the training loss, the encode/classify/decode
+compositions of the hard-selection scores, the out-of-place RMSprop formula,
+two oracles of the unique-argmax rule, a planted class-mean-shift instance
+for feature-recovery tests, and the tracemalloc peak of one call."""
 
 import csv
 import tracemalloc
@@ -272,6 +272,16 @@ def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
     logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + gumbel) / temperature
     gates = softmax(logits, axis=1)
     return joint_loss(params, emb, gates, X, y, recon_weight, slope)
+
+
+def hard_scores_reference(params, emb, X, y, selected, slope):
+    """network.hard_scores with a reconstruction, composed from the stacks:
+    the accuracy of encode + classify, and the error of encode + decode +
+    reconstruct + ((X - x_hat) ** 2).sum(1).mean()."""
+    hidden = encode(params.encoder, X[:, selected], slope)
+    probs = classify(params.classifier, hidden, slope)
+    x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, slope))
+    return float((probs.argmax(axis=1) == y).mean()), float(((X - x_hat) ** 2).sum(1).mean())
 
 
 def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):

@@ -250,6 +250,48 @@ def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     assert len(saved) == 1 + len(REPORT_KEYS)
 
 
+def test_eval_scores_with_the_models_label_codes_whatever_the_row_order(tmp_path, capsys):
+    # the file codes labels by first appearance; moving a row of the other
+    # class to the top must not swap the classes the model predicts
+    data = str(tmp_path / "t")
+    synth = ["synth", "--n", "60", "--d", "20", "--k-star", "3", "--seed", "1", "--out", data]
+    assert main(synth) == 0
+    lines = Path(data + ".csv").read_text().splitlines()
+    comment, header, rows = lines[0], lines[1], lines[2:]
+    assert comment.startswith("#")
+    first_label = rows[0].rsplit(",", 1)[1]
+    other = next(i for i, row in enumerate(rows) if row.rsplit(",", 1)[1] != first_label)
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text("\n".join([header, rows[other], *rows[:other], *rows[other + 1:]]) + "\n")
+    out = str(tmp_path / "m")
+    train_args = ["--k", "3", "--mode", "dense", "--epochs", "30", "--lr", "0.05"]
+    assert main(["train", "--data", data + ".csv", "--out", out, *train_args]) == 0
+    reports = []
+    for path in (data + ".csv", str(reordered)):
+        prefix = str(tmp_path / Path(path).stem)
+        argv = ["eval", "--model", out + ".model", "--data", path, "--out", prefix]
+        assert main([*argv, "--no-standardize"]) == 0
+        saved = Path(prefix + ".eval.txt").read_text().splitlines()
+        reports.append(dict(line.split(" ", 1) for line in saved))
+    assert reports[0]["accuracy"] == reports[1]["accuracy"]
+    recon_errors = [float(report["recon_error"]) for report in reports]
+    assert recon_errors[0] == pytest.approx(recon_errors[1], rel=1e-12)
+
+
+def test_eval_rejects_a_label_the_model_does_not_know(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    lines = Path(data_csv).read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([*lines[:-1], lines[-1].rsplit(",", 1)[0] + ",maybe"]) + "\n")
+    capsys.readouterr()
+    argv = ["eval", "--model", out + ".model", "--data", str(bad), "--out", str(tmp_path / "e")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'maybe'" in err
+    assert not (tmp_path / "e.eval.txt").exists()
+
+
 def test_manifest_keeps_one_digest_per_input_path(tmp_path, capsys):
     # two inputs with one file name must not share a manifest entry
     paths = []
@@ -337,6 +379,14 @@ def test_eval_rejects_a_model_that_reconstructs_nan(tmp_path, data_csv, capsys):
     assert code == 2
     assert "recon_error" in capsys.readouterr().err
     assert not (tmp_path / "e.eval.txt").exists()
+
+
+@pytest.mark.parametrize("k_star", ["0", "-1"])
+def test_synth_rejects_a_k_star_below_one(tmp_path, capsys, k_star):
+    out = str(tmp_path / "gen")
+    assert main(["synth", "--n", "30", "--d", "6", "--k-star", k_star, "--out", out]) == 2
+    assert f"--k-star {k_star}" in capsys.readouterr().err
+    assert not Path(out + ".csv").exists()
 
 
 def test_synth_round_trips_and_records_planted(tmp_path, capsys):

@@ -389,3 +389,6 @@ def test_synthetic_validation():
         make_synthetic(10, 3, 4, seed=0)
     with pytest.raises(ValueError):
         make_synthetic(1, 3, 2, seed=0)
+    for k_star in (0, -1):  # -1 would plant d - 1 features through permutation(d)[:-1]
+        with pytest.raises(ValueError, match="cannot plant"):
+            make_synthetic(10, 3, k_star, seed=0)

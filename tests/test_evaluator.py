@@ -24,6 +24,7 @@ from fsnet.evaluator import (
 from fsnet.model import FsNetModel, model_lines, save_model
 from fsnet.network import (
     Architecture,
+    StackPass,
     init_params,
     trainable_param_count,
     zeros_params,
@@ -291,6 +292,23 @@ def test_evaluate_end_to_end_consistency():
     assert report.param_count_predictor == trainable_param_count(model.arch, 3, "predictor")
     assert report.param_count_dense == trainable_param_count(model.arch, 3, "dense")
     assert report.compression_ratio == compression_ratio(model.arch, 6, 3)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_evaluate_runs_the_encoder_once(monkeypatch, mode):
+    # one hard-selection pass gives both the accuracy and the reconstruction
+    # error; every encoder pass, however it is reached, is a StackPass
+    passes = []
+
+    class CountingPass(StackPass):
+        def __init__(self, stack, *args):
+            passes.append(stack)
+            super().__init__(stack, *args)
+
+    monkeypatch.setattr("fsnet.network.StackPass", CountingPass)
+    model = zero_model(mode=mode)
+    evaluate(model, toy_dataset(10))
+    assert sum(stack is model.params.encoder for stack in passes) == 1
 
 
 def test_evaluate_rejects_feature_mismatch():

@@ -12,7 +12,7 @@ from fsnet.network import (
     classify,
     decode,
     encode,
-    hard_forward,
+    hard_scores,
     init_params,
     recon_matrix,
     reconstruct,
@@ -22,6 +22,7 @@ from fsnet.network import (
 from fsnet.numerics import DimensionError
 from fsnet.rng import RngState
 from fsnet.trainer import _graph_stack
+from helpers import hard_scores_reference
 
 DEFAULT = Architecture(n_features=500, n_select=10, n_classes=2)
 
@@ -133,7 +134,7 @@ def test_stacks_equal_the_tape_stack_to_the_byte(apply, final_softmax, use_bias)
     assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
 
-# ---------------------------------------------------------------- hard forward
+# ---------------------------------------------------------------- hard pass
 
 
 def hard_setup(seed=1, n=30, d=10):
@@ -142,34 +143,44 @@ def hard_setup(seed=1, n=30, d=10):
     return params, RngState(seed + 1).normal((n, d)), [7, 0, 4]
 
 
-def test_hard_forward_gives_deterministic_rows_on_the_simplex():
+def hard_probs(params, X, selected):
+    return classify(params.classifier, encode(params.encoder, X[:, selected], 0.2), 0.2)
+
+
+def test_hard_pass_gives_deterministic_rows_on_the_simplex():
     params, X, selected = hard_setup()
-    p1, _ = hard_forward(params, X[:1], selected, 0.2)
-    p2, _ = hard_forward(params, X[:1], selected, 0.2)
+    p1 = hard_probs(params, X[:1], selected)
+    p2 = hard_probs(params, X[:1], selected)
     assert np.array_equal(p1, p2)
     assert p1.shape == (1, 2)
     assert abs(p1.sum() - 1.0) < 1e-12
 
 
-def test_hard_forward_rejects_a_selection_of_wrong_length_or_range():
+def test_hard_scores_rejects_a_selection_of_wrong_length_or_range_and_an_empty_batch():
     params, X, _ = hard_setup()
+    y = np.zeros(len(X), dtype=np.intp)
     with pytest.raises(ValueError):
-        hard_forward(params, X, [0, 1], 0.2)
+        hard_scores(params, X, y, [0, 1], 0.2)
     with pytest.raises(IndexError):
-        hard_forward(params, X, [0, 1, 99], 0.2)
+        hard_scores(params, X, y, [0, 1, 99], 0.2)
+    with pytest.raises(ValueError, match="empty"):
+        hard_scores(params, X[:0], y[:0], [7, 0, 4], 0.2)
 
 
-def test_hard_forward_of_a_batch_equals_that_of_its_rows():
+def test_hard_pass_of_a_batch_equals_that_of_its_rows():
     params, X, selected = hard_setup()
-    probs, h_tilde = hard_forward(params, X[:4], selected, 0.2)
+    hidden = encode(params.encoder, X[:4, selected], 0.2)
+    probs, h_tilde = classify(params.classifier, hidden, 0.2), decode(params.decoder, hidden, 0.2)
     for i in range(4):
-        p_row, h_row = hard_forward(params, X[i : i + 1], selected, 0.2)
-        assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], h_row[0])
+        h_row = encode(params.encoder, X[i : i + 1, selected], 0.2)
+        p_row = classify(params.classifier, h_row, 0.2)
+        d_row = decode(params.decoder, h_row, 0.2)
+        assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], d_row[0])
     with pytest.raises(IndexError):  # one row must come as a 1 x d matrix
-        hard_forward(params, X[0], selected, 0.2)
+        hard_scores(params, X[0], np.zeros(1, dtype=np.intp), selected, 0.2)
 
 
-def test_one_hot_gates_feed_the_encoder_the_columns_hard_forward_reads():
+def test_one_hot_gates_feed_the_encoder_the_columns_hard_scores_reads():
     # when M is exactly the one-hot matrix of S, the training-path features
     # M x equal the inference lookup x[S]
     _, X, selected = hard_setup()
@@ -179,13 +190,43 @@ def test_one_hot_gates_feed_the_encoder_the_columns_hard_forward_reads():
     assert np.array_equal(X @ gates.T, X[:, selected])
 
 
-def test_hard_forward_decoder_output_reconstructs_every_feature():
+def test_hard_pass_decoder_output_reconstructs_every_feature():
     params, X, selected = hard_setup()
     emb = compute_embeddings(X, 4)
-    _, h_tilde = hard_forward(params, X, selected, 0.2)
+    h_tilde = decode(params.decoder, encode(params.encoder, X[:, selected], 0.2), 0.2)
     x_hat = reconstruct(params.recon_w, emb, h_tilde)
     assert x_hat.shape == X.shape
     assert np.all(np.isfinite(x_hat))
+    y = np.arange(len(X)) % 2
+    _, err = hard_scores(params, X, y, selected, 0.2, recon_matrix(params.recon_w, emb))
+    assert np.isfinite(err) and err > 0.0
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("d", [500, 7129])  # a 20 x d array below, then above 256 KiB
+@pytest.mark.parametrize("with_out", [False, True])
+def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_out):
+    n, k = 20, 6
+    X = RngState(3).normal((n, d))
+    y = np.arange(n) % 3
+    emb = compute_embeddings(X, 10) if mode == "predictor" else None
+    arch = Architecture(d, k, 3)
+    params = init_params(arch, 10, mode, RngState(4), use_bias)
+    if use_bias:  # nonzero biases, so that a dropped bias shows
+        params = params.map(lambda a: a + 0.1 if a.ndim == 1 else a)
+    selected = [d - 1, 0, 17, 3, d // 2, 250]
+    out = np.empty((n, d)) if with_out else None
+    rows = recon_matrix(params.recon_w, emb)
+
+    acc, err = hard_scores(params, X, y, selected, 0.2, rows, out)
+    want_acc, want_err = hard_scores_reference(params, emb, X, y, selected, 0.2)
+    assert (acc, err) == (want_acc, want_err)
+    assert hard_scores(params, X, y, selected, 0.2) == (want_acc, None)
+    if with_out:  # the error was computed in out
+        hidden = encode(params.encoder, X[:, selected], 0.2)
+        x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, 0.2))
+        assert np.array_equal(out, (X - x_hat) ** 2)
 
 
 # ---------------------------------------------------------------- recon

@@ -1,6 +1,7 @@
 """Training loop: loss, optimizer, annealed gate sampling and reporting."""
 
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from fsnet.autodiff import Tape, grad
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
+from fsnet.evaluator import accuracy, reconstruction_error
 from fsnet.network import (
     Architecture,
     init_params,
@@ -17,7 +19,7 @@ from fsnet.network import (
     zeros_params,
 )
 from fsnet.rng import RngState
-from fsnet.selection import anneal_temperature, sample_gates
+from fsnet.selection import anneal_temperature, sample_gates, unique_argmax
 from fsnet.trainer import (
     RMSPROP_BLOCK,
     LossPass,
@@ -241,9 +243,8 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     tape = Tape()
     loss, leaves, nodes = build_loss_graph(tape, params, emb, *args)
     gmap = grad(tape, loss)
-    workspace = None
+    workspace = {}
     if reused:
-        workspace = {}
         first = init_params(arch, b, mode, RngState(32), use_bias)
         first_args = (X, y, RngState(33).gumbel((k, d)), 0.3) + args[4:]
         LossPass(first, emb, recon_matrix(first.recon_w, emb), *first_args, workspace)
@@ -468,6 +469,31 @@ def test_train_with_test_split_records_test_curves():
         assert r.test_recon_error >= 0.0
 
 
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_the_curve_scores_an_epochs_selection_as_the_evaluator_does(monkeypatch, mode):
+    # epoch 1's record must be what accuracy and reconstruction_error give
+    # for that epoch's selection, bit for bit
+    picks = []
+
+    def recording(a):
+        picks.append(unique_argmax(a))
+        return picks[-1]
+
+    monkeypatch.setattr("fsnet.trainer.unique_argmax", recording)
+    data, _ = make_synthetic(40, 30, 3, seed=5)
+    tr, te = split(data, SplitSpec(0.7, 0))
+    tr, te, _ = standardize(tr, te)
+    config = TrainConfig(n_select=4, epochs=1, seed=3, mode=mode, learning_rate=0.05)
+    model, _, report = train(tr, config, test=te)
+    assert len(picks) == 2  # epoch 1's selection, then the saved one
+    epoch_model = replace(model, selected=picks[0])
+    emb = compute_embeddings(tr.X, config.embed_size) if mode == "predictor" else None
+    record = report.records[0]
+    assert record.train_accuracy == accuracy(epoch_model, tr)
+    assert record.test_accuracy == accuracy(epoch_model, te)
+    assert record.test_recon_error == reconstruction_error(epoch_model, te, emb)
+
+
 def test_train_rejects_mismatched_test_split():
     ds = separable(3)
     bad = Dataset(np.zeros((4, 5)), np.array([0, 1, 0, 1]), 2, ["a", "b"])
@@ -518,8 +544,6 @@ def test_final_selection_reproducible_from_model():
     emb = compute_embeddings(ds.X, cfg.embed_size)
     state = selection_weights(model.params, emb, cfg.tau_end)
     gates = sample_gates(state, RngState(cfg.seed).derive("inference"))
-    from fsnet.selection import unique_argmax
-
     assert unique_argmax(gates.T) == selected
 
 
