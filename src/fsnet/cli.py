@@ -289,6 +289,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     """Repeated-split accuracy benchmark against a user-supplied dataset.
+    Run r splits and trains with seed config.seed + r.
 
     Reference point: ALLAML at K=10 is expected to land near 0.911 mean test
     accuracy. Deviations are reported, never asserted, because the original
@@ -300,10 +301,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     accuracies = []
     for run in range(args.runs):
-        spec = SplitSpec(args.train_fraction, run, True)
-        train_ds, test_ds = split(dataset, spec)
+        seed = config.seed + run
+        train_ds, test_ds = split(dataset, SplitSpec(args.train_fraction, seed, True))
         train_ds, test_ds, _ = standardize(train_ds, test_ds)
-        run_config = TrainConfig.from_dict({**config.to_dict(), "seed": run})
+        run_config = TrainConfig.from_dict({**config.to_dict(), "seed": seed})
         model, _, _ = train(train_ds, run_config, test_ds)
         acc = accuracy(model, test_ds)
         accuracies.append(acc)

@@ -73,9 +73,9 @@ def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tupl
         emb = None
     elif emb is None:
         emb = compute_embeddings(dataset.X, model.config.embed_size)
-    rows = recon_matrix(model.params.recon_w, emb)
+    recon_mat = recon_matrix(model.params.recon_w, emb)
     slope = model.config.leaky_slope
-    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, rows)
+    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, recon_mat)
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:

@@ -1,7 +1,8 @@
 """Dense stacks (encoder, classifier head, decoder) and their one NumPy
-pass, the scores of the hard-selection pass, the embedding-predicted
-reconstruction layer, and the one parameter layout that initialization,
-counting, loading, the training pass and the loss graph share."""
+pass, the scores of the hard-selection pass, the one rule (virtual) of the
+virtual weights of both embedding-predicted layers, the reconstruction
+matrix, and the one parameter layout that initialization, counting,
+loading, the training pass and the loss graph share."""
 
 from __future__ import annotations
 
@@ -260,41 +261,46 @@ def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
 
 def hard_scores(
     params: FsNetParams, X: np.ndarray, y: np.ndarray, selected: list[int], slope: float,
-    rows: np.ndarray | None = None, out: np.ndarray | None = None,
+    recon_mat: np.ndarray | None = None, out: np.ndarray | None = None,
 ) -> tuple[float, float | None]:
     """The hard-selection pass, which encodes X[:, selected] once: its accuracy
-    on y (argmax, ties to the lowest class) and, given rows = recon_matrix(...),
-    the mean summed squared reconstruction error per row, computed in `out`
-    if given; else None."""
+    on y (argmax, ties to the lowest class) and, given recon_mat =
+    recon_matrix(...), the mean summed squared reconstruction error per row,
+    computed in `out` if given; else None."""
     if len(X) == 0:
         raise ValueError("cannot score an empty dataset")
     hidden = encode(params.encoder, X[:, selected], slope)
     acc = float((classify(params.classifier, hidden, slope).argmax(axis=1) == y).mean())
-    if rows is None:
+    if recon_mat is None:
         return acc, None
-    err = matmul(decode(params.decoder, hidden, slope), rows.T, out=out)  # x_hat
+    err = matmul(decode(params.decoder, hidden, slope), recon_mat, out=out)  # x_hat
     np.subtract(X, err, out=err)
     np.square(err, out=err)
     return acc, float(err.sum(axis=1).mean())
 
 
+def virtual(w: np.ndarray, table: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
+    """The virtual weights of a predicted layer, one column per feature:
+    w @ table.T for the (d, b) embedding table, written into `out` if given,
+    or w itself in dense mode (table is None), the rule with the identity."""
+    return w if table is None else matmul(w, table.T, out=out)
+
+
+def virtual_grad(g: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """The gradient of w from the gradient g of virtual(w, table)."""
+    return g if table is None else g @ table
+
+
 def recon_matrix(
     recon_w: np.ndarray, emb: np.ndarray | None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Virtual reconstruction weights, one row per feature.
-
-    Predictor mode maps each row phi of the (d, b) embedding table through
-    tanh(recon_w @ phi); dense mode (emb is None) squashes the learned matrix
-    directly, which is the predictor formula with one-hot embeddings. `out`,
-    if given, is an earlier result of the same call to overwrite, which keeps
-    the (d, h') layout: C order in predictor mode, F order in dense mode.
-    """
-    if emb is None:
-        return np.tanh(recon_w.T, out=out)
-    rows = matmul(emb, recon_w.T, out=out)  # (d, h')
-    return np.tanh(rows, out=rows)
+    """The reconstruction matrix V = tanh(virtual(recon_w, emb)), (h', d) and
+    C-ordered in both modes: column j maps a reconstruction-side hidden
+    vector to feature j. `out`, if given, is an earlier result to overwrite."""
+    v = virtual(recon_w, emb, out)
+    return np.tanh(v, out=out if v is recon_w else v)  # never over recon_w itself
 
 
 def reconstruct(recon_w: np.ndarray, emb: np.ndarray | None, h_tilde: np.ndarray) -> np.ndarray:
-    """Reconstructed inputs: each row of h_tilde mapped through the virtual weight rows."""
-    return matmul(h_tilde, recon_matrix(recon_w, emb).T)
+    """Reconstructed inputs: each row of h_tilde mapped through the reconstruction matrix."""
+    return matmul(h_tilde, recon_matrix(recon_w, emb))

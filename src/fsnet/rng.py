@@ -52,10 +52,10 @@ class RngState:
     many 64-bit words have been consumed.
     """
 
-    def __init__(self, seed: int, _counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._key = np.uint64(int(_mix64(np.uint64(self.seed))))
-        self._counter = _counter
+        self._counter = 0
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, counter={self._counter})"

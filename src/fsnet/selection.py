@@ -1,6 +1,7 @@
-"""Concrete-relaxation selection layer: per-neuron selection weights, relaxed
-one-hot gate sampling, geometric temperature annealing, and the unique-argmax
-rule used to extract distinct feature indices at the end of training."""
+"""Concrete-relaxation selection layer: per-neuron selection weights (a
+softmax over the virtual weights of network.virtual), relaxed one-hot gate
+sampling, geometric temperature annealing, and the unique-argmax rule used
+to extract distinct feature indices at the end of training."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FsNetParams
-from .numerics import as_matrix, matmul, softmax
+from .network import FsNetParams, virtual
+from .numerics import as_matrix, softmax
 from .rng import RngState
 
 # selection weights are softmax outputs and can underflow; floored before log
@@ -32,12 +33,9 @@ class ConcreteState:
 def selection_weights(
     params: FsNetParams, emb: np.ndarray | None, temperature: float
 ) -> ConcreteState:
-    """Selection weights for either weight-provenance mode: row k is the
-    softmax over the features of selector neuron k's scores, which are
-    select_w @ emb.T for the (d, b) embedding table emb in predictor mode and
-    select_w itself in dense mode (emb is None)."""
-    scores = params.select_w if emb is None else matmul(params.select_w, emb.T)
-    return ConcreteState(softmax(scores, axis=1), temperature)
+    """Selection weights: row k is the softmax over the features of selector
+    neuron k's scores, the virtual weights virtual(select_w, emb)."""
+    return ConcreteState(softmax(virtual(params.select_w, emb), axis=1), temperature)
 
 
 def sample_gates(state: ConcreteState, rng: RngState) -> np.ndarray:

@@ -4,7 +4,7 @@ annealing, per-epoch monitoring, and the final hard feature selection. The
 same loss as an autodiff tape graph (build_loss_graph) is kept as the
 reference that LossPass must equal byte for byte.
 
-Every d-wide array of the loop (the pass's K x d, n x d and d x h' arrays
+Every d-wide array of the loop (the pass's K x d, n x d and h' x d arrays
 and the reconstruction matrix) is a buffer made once per train() call and
 overwritten each epoch; the parameters are updated in place. Within the
 pass, each chain of elementwise steps on a d-wide value runs in one buffer,
@@ -52,6 +52,8 @@ from .network import (
     hard_scores,
     init_params,
     recon_matrix,
+    virtual,
+    virtual_grad,
 )
 from .rng import RngState
 from .selection import (
@@ -151,11 +153,12 @@ def build_loss_graph(
     _check_labels(y, params.classifier.weights[-1].shape[0])
     X = np.asarray(X, dtype=np.float64)
     p = params.map(tape.leaf)
+    table = None if emb is None else tape.leaf(emb.T)
 
-    if emb is None:
-        delta = ad.softmax(p.select_w, axis=1)
-    else:
-        delta = ad.softmax(ad.matmul(p.select_w, tape.leaf(emb.T)), axis=1)
+    def virtual_node(w: Node) -> Node:  # network.virtual on the tape
+        return w if table is None else ad.matmul(w, table)
+
+    delta = ad.softmax(virtual_node(p.select_w), axis=1)
     noisy = ad.add(ad.log(ad.clip_min(delta, LOG_FLOOR)), tape.leaf(gumbel))
     gates = ad.softmax(ad.scale(noisy, 1.0 / temperature), axis=1)
 
@@ -172,11 +175,7 @@ def build_loss_graph(
         return class_loss, p.arrays(), named_nodes
 
     h_tilde = _graph_stack(tape, p.decoder, hidden, slope, decoder_masks, False)
-    if emb is None:
-        rows = ad.tanh(ad.transpose(p.recon_w))  # (d, h')
-    else:
-        rows = ad.tanh(ad.matmul(tape.leaf(emb), ad.transpose(p.recon_w)))
-    x_hat = ad.matmul(h_tilde, ad.transpose(rows))
+    x_hat = ad.matmul(h_tilde, ad.tanh(virtual_node(p.recon_w)))
     recon_loss = ad.sum_all(ad.square(ad.sub(x_node, x_hat)))
     loss = ad.add(class_loss, ad.scale(recon_loss, recon_weight))
     named_nodes["recon_loss"] = recon_loss
@@ -205,29 +204,28 @@ class LossPass:
     the Gumbel noise or the dropout masks.
 
     Each chain of elementwise steps on a d-wide value runs in one array: the
-    selection scores become delta; the log of the floored delta becomes the
-    noisy logits, the logits and the gates; the reconstruction error becomes
-    its gradient; the gradient of the gates becomes those of the logits and
-    the noisy logits; and the gradient of the floored delta becomes those of
-    delta and of the scores. A chain ends where NumPy would give the next
+    selection scores become delta (in predictor mode); the log of the floored
+    delta becomes the noisy logits, the logits and the gates; the
+    reconstruction error becomes its gradient; the gradient of the gates
+    becomes those of the logits and the noisy logits; and the gradient of the
+    floored delta becomes those of delta and of the scores. A chain ends where NumPy would give the next
     step's fresh result another layout: the gradient through the log (an
     F-ordered gradient divided by a C-ordered array) starts a new one. The
     two g * p products that the softmax backwards' row sums read are both
     C-ordered, as NumPy makes them, and share one buffer.
 
-    The squared reconstruction error (n, d) and the (h', d) product whose
-    transpose is g_rows also share one flat buffer of max(n, h') * d, each a
-    C-ordered view of its prefix, the layout NumPy gives either expression.
-    This is safe because the squared error is dead once it is summed, before
-    the product is written, and the buffer is read again only through g_rows.
+    The squared reconstruction error (n, d) and the reconstruction matrix's
+    gradient (h', d) share one flat buffer of max(n, h') * d, each a C-ordered
+    view of its prefix, NumPy's layout for either. This is safe because the
+    squared error is dead once it is summed, before the gradient is written.
 
-    rows is recon_matrix(params.recon_w, emb), passed in so the caller can
-    share it. When recon_weight > 0 the pass uses it up: the backward of its
-    tanh is computed in its storage, and in dense mode the recon_w gradient
-    is a view of it. Callers read loss, class_loss, recon_loss (0.0 when
-    recon_weight is 0), gates, and grads in FsNetParams.named() order.
+    recon_mat is recon_matrix(params.recon_w, emb), passed in so the caller
+    can share it. When recon_weight > 0 the pass uses it up: the backward of
+    its tanh is computed in its storage, the recon_w gradient in dense mode.
+    Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
+    gates, and grads in FsNetParams.named() order.
 
-    workspace is a dict that the K x d, n x d and d x h' arrays are written
+    workspace is a dict that the K x d, n x d and h' x d arrays are written
     into, the shared one under "squared_g_rows": the first pass through it
     stores its fresh arrays there, and each later pass of the same shapes
     overwrites them. gates and grads are views of the workspace, valid until
@@ -238,7 +236,7 @@ class LossPass:
         self,
         params: FsNetParams,
         emb: np.ndarray | None,
-        rows: np.ndarray | None,
+        recon_mat: np.ndarray | None,
         X: np.ndarray,
         y: np.ndarray,
         gumbel: np.ndarray,
@@ -257,11 +255,10 @@ class LossPass:
 
         # forward: the selection layer (scores -> delta, log -> noisy ->
         # logits -> gates), the encoder and classifier, then the reconstruction
-        if emb is None:
-            delta = _into(workspace, "delta", numerics.softmax, params.select_w, axis=1)
-        else:
-            delta = _into(workspace, "delta", np.matmul, params.select_w, emb.T)  # scores
-            numerics.softmax(delta, axis=1, out=delta)
+        delta = workspace.get("delta")
+        if delta is None:  # made before the scores, which predictor mode computes in it
+            delta = workspace["delta"] = np.empty((len(params.select_w), X.shape[1]))
+        numerics.softmax(virtual(params.select_w, emb, out=delta), axis=1, out=delta)
         floored = _into(workspace, "floored", np.maximum, delta, LOG_FLOOR)
         gates = _into(workspace, "gates", np.log, floored)  # noisy
         np.add(gates, gumbel, out=gates)
@@ -276,10 +273,10 @@ class LossPass:
         self.loss = self.class_loss
         if lam != 0.0:
             decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
-            diff = _into(workspace, "diff", np.matmul, decoder.output, rows.T)  # x_hat
+            diff = _into(workspace, "diff", np.matmul, decoder.output, recon_mat)  # x_hat
             np.subtract(X, diff, out=diff)
             n, d = diff.shape
-            h = rows.shape[1]
+            h = recon_mat.shape[0]
             shared = workspace.get("squared_g_rows")
             if shared is None:
                 shared = workspace["squared_g_rows"] = np.empty(max(n, h) * d)
@@ -295,16 +292,15 @@ class LossPass:
             # the tape's -(2 * broadcast(lambda) * diff) without its (n, d)
             # broadcast temporary; doubling and negation are exact
             g_x_hat = np.multiply(-2.0 * lam, diff, out=diff)
-            g_rows = np.matmul(  # (d, h'), in the storage of the dead squared error
+            g_recon_mat = np.matmul(  # in the storage of the dead squared error
                 decoder.output.T, g_x_hat, out=shared[: h * d].reshape(h, d)
-            ).T
-            g_hidden = decoder.backward(g_x_hat @ rows) + g_hidden
-            # g_rows * (1.0 - rows * rows) in the storage of rows, whose
-            # layout the tape's temporary has
-            g_pre_tanh = np.multiply(rows, rows, out=rows)
+            )
+            g_hidden = decoder.backward(g_x_hat @ recon_mat.T) + g_hidden
+            # g_recon_mat * (1.0 - V * V) in the storage of V
+            g_pre_tanh = np.multiply(recon_mat, recon_mat, out=recon_mat)
             np.subtract(1.0, g_pre_tanh, out=g_pre_tanh)
-            np.multiply(g_rows, g_pre_tanh, out=g_pre_tanh)
-            g_recon_w = (g_pre_tanh if emb is None else emb.T @ g_pre_tanh).T
+            np.multiply(g_recon_mat, g_pre_tanh, out=g_pre_tanh)
+            g_recon_w = virtual_grad(g_pre_tanh, emb)
             g_decoder = decoder.grads
         else:  # the tape's zero gradients for the leaves the loss does not reach
             dec = params.decoder
@@ -330,9 +326,8 @@ class LossPass:
         weighted = _into(workspace, "weighted", np.multiply, g_delta, delta)
         g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
         np.multiply(delta, g_scores, out=g_scores)
-        g_select_w = g_scores if emb is None else g_scores @ emb
         self.grads = FsNetParams(
-            g_select_w, encoder.grads, classifier.grads, g_decoder, g_recon_w
+            virtual_grad(g_scores, emb), encoder.grads, classifier.grads, g_decoder, g_recon_w
         ).arrays()
 
 
@@ -462,8 +457,8 @@ def train(
     )
     params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias)
     opt = rmsprop_init(params.arrays())
-    need_rows = config.recon_weight > 0.0 or test is not None
-    rows = recon_matrix(params.recon_w, emb) if need_rows else None
+    need_recon_mat = config.recon_weight > 0.0 or test is not None
+    recon_mat = recon_matrix(params.recon_w, emb) if need_recon_mat else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
     test_err = None if test is None else np.empty(test.X.shape)  # the monitor's error, reused
 
@@ -489,7 +484,7 @@ def train(
         step = LossPass(
             params,
             emb,
-            rows,
+            recon_mat,
             dataset.X,
             dataset.y,
             gumbel,
@@ -513,15 +508,15 @@ def train(
             config.rms_decay,
             config.rms_eps,
         )
-        if need_rows:  # the pass used rows up; the monitor and the next pass share this
-            recon_matrix(params.recon_w, emb, out=rows)
+        if need_recon_mat:  # the pass used it up; the monitor and the next pass share this
+            recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)
         train_acc, _ = hard_scores(params, dataset.X, dataset.y, sel_epoch, config.leaky_slope)
         test_acc = test_rec = None
         if test is not None:
             test_acc, test_rec = hard_scores(
-                params, test.X, test.y, sel_epoch, config.leaky_slope, rows, test_err
+                params, test.X, test.y, sel_epoch, config.leaky_slope, recon_mat, test_err
             )
         class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
         records.append(

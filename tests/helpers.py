@@ -2,9 +2,9 @@
 reference implementation of the counter-based generator and the fresh-array
 NumPy formula of its uniform and Gumbel draws, the per-column
 histogram oracle of the embedding table, the cell-by-cell oracle of the table
-loader, the NumPy oracle of the training loss, the encode/classify/decode
-compositions of the hard-selection scores, the out-of-place RMSprop formula,
-two oracles of the unique-argmax rule, a planted class-mean-shift instance
+loader, the NumPy oracle of the training loss with the virtual weights
+written out (recon_matrix_formula), the encode/classify/decode compositions
+of the hard-selection scores, the out-of-place RMSprop formula, two oracles of the unique-argmax rule, a planted class-mean-shift instance
 for feature-recovery tests, and the tracemalloc peak of one call."""
 
 import csv
@@ -14,10 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from fsnet.data import DataError, Dataset
-from fsnet.network import classify, decode, encode, reconstruct
+from fsnet.network import classify, decode, encode
 from fsnet.numerics import softmax
 from fsnet.rng import RngState
-from fsnet.selection import LOG_FLOOR, selection_weights
+from fsnet.selection import LOG_FLOOR
 from fsnet.trainer import PROB_FLOOR, _check_labels
 
 _MASK64 = (1 << 64) - 1
@@ -42,8 +42,9 @@ def ref_uniform_stream(seed: int, count: int) -> list[float]:
 
 
 def numpy_uniform_formula(seed: int, counter: int, shape=()):
-    """RngState(seed, counter).uniform(shape) as one NumPy expression, each
-    step a fresh array: the byte oracle of its in-place steps."""
+    """The uniform(shape) draw of an RngState(seed) that has already drawn
+    `counter` words, as one NumPy expression, each step a fresh array: the
+    byte oracle of its in-place steps."""
 
     def mix(z):
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -58,7 +59,8 @@ def numpy_uniform_formula(seed: int, counter: int, shape=()):
 
 
 def numpy_gumbel_formula(seed: int, counter: int, shape=()):
-    """RngState(seed, counter).gumbel(shape) as fresh arrays."""
+    """The gumbel(shape) draw of an RngState(seed) that has already drawn
+    `counter` words, as fresh arrays."""
     u = np.clip(numpy_uniform_formula(seed, counter, shape), 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
 
@@ -235,6 +237,12 @@ def mean_shift_instance(n, d, n_planted, shift, seed):
     return Dataset(X, y, 2, ["0", "1"], [f"f{j}" for j in range(d)]), planted
 
 
+def recon_matrix_formula(recon_w, emb):
+    """The reconstruction matrix written out: tanh(recon_w @ emb.T), or
+    tanh(recon_w) in dense mode (emb is None)."""
+    return np.tanh(recon_w if emb is None else recon_w @ emb.T)
+
+
 class LossParts(NamedTuple):
     total: float
     classification: float
@@ -259,7 +267,7 @@ def joint_loss(params, emb, gates, X, y, recon_weight, slope):
     class_loss = float(-np.log(picked).sum())
     if recon_weight == 0.0:
         return LossParts(class_loss, class_loss, 0.0)
-    x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, slope))
+    x_hat = decode(params.decoder, hidden, slope) @ recon_matrix_formula(params.recon_w, emb)
     recon_loss = float(((X - x_hat) ** 2).sum())
     return LossParts(class_loss + recon_weight * recon_loss, class_loss, recon_loss)
 
@@ -268,8 +276,9 @@ def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
     """joint_loss with the gate matrix recomputed from the selection weights
     and the given Gumbel noise: the function trainer.build_loss_graph
     differentiates (modulo dropout), written independently in NumPy."""
-    state = selection_weights(params, emb, temperature)
-    logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + gumbel) / temperature
+    scores = params.select_w if emb is None else params.select_w @ emb.T
+    weights = softmax(scores, axis=1)
+    logits = (np.log(np.maximum(weights, LOG_FLOOR)) + gumbel) / temperature
     gates = softmax(logits, axis=1)
     return joint_loss(params, emb, gates, X, y, recon_weight, slope)
 
@@ -277,10 +286,10 @@ def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
 def hard_scores_reference(params, emb, X, y, selected, slope):
     """network.hard_scores with a reconstruction, composed from the stacks:
     the accuracy of encode + classify, and the error of encode + decode +
-    reconstruct + ((X - x_hat) ** 2).sum(1).mean()."""
+    recon_matrix_formula + ((X - x_hat) ** 2).sum(1).mean()."""
     hidden = encode(params.encoder, X[:, selected], slope)
     probs = classify(params.classifier, hidden, slope)
-    x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, slope))
+    x_hat = decode(params.decoder, hidden, slope) @ recon_matrix_formula(params.recon_w, emb)
     return float((probs.argmax(axis=1) == y).mean()), float(((X - x_hat) ** 2).sum(1).mean())
 
 

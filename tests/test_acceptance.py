@@ -56,8 +56,8 @@ def test_criterion_1_gradients_match_finite_differences():
     gmap = grad(tape, loss)
     analytic = [gmap[leaf] for leaf in leaves]
     # the hand-written pass train() uses, checked against the same differences
-    rows = recon_matrix(params.recon_w, emb)
-    fused = LossPass(params, emb, rows, X, y, gumbel, tau, lam, slope, None, None, {}).grads
+    recon_mat = recon_matrix(params.recon_w, emb)
+    fused = LossPass(params, emb, recon_mat, X, y, gumbel, tau, lam, slope, None, None, {}).grads
 
     def value(arrays):
         probe = params.replace_arrays(arrays)

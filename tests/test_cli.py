@@ -472,6 +472,16 @@ def test_benchmark_reports_mean_and_band(tmp_path, data_csv, capsys):
     assert "reporting band (informational only)" in stdout
 
 
+def test_benchmark_run_r_uses_seed_plus_r(data_csv, capsys):
+    def accuracies(*flags):
+        assert main(["benchmark", "--data", data_csv, "--k", "2", "--epochs", "20", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split()[-1] for line in lines if line.startswith("run ")]
+
+    from_zero = accuracies("--seed", "0", "--runs", "2")
+    assert accuracies("--seed", "1", "--runs", "1") == from_zero[1:]
+
+
 def test_benchmark_rejects_zero_runs(data_csv, capsys):
     assert main(["benchmark", "--data", data_csv, "--runs", "0"]) == 2
     assert "--runs must be at least 1" in capsys.readouterr().err
@@ -488,7 +498,8 @@ def test_config_flags_are_the_train_config_fields(command):
         assert matching[0].option_strings and matching[0].default is None, field.name
 
 
-def test_train_is_byte_reproducible_at_two_blas_threads(tmp_path):
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_train_is_byte_reproducible_at_two_blas_threads(tmp_path, mode):
     # criterion 8 runs at d=6, where BLAS never splits work across threads;
     # at d=2000 it does, so this checks the reproducibility claim where it
     # can break (the thread count is read once, when the process starts)
@@ -504,7 +515,7 @@ def test_train_is_byte_reproducible_at_two_blas_threads(tmp_path):
         out = str(tmp_path / run / "wide")
         subprocess.run(
             [sys.executable, "-m", "fsnet.cli", "train", "--data", data, "--out", out,
-             "--epochs", "100", "--seed", "1"],
+             "--epochs", "100", "--seed", "1", "--mode", mode],
             env=env, check=True, capture_output=True,
         )
         outputs.append([Path(out + ext).read_bytes() for ext in (".model", ".train.csv")])

@@ -17,6 +17,8 @@ from fsnet.network import (
     recon_matrix,
     reconstruct,
     trainable_param_count,
+    virtual,
+    virtual_grad,
     zeros_params,
 )
 from fsnet.numerics import DimensionError
@@ -217,9 +219,9 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_o
         params = params.map(lambda a: a + 0.1 if a.ndim == 1 else a)
     selected = [d - 1, 0, 17, 3, d // 2, 250]
     out = np.empty((n, d)) if with_out else None
-    rows = recon_matrix(params.recon_w, emb)
+    recon_mat = recon_matrix(params.recon_w, emb)
 
-    acc, err = hard_scores(params, X, y, selected, 0.2, rows, out)
+    acc, err = hard_scores(params, X, y, selected, 0.2, recon_mat, out)
     want_acc, want_err = hard_scores_reference(params, emb, X, y, selected, 0.2)
     assert (acc, err) == (want_acc, want_err)
     assert hard_scores(params, X, y, selected, 0.2) == (want_acc, None)
@@ -230,6 +232,22 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_o
 
 
 # ---------------------------------------------------------------- recon
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_virtual_grad_is_the_adjoint_of_virtual(mode):
+    # <virtual(W), G> = <W, virtual_grad(G)>: the gradient rule is the
+    # transpose of the forward rule, in either mode
+    rng = RngState(9)
+    d, b, k = 30, 4, 5
+    table = compute_embeddings(rng.normal((12, d)), b) if mode == "predictor" else None
+    w = rng.normal((k, b if mode == "predictor" else d))
+    g = rng.normal((k, d))
+    forward, backward = virtual(w, table), virtual_grad(g, table)
+    assert forward.shape == g.shape and backward.shape == w.shape
+    assert np.sum(forward * g) == pytest.approx(np.sum(w * backward), rel=1e-12)
+    if mode == "dense":
+        assert forward is w and backward is g
 
 
 def test_reconstruct_zero_hidden_gives_zero():
@@ -260,15 +278,15 @@ def test_duplicate_features_reconstruct_identically():
     col = rng.normal(size=(12, 1))
     X = np.hstack([col, rng.normal(size=(12, 1)), col])
     emb = compute_embeddings(X, 4)
-    rows = recon_matrix(rng.normal(size=(6, 4)), emb)
-    assert np.array_equal(rows[0], rows[2])
+    recon_mat = recon_matrix(rng.normal(size=(6, 4)), emb)  # one column per feature
+    assert np.array_equal(recon_mat[:, 0], recon_mat[:, 2])
 
 
 def test_recon_rows_bounded_by_tanh():
     rng = np.random.default_rng(6)
     emb = compute_embeddings(rng.normal(size=(8, 5)) * 100, 4)
-    rows = recon_matrix(rng.normal(size=(3, 4)) * 100, emb)
-    assert np.all(np.abs(rows) <= 1.0)
+    recon_mat = recon_matrix(rng.normal(size=(3, 4)) * 100, emb)
+    assert np.all(np.abs(recon_mat) <= 1.0)
 
 
 def test_dense_recon_equals_one_hot_embedding_recon():

@@ -31,8 +31,10 @@ def test_uniform_matches_pure_python_reference():
 @pytest.mark.parametrize("shape", [(), (0,), 1, (7,), (3, 5), (10, 7129)])
 def test_in_place_draws_equal_the_fresh_array_formula(counter, shape):
     # three consecutive draws of each kind from one state, against the
-    # formula at the counter each draw starts from
-    rng = RngState(42, counter)
+    # formula at the counter each draw starts from; the state is set to one
+    # that has drawn `counter` words, which 2**40 draws would take too long to reach
+    rng = RngState(42)
+    rng._counter = counter
     for _ in range(3):
         for draw, formula in ((rng.uniform, numpy_uniform_formula), (rng.gumbel, numpy_gumbel_formula)):
             start = rng.counter

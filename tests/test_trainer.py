@@ -323,6 +323,18 @@ def test_one_hot_embeddings_reproduce_dense_mode():
     for ga, gb in zip(grads(one_hot), grads(None)):
         assert np.allclose(ga, gb, atol=1e-10)
 
+    # the hand-written pass: products with the identity are exact, so the
+    # predictor rule with the identity table gives dense mode's bytes
+    def loss_pass(emb):
+        recon_mat = recon_matrix(dense.recon_w, emb)
+        return LossPass(dense, emb, recon_mat, X, y, gumbel, 0.5, 1.0, 0.2, None, None, {})
+
+    sp, sd = loss_pass(one_hot), loss_pass(None)
+    assert (sp.loss, sp.class_loss, sp.recon_loss) == (sd.loss, sd.class_loss, sd.recon_loss)
+    assert np.array_equal(sp.gates, sd.gates)
+    for ga, gb in zip(sp.grads, sd.grads):
+        assert np.array_equal(ga, gb)
+
 
 # ---------------------------------------------------------------- dropout
 
@@ -441,7 +453,7 @@ def test_training_memory_is_the_first_epochs(mode):
 @pytest.mark.parametrize("mode, train_peak_mib", [("predictor", 18.5), ("dense", 30.0)])
 def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib):
     # each chain of elementwise steps on a d-wide value runs in one buffer,
-    # and the squared error and g_rows share one: the workspace of two
+    # and the squared error and the reconstruction matrix's gradient share one: the workspace of two
     # passes holds 9.97 MiB in either mode (13.1 with a buffer each), and a
     # 3-epoch train(), with RMSprop in blocks, peaks at 17.1 and 25.0 MiB of
     # tracemalloc (20.3 and 35.8 with full-size RMSprop scratch per slot)
@@ -453,8 +465,8 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib)
     workspace = {}
     for seed in (2, 3):
         gumbel = RngState(seed).gumbel((10, 7129))
-        rows = recon_matrix(params.recon_w, emb)
-        LossPass(params, emb, rows, data.X, data.y, gumbel, 0.5, 1.0, 0.2, None, None, workspace)
+        recon_mat = recon_matrix(params.recon_w, emb)
+        LossPass(params, emb, recon_mat, data.X, data.y, gumbel, 0.5, 1.0, 0.2, None, None, workspace)
     assert sum(buf.nbytes for buf in workspace.values()) <= 11.5 * 2**20
     assert traced_peak(train, data, config)[1] <= train_peak_mib * 2**20
 
