@@ -215,6 +215,8 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     started = _now()
+    if args.mi_bins < 1:
+        raise DataError(f"--mi-bins must be at least 1, got {args.mi_bins}")
     model = load_model(args.model)
     if args.embed_data and model.config.mode != "predictor":
         raise DataError(
@@ -224,18 +226,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = _load_table(args, args.data, model.arch.n_features)
     # score against the model's label codes, not the file's order of first appearance
     labels = model.label_names
-    if sorted(dataset.label_names) != sorted(labels):
-        raise DataError(f"{args.data}: labels {dataset.label_names} are not the model's {labels}")
+    unknown = [name for name in dataset.label_names if name not in labels]
+    if unknown:
+        raise DataError(f"{args.data}: labels {unknown} are not among the model's {labels}")
     codes = [labels.index(name) for name in dataset.label_names]
-    dataset = dataclasses.replace(dataset, y=np.take(codes, dataset.y), label_names=list(labels))
-    emb = None
-    if args.embed_data:
-        emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
-        if not args.no_standardize:
-            emb_ds, _, _ = standardize(emb_ds)
-        emb = compute_embeddings(emb_ds.X, model.config.embed_size)
+    dataset = dataclasses.replace(
+        dataset, y=np.take(codes, dataset.y), n_classes=len(labels), label_names=list(labels)
+    )
     if not args.no_standardize:
         dataset, _, _ = standardize(dataset)
+    emb, b = None, model.config.embed_size
+    if model.config.mode == "predictor":  # from --embed-data if given, else from the eval data
+        emb_path, emb_ds = args.embed_data or args.data, dataset
+        if args.embed_data:
+            emb_ds = _load_table(args, emb_path, model.arch.n_features)
+            if not args.no_standardize:
+                emb_ds, _, _ = standardize(emb_ds)
+        if b > emb_ds.n_samples:
+            raise DataError(f"{emb_path}: embed_size {b} exceeds its {emb_ds.n_samples} rows")
+        emb = compute_embeddings(emb_ds.X, b)
 
     report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
 

@@ -16,7 +16,8 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    """Samples as rows, integer class labels, and optional feature names."""
+    """Samples as rows, integer class labels, and optional feature names. A
+    class may have no rows (an eval table); train() needs rows of each."""
 
     X: np.ndarray
     y: np.ndarray
@@ -42,9 +43,6 @@ class Dataset:
             raise DataError(
                 f"labels must lie in 0..{self.n_classes - 1}, found {present[0]}..{present[-1]}"
             )
-        if present.size != self.n_classes:
-            missing = sorted(set(range(self.n_classes)) - set(present.tolist()))
-            raise DataError(f"classes {missing} have no samples")
         if len(self.label_names) != self.n_classes:
             raise DataError("label_names must have one entry per class")
         if self.feature_names is not None and len(self.feature_names) != d:
@@ -171,18 +169,13 @@ def _raise_non_numeric(path: str, lineno: int, features: list[str], label_idx: i
             ) from None
 
 
-def save_delimited(
-    dataset: Dataset,
-    path: str,
-    delimiter: str = ",",
-    comments: list[str] | None = None,
-) -> None:
-    """Write a Dataset as delimited text (floats keep full precision)."""
+def save_delimited(dataset: Dataset, path: str, comments: list[str] | None = None) -> None:
+    """Write a Dataset as comma-delimited text (floats keep full precision)."""
     names = dataset.feature_names or [f"x{j}" for j in range(dataset.n_features)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*names, "label"])
         for i in range(dataset.n_samples):
             row = [repr(float(v)) for v in dataset.X[i]]

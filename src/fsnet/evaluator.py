@@ -37,6 +37,8 @@ class EvalReport:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if self.mi_bins < 1:
+            raise ValueError(f"mi_bins must be at least 1, got {self.mi_bins}")
 
     def lines(self) -> list[str]:
         return [f"{key} {cell}" for key, cell in record_cells(self).items()]

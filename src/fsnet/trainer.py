@@ -10,10 +10,10 @@ overwritten each epoch; the parameters are updated in place. Within the
 pass, each chain of elementwise steps on a d-wide value runs in one buffer,
 the squared reconstruction error and the gradient of the reconstruction
 matrix share one, and the backward of the reconstruction's tanh runs in the
-reconstruction matrix, which train() recomputes after every update. RMSprop
-walks each parameter in blocks of about RMSPROP_BLOCK elements, whose five
-operands stay in a core's L2 cache, through one pair of block-sized scratch
-buffers.
+reconstruction matrix, which train() recomputes after every update. RMSprop's
+state is the list of mean squares; each step runs three in-place statements
+per block of whole rows of a parameter, of at least RMSPROP_BLOCK elements, so
+its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -41,7 +41,7 @@ from . import autodiff as ad
 from . import numerics
 from .autodiff import Node, Tape
 from .config import TrainConfig
-from .data import Dataset
+from .data import DataError, Dataset
 from .embedding import compute_embeddings
 from .model import FsNetModel, record_cells
 from .network import (
@@ -65,7 +65,7 @@ from .selection import (
 )
 
 PROB_FLOOR = 1e-12  # inside log of the cross-entropy term
-RMSPROP_BLOCK = 32768  # elements per term of an RMSprop block: 256 KiB, so five stay in L2
+RMSPROP_BLOCK = 32768  # fewest elements per RMSprop block: 256 KiB, where NumPy reuses temporaries
 
 
 class TrainingDiverged(RuntimeError):
@@ -331,80 +331,39 @@ class LossPass:
         ).arrays()
 
 
-@dataclass
-class RmsPropState:
-    """Running mean of squared gradients, one slot per parameter array.
-
-    Each step walks a parameter in blocks of whole axis-0 rows, about
-    RMSPROP_BLOCK elements each (one row when a row is longer), and writes
-    a block's terms into one pair of scratch buffers that all slots share.
-    scratch holds each slot's (step, root) views of that pair, made once:
-    of the parameter's own shape when it is one block, of one full block's
-    shape otherwise. block_rows is the rows per block, or None for a
-    one-block parameter, which is updated without slicing.
-    """
-
-    mean_square: list[np.ndarray]
-    scratch: list[tuple[np.ndarray, np.ndarray]]
-    block_rows: list[int | None]
-
-
-def rmsprop_init(arrays: list[np.ndarray]) -> RmsPropState:
-    block_rows: list[int | None] = []
-    shapes = []  # each slot's scratch view shape
-    for a in arrays:
-        rows = max(1, RMSPROP_BLOCK // math.prod(a.shape[1:]))
-        one_block = len(a) <= rows
-        block_rows.append(None if one_block else rows)
-        shapes.append(a.shape if one_block else (rows, *a.shape[1:]))
-    size = max(map(math.prod, shapes), default=0)
-    pair = np.empty(size), np.empty(size)
-    scratch = [tuple(buf[: math.prod(shape)].reshape(shape) for buf in pair) for shape in shapes]
-    return RmsPropState([np.zeros_like(a) for a in arrays], scratch, block_rows)
-
-
-def _rmsprop_terms(w, g, v, step, root, learning_rate, decay, eps) -> None:
-    np.multiply(decay, v, out=v)
-    np.multiply(1.0 - decay, g, out=step)
-    np.multiply(step, g, out=step)
-    np.add(v, step, out=v)
-    np.multiply(learning_rate, g, out=step)
-    np.sqrt(v, out=root)
-    np.add(root, eps, out=root)
-    np.divide(step, root, out=step)
-    np.subtract(w, step, out=w)
+def rmsprop_init(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """The optimizer's state: a zero running mean of squared gradients per array."""
+    return [np.zeros_like(a) for a in arrays]
 
 
 def rmsprop_step(
     arrays: list[np.ndarray],
     grads: list[np.ndarray],
-    state: RmsPropState,
+    mean_square: list[np.ndarray],
     learning_rate: float,
     decay: float,
     eps: float,
-) -> tuple[list[np.ndarray], RmsPropState]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """One RMSprop update, in place: v = decay * v + (1 - decay) * g * g,
     then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
-    IEEE step in that order. Every element takes the same steps whatever
-    block it falls in, so the result does not depend on RMSPROP_BLOCK.
-    Returns `arrays` and `state`, the same objects, updated."""
-    if len(arrays) != len(grads) or len(arrays) != len(state.mean_square):
+    IEEE step in that order, over blocks of the fewest whole axis-0 rows that
+    hold RMSPROP_BLOCK elements (one row when a row is longer), so temporaries
+    are block-sized and the result does not depend on RMSPROP_BLOCK. Returns
+    `arrays` and `mean_square`, the same objects, updated."""
+    if len(arrays) != len(grads) or len(arrays) != len(mean_square):
         raise ValueError("parameter, gradient, and state lists must align")
-    for w, g, v in zip(arrays, grads, state.mean_square):
+    for w, g, v in zip(arrays, grads, mean_square):
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
-    slots = zip(arrays, grads, state.mean_square, state.scratch, state.block_rows)
-    for w, g, v, (step, root), rows in slots:
-        if rows is None:
-            _rmsprop_terms(w, g, v, step, root, learning_rate, decay, eps)
-            continue
+    for w, g, v in zip(arrays, grads, mean_square):
+        rows = math.ceil(RMSPROP_BLOCK / math.prod(w.shape[1:]))
         for start in range(0, len(w), rows):
-            k = min(rows, len(w) - start)
-            block = slice(start, start + k)
-            _rmsprop_terms(
-                w[block], g[block], v[block], step[:k], root[:k], learning_rate, decay, eps
-            )
-    return arrays, state
+            block = slice(start, start + rows)
+            wb, gb, vb = w[block], g[block], v[block]
+            vb *= decay
+            vb += (1.0 - decay) * gb * gb
+            wb -= learning_rate * gb / (np.sqrt(vb) + eps)
+    return arrays, mean_square
 
 
 def _dropout_masks(
@@ -430,9 +389,15 @@ def train(
     """Run the full annealed training loop.
 
     The optional test split only adds per-epoch curve columns; it never
-    influences the optimization. Raises TrainingDiverged if the loss leaves
-    the finite range.
+    influences the optimization. Raises DataError if a class has no training
+    rows or, in predictor mode, if embed_size exceeds the training row count,
+    and TrainingDiverged if the loss leaves the finite range.
     """
+    empty = [name for c, name in enumerate(dataset.label_names) if not np.any(dataset.y == c)]
+    if empty:
+        raise DataError(f"classes {empty} have no samples in the training data")
+    if config.mode == "predictor" and config.embed_size > dataset.n_samples:
+        raise DataError(f"embed_size {config.embed_size} exceeds the {dataset.n_samples} training rows")
     arch = Architecture(
         dataset.n_features,
         config.n_select,

@@ -15,9 +15,10 @@ import pytest
 
 from fsnet.cli import build_parser, main
 from fsnet.config import TrainConfig
-from fsnet.data import SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
+from fsnet.data import Dataset, SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
 from fsnet.evaluator import REPORT_KEYS, accuracy
 from fsnet.model import load_model, save_model
+from fsnet.rng import RngState
 
 
 def first_line(path):
@@ -290,6 +291,59 @@ def test_eval_rejects_a_label_the_model_does_not_know(tmp_path, data_csv, capsys
     err = capsys.readouterr().err
     assert str(bad) in err and "'maybe'" in err
     assert not (tmp_path / "e.eval.txt").exists()
+
+
+def test_eval_scores_a_table_that_lacks_one_of_the_models_labels(tmp_path, capsys):
+    # a model of labels a, b, c scores a table of its a and c rows, whose
+    # first row is a c row, with the model's code for each label
+    rng = RngState(5)
+    y = np.repeat([0, 1, 2], 15)
+    X = rng.normal((45, 6)) + 2.0 * y[:, None]
+    data = str(tmp_path / "abc.csv")
+    save_delimited(Dataset(X, y, 3, ["a", "b", "c"]), data)
+    out = str(tmp_path / "m")
+    train_args = ["--k", "2", "--mode", "dense", "--epochs", "40", "--lr", "0.05", "--no-standardize"]
+    assert main(["train", "--data", data, "--out", out, *train_args]) == 0
+    model = load_model(out + ".model")
+    assert model.label_names == ["a", "b", "c"]
+    keep = np.flatnonzero(y != 1)[::-1]
+    ac = Dataset(X[keep], y[keep], 3, ["a", "b", "c"])
+    ac_path = str(tmp_path / "ac.csv")
+    save_delimited(ac, ac_path)
+    capsys.readouterr()
+    argv = ["eval", "--model", out + ".model", "--data", ac_path, "--out", str(tmp_path / "e")]
+    assert main([*argv, "--no-standardize"]) == 0
+    saved = dict(line.split(" ", 1) for line in (tmp_path / "e.eval.txt").read_text().splitlines())
+    assert float(saved["accuracy"]) == accuracy(model, ac)
+    # the file's own codes (c 0 and a 1, by first appearance) score 0.0 here
+    assert float(saved["accuracy"]) > 0.5
+
+
+def test_eval_rejects_mi_bins_below_1_whatever_the_k(tmp_path, data_csv, capsys):
+    for k in ("1", "3"):
+        out = str(tmp_path / f"m{k}")
+        assert main(["train", "--data", data_csv, "--out", out, "--k", k, "--epochs", "2"]) == 0
+        capsys.readouterr()
+        argv = ["eval", "--model", out + ".model", "--data", data_csv, "--out", str(tmp_path / "e")]
+        assert main([*argv, "--mi-bins", "0"]) == 2
+        assert "--mi-bins must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "e.eval.txt").exists()
+
+
+def test_embedding_size_errors_name_the_table_or_the_training_rows(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    small = str(tmp_path / "small.csv")
+    Path(small).write_text("\n".join(Path(data_csv).read_text().splitlines()[:7]) + "\n")
+    capsys.readouterr()
+    model = ["eval", "--model", out + ".model", "--out", str(tmp_path / "e")]
+    for argv in ([*model, "--data", data_csv, "--embed-data", small], [*model, "--data", small]):
+        assert main(argv) == 2
+        assert f"{small}: embed_size 10 exceeds its 6 rows" in capsys.readouterr().err
+    # the 40-row table leaves 32 rows to train on
+    argv = ["train", "--data", data_csv, "--out", out, "--k", "2", "--b", "100", "--epochs", "2"]
+    assert main(argv) == 2
+    assert "embed_size 100 exceeds the 32 training rows" in capsys.readouterr().err
 
 
 def test_manifest_keeps_one_digest_per_input_path(tmp_path, capsys):

@@ -5,6 +5,7 @@ import codecs
 import numpy as np
 import pytest
 
+from fsnet.config import TrainConfig
 from fsnet.data import (
     DataError,
     Dataset,
@@ -15,6 +16,7 @@ from fsnet.data import (
     split,
     standardize,
 )
+from fsnet.trainer import train
 from helpers import ref_load_delimited, traced_peak
 
 
@@ -36,8 +38,10 @@ def test_dataset_validation():
         Dataset(
             np.array([[1.0, np.nan]]), np.array([0]), 2, ["a", "b"]
         )
-    with pytest.raises(DataError, match="no samples"):
-        Dataset(np.zeros((2, 2)), np.array([0, 0]), 2, ["a", "b"])
+    # a class without rows is a valid table; training on it is the error
+    empty = Dataset(np.zeros((2, 2)), np.array([0, 0]), 2, ["a", "b"])
+    with pytest.raises(DataError, match=r"classes \['b'\] have no samples"):
+        train(empty, TrainConfig(n_select=1, embed_size=1, encoder=(2,), decoder=(2,)))
 
 
 def test_dataset_subset_preserves_metadata():
@@ -327,10 +331,11 @@ def test_split_unstratified_ignores_classes():
     assert tr.n_samples == 5 and te.n_samples == 5
     got = sorted(tr.X[:, 0].tolist() + te.X[:, 0].tolist())
     assert got == ds.X[:, 0].tolist()
-    # no per-class balancing: an unlucky draw orphans a class and the side
-    # fails dataset validation
-    with pytest.raises(DataError, match="no samples"):
-        split(ds, SplitSpec(0.5, seed=3, stratified=False))
+    # no per-class balancing: an unlucky draw orphans a class on the training
+    # side, and train() rejects it
+    tr, _ = split(ds, SplitSpec(0.5, seed=3, stratified=False))
+    with pytest.raises(DataError, match=r"classes \['b'\] have no samples"):
+        train(tr, TrainConfig(n_select=1, embed_size=1, encoder=(2,), decoder=(2,)))
 
 
 def test_split_empty_side_rejected():

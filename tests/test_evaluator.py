@@ -272,6 +272,8 @@ def test_report_rejects_out_of_range_metrics():
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 EvalReport(**{**kwargs, name: bad})
+    with pytest.raises(ValueError, match="mi_bins"):
+        EvalReport(**{**kwargs, "mi_bins": 0})
 
 
 def test_report_save_with_manifest_reference(tmp_path):
