@@ -104,12 +104,17 @@ def load_delimited(
 ) -> Dataset:
     """Parse a delimited text table into a Dataset.
 
-    Lines starting with '#' and blank lines are skipped, and a UTF-8
-    byte-order mark is ignored. Label strings are mapped to integer codes in
-    order of first appearance. Feature cells are read as Python `float()`
-    reads them. Any ragged row or non-numeric feature cell raises DataError
-    naming the offending location.
+    The delimiter is one character other than '\\r' and '\\n'. Lines are
+    split into cells as `csv`'s excel dialect splits them, quotes honoured:
+    a line without a '"' is cut at every delimiter, and only a line with one
+    goes through `csv.reader`. Lines starting with '#' and blank lines are
+    skipped, and a UTF-8 byte-order mark is ignored. Label strings are mapped
+    to integer codes in order of first appearance. Feature cells are read as
+    Python `float()` reads them. Any ragged row or non-numeric feature cell
+    raises DataError naming the offending location.
     """
+    if len(delimiter) != 1 or delimiter in "\r\n":
+        raise DataError(f"delimiter must be one character other than \\r and \\n, got {delimiter!r}")
     header_cells: list[str] | None = None
     width = label_idx = 0
     rows: list[np.ndarray] = []
@@ -120,7 +125,11 @@ def load_delimited(
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            cells = next(csv.reader([line], delimiter=delimiter))
+            if '"' in line:
+                cells = next(csv.reader([line], delimiter=delimiter))
+            else:  # newline="" leaves '\r' and '\n' only at a line's end, in its last cell
+                cells = line.split(delimiter)
+                cells[-1] = cells[-1].rstrip("\r\n")
             if header and header_cells is None:
                 header_cells = cells
                 continue

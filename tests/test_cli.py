@@ -189,6 +189,17 @@ def test_missing_data_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fsnet: ")
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_train_rejects_a_delimiter_that_is_not_one_character(tmp_path, data_csv, capsys, delimiter):
+    out = tmp_path / "delim"
+    code = main(["train", "--data", data_csv, "--out", str(out), "--delimiter", delimiter])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fsnet: delimiter must be one character other than \\r and \\n, got {delimiter!r}\n"
+    )
+    assert not list(tmp_path.glob("delim*"))
+
+
 def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
     out = str(tmp_path / "div")
     with warnings.catch_warnings():

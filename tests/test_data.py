@@ -1,9 +1,11 @@
 """Dataset loading, standardization, splitting, and the synthetic benchmark."""
 
 import codecs
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsnet.config import TrainConfig
 from fsnet.data import (
@@ -167,6 +169,10 @@ AWKWARD_TABLES = {
     "tab": (b"a\t1.0\t2.0\nb\t3.0\t4.0\n", {"delimiter": "\t", "header": False, "label_col": 0}),
     "comments_and_blanks": (b"# made by hand\n\nf0,label\n  \n1,a\n# mid\n\n2,b\n", {}),
     "no_header": (b"1,2,a\n3,4,b\n", {"header": False}),
+    "lone_cr": (b"f0,f1,label\r1,2,a\r3,4,b\r", {}),
+    "quoted_header": (b'"f0","f 1","label"\n1,2,a\n3,4,b\n', {}),
+    "one_quoted_label": (b'f0,f1,label\n1,2,a\n3,4,"b, c"\n5,6,a\n', {}),
+    "nul_in_label": (b"f0,label\n1,a\x00b\n2,c\n", {}),
 }
 
 BROKEN_TABLES = {
@@ -184,6 +190,8 @@ BROKEN_TABLES = {
     "no_feature_column": (b"label\na\nb\n", {}),
     "ragged_before_non_numeric": (b"f0,f1,label\n1,x,a\n3,b\n", {}),
     "non_finite": (b"f0,f1,label\n1,inf,a\n3,4,b\n", {}),
+    "nul_in_feature": (b"f0,f1,label\n1,2\x003,a\n4,5,b\n", {}),
+    "trailing_delimiter": (b"f0,f1,label\n1,2,a\n3,4,b,\n", {}),
 }
 
 
@@ -211,6 +219,91 @@ def test_loader_fails_like_cell_by_cell_oracle(tmp_path, name):
     with pytest.raises(DataError) as got:
         load_delimited(str(path), **kwargs)
     assert str(got.value) == str(want.value)
+
+
+def _load_or_error(loader, path, **kwargs):
+    try:
+        ds = loader(path, **kwargs)
+    except DataError as exc:
+        return str(exc)
+    return ds.X.shape, ds.X.tobytes(), ds.y.tolist(), ds.label_names, ds.feature_names
+
+
+_TOKENS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_0", "_1", "+.5", "7.", "-0.0", "1e5", "1e", "x", "", "inf", "\x00"]),
+    st.sampled_from(["a", "b", "c d", "e,f", "g;h", 'i"j']),
+)
+
+
+@st.composite
+def _cells(draw):
+    """One cell as a file might hold it: a token, padded with whitespace,
+    then quoted (quotes doubled), left bare, or given a stray quote."""
+    pad = st.sampled_from(["", " ", "\t"])
+    text = draw(pad) + draw(_TOKENS) + draw(pad)
+    style = draw(st.sampled_from(["bare", "bare", "bare", "quoted", "stray_quote"]))
+    if style == "quoted":
+        return '"' + text.replace('"', '""') + '"'
+    if style == "stray_quote":
+        return text + '"'
+    return text
+
+
+@st.composite
+def _delimited_files(draw):
+    """(file bytes, load_delimited keyword arguments) of a small table with
+    mixed line endings, an optional byte-order mark, and comment and blank
+    lines between the rows."""
+    delimiter = draw(st.sampled_from([",", "\t", ";", " "]))
+    width = draw(st.integers(2, 4))
+    header = draw(st.booleans())
+    label_col = draw(st.integers(-width, width - 1))
+    n_rows = draw(st.integers(2, 6)) + header
+    row = st.lists(_cells(), min_size=width, max_size=width).map(delimiter.join)
+    if draw(st.booleans()):  # clean numeric rows, so that some tables load
+        dress = st.sampled_from(["{}", "{}", "{}", "{}_0", '"{}"'])
+        clean = st.lists(
+            st.builds(str.format, dress, st.integers(-99, 99)),
+            min_size=width - 1,
+            max_size=width - 1,
+        )
+        labels = st.sampled_from(["a", "b", "a", "b", '"a"', '"b, c"'])
+        k = label_col % width
+        row = st.builds(
+            lambda cells, label: delimiter.join([*cells[:k], label, *cells[k:]]), clean, labels
+        )
+    extra = st.sampled_from(["", "  ", "# a comment", ' # "quoted", comment'])
+    lines = []
+    for _ in range(n_rows):
+        lines.extend(draw(st.lists(extra, max_size=2)))
+        lines.append(draw(row))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    kwargs = {"delimiter": delimiter, "header": header, "label_col": label_col}
+    return bom + text.encode("utf-8"), kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_delimited_files())
+def test_loader_equals_the_oracle_on_generated_tables(tmp_path_factory, table):
+    text, kwargs = table
+    path = tmp_path_factory.getbasetemp() / "generated_table.txt"
+    path.write_bytes(text)
+    got = _load_or_error(load_delimited, str(path), **kwargs)
+    assert got == _load_or_error(ref_load_delimited, str(path), **kwargs)
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", "\n", "\r", "\r\n"])
+def test_load_rejects_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    # a quote-free line split on ";;" would load; the delimiter is refused first
+    path = write(tmp_path, "f0;;label\n1;;a\n2;;b\n")
+    with pytest.raises(DataError, match=f"got {re.escape(repr(delimiter))}$"):
+        load_delimited(path, delimiter=delimiter)
 
 
 def test_load_peak_memory_stays_near_the_array_size(tmp_path):
