@@ -17,7 +17,8 @@ class DataError(ValueError):
 @dataclass
 class Dataset:
     """Samples as rows, integer class labels, and optional feature names. A
-    class may have no rows (an eval table); train() needs rows of each."""
+    class may have no rows (an eval table); train() needs at least 2 classes
+    and rows of each."""
 
     X: np.ndarray
     y: np.ndarray
@@ -36,8 +37,6 @@ class Dataset:
         if not np.isfinite(self.X).all():
             bad = np.argwhere(~np.isfinite(self.X))[0]
             raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")
-        if self.n_classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.n_classes}")
         present = np.unique(self.y)
         if present.size and (present[0] < 0 or present[-1] >= self.n_classes):
             raise DataError(

@@ -3,12 +3,15 @@
 The on-disk format is self-describing: a magic/version line, a key-value
 header (training config, architecture, binning convention, class labels,
 selected features), then one named block per weight array with its shape,
-then an end marker. Floats are written with 17 significant digits so every
-weight round-trips bit-exactly through save/load.
+then an end marker. Each weight row is one line holding the base64 of its
+little-endian float64 bytes, so every weight round-trips bit-exactly through
+save/load. Version 1 files, which wrote each weight as a 17-significant-digit
+decimal, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +22,7 @@ from .config import TrainConfig
 from .network import Architecture, FsNetParams, zeros_params
 
 MAGIC = "fsnet-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BINNING = "equal-width"
 
 
@@ -54,10 +57,6 @@ class FsNetModel:
             raise ValueError("selected_names must align with selected indices")
 
 
-def _format_row(values: np.ndarray) -> str:
-    return " ".join("%.17e" % v for v in values)
-
-
 def record_cells(record) -> dict[str, str]:
     """The fields of a dataclass record as report cells, by name in field
     order. A field declared int prints in decimal, any other in %.17e, and
@@ -72,28 +71,9 @@ def record_cells(record) -> dict[str, str]:
     return cells
 
 
-def _format_rows_bytes(rows: np.ndarray) -> int:
-    """Sum of len(_format_row(row)) over the rows of a 2-D array, counted
-    without formatting: each field is 23 characters, one more for a sign and
-    one more for a three-digit exponent, with a space between fields.
-    Non-finite values, and values close enough to an exponent edge that
-    rounding to 18 digits could cross it, are formatted singly."""
-    flat = rows.ravel()
-    mag = np.abs(flat)
-    lo, hi = 1e-99, 1e100  # the exponent has three digits below lo and from hi up
-    edge = (
-        ~np.isfinite(mag)
-        | np.isclose(mag, lo, rtol=1e-12, atol=0.0)
-        | np.isclose(mag, hi, rtol=1e-12, atol=0.0)
-    )
-    widths = 23 + np.signbit(flat) + (((mag > 0.0) & (mag < lo)) | (mag >= hi))
-    fields = int(widths[~edge].sum()) + sum(len("%.17e" % v) for v in flat[edge])
-    return fields + rows.shape[0] * (rows.shape[1] - 1)
-
-
 def _model_blocks(model: FsNetModel, manifest_ref: str | None) -> Iterator[str | np.ndarray]:
     """The saved file in order: text lines, each ending in a newline, and
-    each weight array as a 2-D block written one _format_row line per row."""
+    each weight array as a 2-D block written one base64 line per row."""
     named = model.params.named()
     yield f"{MAGIC} v{FORMAT_VERSION}\n"
     yield f"manifest {json.dumps(manifest_ref)}\n"
@@ -118,16 +98,17 @@ def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[
             yield block
         else:
             for row in block:
-                yield _format_row(row) + "\n"
+                yield base64.b64encode(row.astype("<f8", copy=False).tobytes()).decode() + "\n"
 
 
 def saved_size(model: FsNetModel) -> int:
     """Bytes of the file save_model writes without a manifest reference,
-    counted without formatting the weights."""
+    counted without encoding the weights: a row of c float64 values is
+    4 * ceil(8c / 3) base64 characters and a newline."""
     return sum(
         len(block.encode("utf-8"))
         if isinstance(block, str)
-        else _format_rows_bytes(block) + block.shape[0]  # one newline per row
+        else block.shape[0] * (4 * -(-8 * block.shape[1] // 3) + 1)
         for block in _model_blocks(model, None)
     )
 
@@ -164,6 +145,20 @@ def _header_list(line: str, key: str, kind: type, nullable: bool = False) -> lis
     return value
 
 
+def _parse_row(line: str, version: int, name: str, row_len: int) -> np.ndarray:
+    """One weight row: the base64 of its little-endian float64 bytes in
+    version 2, space-separated decimals in version 1."""
+    try:
+        if version == 1:
+            row = np.array(line.split(), dtype=np.float64)
+        else:  # bad base64 raises binascii.Error, a ValueError, as does a partial float64
+            row = np.frombuffer(base64.b64decode(line, validate=True), "<f8")
+    except ValueError as exc:
+        raise ModelFormatError(f"array {name!r}: non-numeric value ({exc})") from None
+    _expect(row.size == row_len, f"array {name!r}: row has {row.size} values, expected {row_len}")
+    return row
+
+
 def load_model(path: str) -> FsNetModel:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -177,10 +172,12 @@ def load_model(path: str) -> FsNetModel:
         return line
 
     magic = next_line()
+    versions = {f"{MAGIC} v{v}": v for v in (1, FORMAT_VERSION)}
     _expect(
-        magic == f"{MAGIC} v{FORMAT_VERSION}",
-        f"unrecognized model header {magic!r} (expected '{MAGIC} v{FORMAT_VERSION}')",
+        magic in versions,
+        f"unrecognized model header {magic!r} (expected one of {list(versions)})",
     )
+    version = versions[magic]
     manifest_ref = _header_value(next_line(), "manifest")
     _expect(
         manifest_ref is None or isinstance(manifest_ref, str),
@@ -230,17 +227,7 @@ def load_model(path: str) -> FsNetModel:
         _expect(shape == exp_arr.shape, f"array {name!r}: shape {shape} != {exp_arr.shape}")
         n_rows = 1 if len(shape) == 1 else shape[0]
         row_len = shape[0] if len(shape) == 1 else shape[1]
-        rows = []
-        for _ in range(n_rows):
-            cells = next_line().split()
-            _expect(
-                len(cells) == row_len,
-                f"array {name!r}: row has {len(cells)} values, expected {row_len}",
-            )
-            try:
-                rows.append(np.array(cells, dtype=np.float64))
-            except ValueError:
-                raise ModelFormatError(f"array {name!r}: non-numeric value") from None
+        rows = [_parse_row(next_line(), version, name, row_len) for _ in range(n_rows)]
         arrays.append(np.vstack(rows).reshape(shape))
     _expect(next_line() == f"end {MAGIC}", "missing end marker")
 

@@ -389,10 +389,13 @@ def train(
     """Run the full annealed training loop.
 
     The optional test split only adds per-epoch curve columns; it never
-    influences the optimization. Raises DataError if a class has no training
-    rows or, in predictor mode, if embed_size exceeds the training row count,
-    and TrainingDiverged if the loss leaves the finite range.
+    influences the optimization. Raises DataError if there are fewer than 2
+    classes, if a class has no training rows or, in predictor mode, if
+    embed_size exceeds the training row count, and TrainingDiverged if the
+    loss leaves the finite range.
     """
+    if dataset.n_classes < 2:
+        raise DataError(f"need at least 2 classes, got {dataset.n_classes}")
     empty = [name for c, name in enumerate(dataset.label_names) if not np.any(dataset.y == c)]
     if empty:
         raise DataError(f"classes {empty} have no samples in the training data")

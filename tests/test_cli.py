@@ -330,6 +330,22 @@ def test_eval_scores_a_table_that_lacks_one_of_the_models_labels(tmp_path, capsy
     assert float(saved["accuracy"]) > 0.5
 
 
+def test_eval_scores_a_table_of_one_of_the_models_labels(tmp_path, data_csv, capsys):
+    # a table of one label is no training table, but eval scores it
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    lines = Path(data_csv).read_text().splitlines()
+    ones = tmp_path / "ones.csv"
+    ones.write_text("\n".join([lines[0], *(l for l in lines[1:] if l.endswith(",1"))]) + "\n")
+    capsys.readouterr()
+    argv = ["eval", "--model", out + ".model", "--data", str(ones), "--out", str(tmp_path / "e")]
+    assert main(argv) == 0
+    assert (tmp_path / "e.eval.txt").exists()
+    assert main(["train", "--data", str(ones), "--out", str(tmp_path / "t")]) == 2
+    assert "need at least 2 classes, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.model").exists()
+
+
 def test_eval_rejects_mi_bins_below_1_whatever_the_k(tmp_path, data_csv, capsys):
     for k in ("1", "3"):
         out = str(tmp_path / f"m{k}")

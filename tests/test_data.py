@@ -106,10 +106,11 @@ def test_load_without_header_and_custom_label_column(tmp_path):
     assert ds.label_names == ["a", "b"]
 
 
-def test_load_single_class_rejected(tmp_path):
-    path = write(tmp_path, "f0,label\n1,a\n2,a\n")
-    with pytest.raises(DataError):
-        load_delimited(path)
+def test_a_single_class_table_loads_and_train_rejects_it(tmp_path):
+    ds = load_delimited(write(tmp_path, "f0,label\n1,a\n2,a\n"))
+    assert (ds.n_classes, ds.label_names) == (1, ["a"])
+    with pytest.raises(DataError, match="need at least 2 classes, got 1"):
+        train(ds, TrainConfig(n_select=1, embed_size=1, encoder=(2,), decoder=(2,)))
 
 
 def test_round_trip_is_bit_exact(tmp_path):

@@ -1,5 +1,7 @@
 """Model container validation and the versioned text serialization."""
 
+import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,9 +12,8 @@ from fsnet.config import TrainConfig
 from fsnet.model import (
     FsNetModel,
     ModelFormatError,
-    _format_row,
-    _format_rows_bytes,
     load_model,
+    model_lines,
     saved_size,
     save_model,
 )
@@ -62,34 +63,6 @@ def test_model_validation():
 # ---------------------------------------------------------------- round trip
 
 
-@pytest.mark.parametrize("mode,use_bias", [("predictor", False), ("dense", True)])
-def test_round_trip_bit_exact(tmp_path, mode, use_bias):
-    model = tiny_model(mode=mode, use_bias=use_bias)
-    path = str(tmp_path / "m.model")
-    save_model(model, path)
-    again = load_model(path)
-    assert again.config == model.config
-    assert again.arch == model.arch
-    assert again.selected == model.selected
-    assert again.label_names == model.label_names
-    assert again.selected_names == model.selected_names
-    for (na, wa), (nb, wb) in zip(model.params.named(), again.params.named()):
-        assert na == nb
-        assert np.array_equal(wa, wb), na
-
-
-def test_round_trip_extreme_values(tmp_path):
-    model = tiny_model()
-    model.params.select_w[0, 0] = 1e-308
-    model.params.select_w[0, 1] = -1.2345678901234567e300
-    model.params.recon_w[0, 0] = np.nextafter(1.0, 2.0)
-    path = str(tmp_path / "m.model")
-    save_model(model, path)
-    again = load_model(path)
-    assert np.array_equal(again.params.select_w, model.params.select_w)
-    assert np.array_equal(again.params.recon_w, model.params.recon_w)
-
-
 def _around(x):
     return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
 
@@ -102,23 +75,86 @@ EDGE_VALUES = [
 ]
 
 
+def save_v1(model, path):
+    """Write model as format version 1 wrote it: the same header lines under
+    a v1 magic line, then each weight row as space-separated "%.17e" values."""
+    v2_lines = list(model_lines(model))
+    first_array = next(i for i, line in enumerate(v2_lines) if line.startswith("array "))
+    lines = ["fsnet-model v1\n", *v2_lines[1:first_array]]
+    for name, arr in model.params.named():
+        lines.append(f"array {name} {' '.join(str(s) for s in arr.shape)}\n")
+        lines += [" ".join("%.17e" % v for v in row) + "\n" for row in arr.reshape(-1, arr.shape[-1])]
+    lines.append("end fsnet-model\n")
+    Path(path).write_text("".join(lines))
+
+
+def assert_same_weights(a, b):
+    for (na, wa), (nb, wb) in zip(a.params.named(), b.params.named()):
+        assert na == nb
+        assert wa.tobytes() == wb.tobytes(), na
+        assert wb.flags.writeable and wb.flags.c_contiguous, nb
+
+
+@pytest.mark.parametrize("mode,use_bias", [("predictor", False), ("dense", True)])
+def test_round_trip_bit_exact(tmp_path, mode, use_bias):
+    model = tiny_model(mode=mode, use_bias=use_bias)
+    path = str(tmp_path / "m.model")
+    save_model(model, path)
+    again = load_model(path)
+    assert again.config == model.config
+    assert again.arch == model.arch
+    assert again.selected == model.selected
+    assert again.label_names == model.label_names
+    assert again.selected_names == model.selected_names
+    assert_same_weights(model, again)
+
+
+def test_round_trip_extreme_values(tmp_path):
+    model = tiny_model()
+    model.params.select_w[0, 0] = 1e-308
+    model.params.select_w[0, 1] = -1.2345678901234567e300
+    model.params.recon_w[0, 0] = np.nextafter(1.0, 2.0)
+    # -0.0 and NaNs with payload bits, which a decimal text would not keep
+    payloads = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x8000000000000000], dtype="<u8")
+    model.params.recon_w[1, :3] = payloads.view("<f8")
+    path = str(tmp_path / "m.model")
+    save_model(model, path)
+    assert_same_weights(model, load_model(path))
+
+
+@pytest.mark.parametrize("mode,use_bias", [("predictor", False), ("dense", True)])
+def test_a_version_1_file_loads_bit_exactly(tmp_path, mode, use_bias):
+    model = tiny_model(mode, use_bias)
+    path = str(tmp_path / "m.model")
+    save_v1(model, path)
+    again = load_model(path)
+    assert (again.config, again.arch, again.selected) == (model.config, model.arch, model.selected)
+    assert_same_weights(model, again)
+
+
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
-def test_row_byte_count_equals_formatted_length_of_one_value(value):
-    row = np.array([[value]])
-    assert _format_rows_bytes(row) == len(_format_row(row[0]))
+def test_an_edge_value_loads_bit_exactly_from_either_version(tmp_path, value):
+    model = tiny_model()
+    model.params.select_w[0, 0] = value
+    for save in (save_v1, save_model):
+        path = str(tmp_path / f"{save.__name__}.model")
+        save(model, path)
+        assert_same_weights(model, load_model(path))
 
 
-def test_row_byte_count_equals_formatted_length_of_mixed_rows():
-    rng = np.random.default_rng(0)
-    wide = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-320, 308, 400)
-    for rows in (np.array([EDGE_VALUES]), wide.reshape(80, 5)):
-        assert _format_rows_bytes(rows) == sum(len(_format_row(r)) for r in rows)
+def test_version_2_bytes_are_pinned(tmp_path):
+    """The v2 bytes of tiny_model(). A change to the row encoding, the header
+    lines or tiny_model's weights moves this digest; one that changes what an
+    existing file means also bumps FORMAT_VERSION."""
+    path = tmp_path / "m.model"
+    save_model(tiny_model(), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "45c2a53cb3e9f5c93a1851c22782d4762cd524ef5d84dc545bc3b22bd472d157"
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
 def test_saved_size_equals_file_size(tmp_path, mode):
     model = tiny_model(mode, use_bias=True)
-    model.params.recon_w[0, :3] = [1e-300, -1e100, 5e-324]
     path = tmp_path / "m.model"
     save_model(model, str(path))
     assert saved_size(model) == path.stat().st_size
@@ -161,8 +197,8 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_load_rejects_future_version(tmp_path):
-    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v2"))
-    with pytest.raises(ModelFormatError):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v3"))
+    with pytest.raises(ModelFormatError, match="unrecognized"):
         load_model(path)
 
 
@@ -193,16 +229,37 @@ def test_load_rejects_shape_mismatch(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_non_numeric_weight(tmp_path):
+def test_load_rejects_non_numeric_version_1_weight(tmp_path):
+    path = str(tmp_path / "m.model")
+    save_v1(tiny_model(), path)
+    lines = Path(path).read_text().split("\n")
+    row = lines.index("array select_w 3 4") + 1
+    lines[row] = " ".join(["abc", *lines[row].split()[1:]])
+    Path(path).write_text("\n".join(lines))
+    with pytest.raises(ModelFormatError, match="select_w.*non-numeric"):
+        load_model(path)
+
+
+def _encoded(values):
+    return base64.b64encode(values.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        lambda row: _encoded(row[:-1]),  # one value short
+        lambda row: "!" + _encoded(row),  # outside the base64 alphabet
+        lambda row: _encoded(row.view("u1")[:-3]),  # a partial float64
+    ],
+    ids=["short", "alphabet", "partial"],
+)
+def test_load_rejects_a_bad_version_2_row(tmp_path, bad_row):
+    row = tiny_model().params.select_w[0]
+
     def mutate(lines):
-        for i, line in enumerate(lines):
-            if line.startswith("array select_w"):
-                cells = lines[i + 1].split()
-                cells[0] = "abc"
-                lines[i + 1] = " ".join(cells)
-                return
+        lines[lines.index("array select_w 3 4") + 1] = bad_row(row)
     path = corrupt(tmp_path, mutate)
-    with pytest.raises(ModelFormatError, match="non-numeric"):
+    with pytest.raises(ModelFormatError, match="select_w"):
         load_model(path)
 
 
