@@ -56,6 +56,10 @@ class TrainConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        for name in ("encoder", "decoder"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} needs one or more widths, each >= 1, got {list(widths)}")
         if self.mode not in ("predictor", "dense"):
             raise ValueError(f"mode must be 'predictor' or 'dense', got {self.mode!r}")
         if not 0.0 < self.leaky_slope < 1.0:

@@ -1,8 +1,9 @@
 """Dense stacks (encoder, classifier head, decoder) and their one NumPy
-pass, the scores of the hard-selection pass, the one rule (virtual) of the
-virtual weights of both embedding-predicted layers, the reconstruction
-matrix, and the one parameter layout that initialization, counting,
-loading, the training pass and the loss graph share."""
+pass, the one pass of the reconstruction (ReconPass), the scores of the
+hard-selection pass, the one rule (virtual) of the virtual weights of both
+embedding-predicted layers, the reconstruction matrix, and the one
+parameter layout that initialization, counting, loading, the training pass
+and the loss graph share."""
 
 from __future__ import annotations
 
@@ -259,24 +260,75 @@ def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     return StackPass(dec, hidden, slope, None, False).output
 
 
+def _flat_view(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A C-ordered view of the first rows * columns doubles of the flat
+    buffer workspace[name], which is dropped and made again if it holds fewer."""
+    size = shape[0] * shape[1]
+    if name not in workspace or workspace[name].size < size:
+        workspace.pop(name, None)  # before the new one is made
+        workspace[name] = np.empty(size)
+    return workspace[name][:size].reshape(shape)
+
+
+class ReconPass:
+    """The reconstruction of a batch X from its hidden representation, run by
+    training and scoring alike: the decoder's StackPass, the error
+    X - decoder(hidden) @ V for V = recon_mat, and the squared error, which
+    the caller sums. Both are C-ordered (n, d) views of the flat buffers
+    workspace["error"] and workspace["squared"], NumPy's layout for either:
+    the first pass makes them, a taller batch makes them again, and other
+    passes overwrite their prefixes, so a monitor can score a test split in
+    the training pass's buffers. Only backward() needs an (h', d) buffer: the
+    gradient of V goes into the squared error's, dead once summed, and the
+    gradient before V's tanh into V's own storage, using recon_mat up.
+    """
+
+    def __init__(
+        self, decoder: DenseStack, recon_mat: np.ndarray, X: np.ndarray, hidden: np.ndarray,
+        slope: float, masks: list[np.ndarray] | None, workspace: dict[str, np.ndarray],
+    ):
+        self.decoder = StackPass(decoder, hidden, slope, masks, False)
+        self.recon_mat, self.workspace = recon_mat, workspace
+        error = matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape))
+        self.error = np.subtract(X, error, out=error)  # x_hat becomes the error
+        self.squared = np.multiply(error, error, out=_flat_view(workspace, "squared", X.shape))
+
+    def backward(self, scale: float) -> np.ndarray:
+        """The gradient into hidden of scale times the summed squared error;
+        the decoder's gradients go to self.decoder.grads, and V's before its
+        tanh to self.g_pre_tanh, in recon_mat's storage."""
+        # the tape's -(2 * broadcast(scale) * error) without its (n, d)
+        # broadcast temporary; doubling and negation are exact
+        g_x_hat = np.multiply(-2.0 * scale, self.error, out=self.error)
+        v, self.squared = self.recon_mat, None  # its buffer takes the gradient of V
+        g_v = _flat_view(self.workspace, "squared", v.shape)
+        np.matmul(self.decoder.output.T, g_x_hat, out=g_v)
+        g_hidden = self.decoder.backward(g_x_hat @ v.T)
+        # g_v * (1.0 - V * V) in the storage of V
+        self.g_pre_tanh = np.multiply(v, v, out=v)
+        np.subtract(1.0, self.g_pre_tanh, out=self.g_pre_tanh)
+        np.multiply(g_v, self.g_pre_tanh, out=self.g_pre_tanh)
+        return g_hidden
+
+
 def hard_scores(
     params: FsNetParams, X: np.ndarray, y: np.ndarray, selected: list[int], slope: float,
-    recon_mat: np.ndarray | None = None, out: np.ndarray | None = None,
+    recon_mat: np.ndarray | None = None, workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float | None]:
     """The hard-selection pass, which encodes X[:, selected] once: its accuracy
     on y (argmax, ties to the lowest class) and, given recon_mat =
     recon_matrix(...), the mean summed squared reconstruction error per row,
-    computed in `out` if given; else None."""
+    from ReconPass's forward in the buffers of `workspace` (fresh ones if
+    None); else None."""
     if len(X) == 0:
         raise ValueError("cannot score an empty dataset")
     hidden = encode(params.encoder, X[:, selected], slope)
     acc = float((classify(params.classifier, hidden, slope).argmax(axis=1) == y).mean())
     if recon_mat is None:
         return acc, None
-    err = matmul(decode(params.decoder, hidden, slope), recon_mat, out=out)  # x_hat
-    np.subtract(X, err, out=err)
-    np.square(err, out=err)
-    return acc, float(err.sum(axis=1).mean())
+    workspace = {} if workspace is None else workspace
+    recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, None, workspace)
+    return acc, float(recon.squared.sum(axis=1).mean())
 
 
 def virtual(w: np.ndarray, table: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:

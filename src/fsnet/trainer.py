@@ -4,13 +4,14 @@ annealing, per-epoch monitoring, and the final hard feature selection. The
 same loss as an autodiff tape graph (build_loss_graph) is kept as the
 reference that LossPass must equal byte for byte.
 
-Every d-wide array of the loop (the pass's K x d, n x d and h' x d arrays
-and the reconstruction matrix) is a buffer made once per train() call and
-overwritten each epoch; the parameters are updated in place. Within the
-pass, each chain of elementwise steps on a d-wide value runs in one buffer,
-the squared reconstruction error and the gradient of the reconstruction
-matrix share one, and the backward of the reconstruction's tanh runs in the
-reconstruction matrix, which train() recomputes after every update. RMSprop's
+Every d-wide array of the loop (the pass's K x d, n x d and h' x d arrays,
+the reconstruction matrix and the optimizer's state) is a buffer made once
+per train() call and overwritten each epoch, and the monitor scores the test
+split in the pass's reconstruction buffers; the parameters are updated in
+place. All of them live in the loop's own scope (_anneal) and are gone
+before the final selection. Within the pass, each chain of elementwise steps
+on a d-wide value runs in one buffer, and the reconstruction (a
+network.ReconPass) shares its buffers as that class describes. RMSprop's
 state is the list of mean squares; each step runs three in-place statements
 per block of whole rows of a parameter, of at least RMSPROP_BLOCK elements, so
 its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
@@ -48,7 +49,9 @@ from .network import (
     Architecture,
     DenseStack,
     FsNetParams,
+    ReconPass,
     StackPass,
+    _flat_view,
     hard_scores,
     init_params,
     recon_matrix,
@@ -205,19 +208,15 @@ class LossPass:
 
     Each chain of elementwise steps on a d-wide value runs in one array: the
     selection scores become delta (in predictor mode); the log of the floored
-    delta becomes the noisy logits, the logits and the gates; the
-    reconstruction error becomes its gradient; the gradient of the gates
-    becomes those of the logits and the noisy logits; and the gradient of the
-    floored delta becomes those of delta and of the scores. A chain ends where NumPy would give the next
-    step's fresh result another layout: the gradient through the log (an
-    F-ordered gradient divided by a C-ordered array) starts a new one. The
-    two g * p products that the softmax backwards' row sums read are both
-    C-ordered, as NumPy makes them, and share one buffer.
-
-    The squared reconstruction error (n, d) and the reconstruction matrix's
-    gradient (h', d) share one flat buffer of max(n, h') * d, each a C-ordered
-    view of its prefix, NumPy's layout for either. This is safe because the
-    squared error is dead once it is summed, before the gradient is written.
+    delta becomes the noisy logits, the logits and the gates; the gradient of
+    the gates becomes those of the logits and the noisy logits; and the
+    floored delta, dead once the log has read it and the gradient divided by
+    it, becomes the gradient of the floored delta, then those of delta and of
+    the scores. NumPy gives that quotient of an F-ordered gradient and the
+    C-ordered floored delta C order, floored's own. The two g * p products
+    that the softmax backwards' row sums read are both C-ordered, as NumPy
+    makes them, and share one buffer. The decoder and the reconstruction run
+    as one network.ReconPass, whose error becomes its own gradient.
 
     recon_mat is recon_matrix(params.recon_w, emb), passed in so the caller
     can share it. When recon_weight > 0 the pass uses it up: the backward of
@@ -226,10 +225,10 @@ class LossPass:
     gates, and grads in FsNetParams.named() order.
 
     workspace is a dict that the K x d, n x d and h' x d arrays are written
-    into, the shared one under "squared_g_rows": the first pass through it
-    stores its fresh arrays there, and each later pass of the same shapes
-    overwrites them. gates and grads are views of the workspace, valid until
-    the next pass through it.
+    into, ReconPass's under its own names: the first pass through it stores
+    its fresh arrays there, and each later pass of the same shapes overwrites
+    them. gates and grads are views of the workspace, valid until the next
+    pass through it.
     """
 
     def __init__(
@@ -255,9 +254,8 @@ class LossPass:
 
         # forward: the selection layer (scores -> delta, log -> noisy ->
         # logits -> gates), the encoder and classifier, then the reconstruction
-        delta = workspace.get("delta")
-        if delta is None:  # made before the scores, which predictor mode computes in it
-            delta = workspace["delta"] = np.empty((len(params.select_w), X.shape[1]))
+        # made before the scores, which predictor mode computes in it
+        delta = _flat_view(workspace, "delta", (len(params.select_w), X.shape[1]))
         numerics.softmax(virtual(params.select_w, emb, out=delta), axis=1, out=delta)
         floored = _into(workspace, "floored", np.maximum, delta, LOG_FLOOR)
         gates = _into(workspace, "gates", np.log, floored)  # noisy
@@ -272,16 +270,8 @@ class LossPass:
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
-            decoder = StackPass(params.decoder, hidden, slope, decoder_masks, False)
-            diff = _into(workspace, "diff", np.matmul, decoder.output, recon_mat)  # x_hat
-            np.subtract(X, diff, out=diff)
-            n, d = diff.shape
-            h = recon_mat.shape[0]
-            shared = workspace.get("squared_g_rows")
-            if shared is None:
-                shared = workspace["squared_g_rows"] = np.empty(max(n, h) * d)
-            squared = np.multiply(diff, diff, out=shared[: n * d].reshape(n, d))
-            self.recon_loss = np.sum(squared)
+            recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, decoder_masks, workspace)
+            self.recon_loss = np.sum(recon.squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
         # backward: the classifier, then the reconstruction
@@ -289,19 +279,9 @@ class LossPass:
         g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
         g_hidden = classifier.backward(g_probs)
         if lam != 0.0:
-            # the tape's -(2 * broadcast(lambda) * diff) without its (n, d)
-            # broadcast temporary; doubling and negation are exact
-            g_x_hat = np.multiply(-2.0 * lam, diff, out=diff)
-            g_recon_mat = np.matmul(  # in the storage of the dead squared error
-                decoder.output.T, g_x_hat, out=shared[: h * d].reshape(h, d)
-            )
-            g_hidden = decoder.backward(g_x_hat @ recon_mat.T) + g_hidden
-            # g_recon_mat * (1.0 - V * V) in the storage of V
-            g_pre_tanh = np.multiply(recon_mat, recon_mat, out=recon_mat)
-            np.subtract(1.0, g_pre_tanh, out=g_pre_tanh)
-            np.multiply(g_recon_mat, g_pre_tanh, out=g_pre_tanh)
-            g_recon_w = virtual_grad(g_pre_tanh, emb)
-            g_decoder = decoder.grads
+            g_hidden = recon.backward(lam) + g_hidden
+            g_recon_w = virtual_grad(recon.g_pre_tanh, emb)
+            g_decoder = recon.decoder.grads
         else:  # the tape's zero gradients for the leaves the loss does not reach
             dec = params.decoder
             g_decoder = DenseStack(
@@ -320,9 +300,9 @@ class LossPass:
         g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)
         g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
-        g_delta = _into(workspace, "g_delta", np.divide, g_noisy, floored)  # g_floored
-        live = _into(workspace, "live", np.greater, delta, LOG_FLOOR)
-        np.multiply(g_delta, live, out=g_delta)
+        # g_floored, C-ordered as NumPy makes the fresh quotient, in the dead floored
+        g_delta = np.divide(g_noisy, floored, out=floored)
+        np.multiply(g_delta, delta > LOG_FLOOR, out=g_delta)
         weighted = _into(workspace, "weighted", np.multiply, g_delta, delta)
         g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
         np.multiply(delta, g_scores, out=g_scores)
@@ -383,6 +363,72 @@ def _dropout_masks(
     return [u[end - n * w : end].reshape(n, w) for w, end in zip(widths, ends)]
 
 
+def _anneal(
+    params: FsNetParams, emb: np.ndarray | None, dataset: Dataset, test: Dataset | None,
+    config: TrainConfig, root: RngState,
+) -> list[EpochRecord]:
+    """train()'s epochs, which update params in place, and their records. The
+    loop's d-wide buffers live in this scope only, so none is alive at the
+    final selection, and each epoch's Gumbel noise goes straight into its
+    pass, so the last draw is gone before the next one is made."""
+    rng_gumbel = root.derive("gumbel")
+    rng_dropout = root.derive("dropout")
+    opt = rmsprop_init(params.arrays())
+    need_recon_mat = config.recon_weight > 0.0 or test is not None
+    recon_mat = recon_matrix(params.recon_w, emb) if need_recon_mat else None
+    workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
+
+    n = dataset.n_samples
+    # one draw per epoch for the encoder's masks, then the decoder's if it runs
+    n_enc = len(config.encoder)
+    mask_widths = config.encoder + config.decoder if config.recon_weight > 0.0 else config.encoder
+    records: list[EpochRecord] = []
+    for epoch in range(1, config.epochs + 1):
+        tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
+        masks = _dropout_masks(rng_dropout, n, mask_widths, config.dropout)
+        enc_masks = dec_masks = None
+        if masks is not None:
+            enc_masks, dec_masks = masks[:n_enc], masks[n_enc:]
+
+        # Fresh d-wide arrays each epoch cost more to allocate and fault in
+        # than the arithmetic done in them, and freeing them let glibc malloc
+        # return the heap top to the OS every epoch, so rebinding `step`
+        # frees only the small arrays of the previous pass.
+        step = LossPass(
+            params, emb, recon_mat, dataset.X, dataset.y,
+            rng_gumbel.gumbel((config.n_select, dataset.n_features)), tau,
+            config.recon_weight, config.leaky_slope, enc_masks, dec_masks, workspace,
+        )
+        total = float(step.loss)
+        if not np.isfinite(total):
+            raise TrainingDiverged(
+                f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
+            )
+        rmsprop_step(  # updates params' arrays in place
+            params.arrays(),
+            step.grads,
+            opt,
+            config.learning_rate,
+            config.rms_decay,
+            config.rms_eps,
+        )
+        if need_recon_mat:  # the pass used it up; the monitor and the next pass share this
+            recon_matrix(params.recon_w, emb, out=recon_mat)
+
+        sel_epoch = unique_argmax(step.gates.T)
+        train_acc, _ = hard_scores(params, dataset.X, dataset.y, sel_epoch, config.leaky_slope)
+        test_acc = test_rec = None
+        if test is not None:
+            test_acc, test_rec = hard_scores(
+                params, test.X, test.y, sel_epoch, config.leaky_slope, recon_mat, workspace
+            )
+        class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
+        records.append(
+            EpochRecord(epoch, tau, total, class_loss, recon_loss, train_acc, test_acc, test_rec)
+        )
+    return records
+
+
 def train(
     dataset: Dataset, config: TrainConfig, test: Dataset | None = None
 ) -> tuple[FsNetModel, list[int], TrainReport]:
@@ -416,80 +462,13 @@ def train(
             )
 
     root = RngState(config.seed)
-    rng_gumbel = root.derive("gumbel")
-    rng_dropout = root.derive("dropout")
     emb = (
         compute_embeddings(dataset.X, config.embed_size)
         if config.mode == "predictor"
         else None
     )
     params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias)
-    opt = rmsprop_init(params.arrays())
-    need_recon_mat = config.recon_weight > 0.0 or test is not None
-    recon_mat = recon_matrix(params.recon_w, emb) if need_recon_mat else None
-    workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
-    test_err = None if test is None else np.empty(test.X.shape)  # the monitor's error, reused
-
-    n = dataset.n_samples
-    # one draw per epoch for the encoder's masks, then the decoder's if it runs
-    n_enc = len(arch.encoder)
-    mask_widths = arch.encoder + arch.decoder if config.recon_weight > 0.0 else arch.encoder
-    records: list[EpochRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
-        gumbel = rng_gumbel.gumbel((config.n_select, dataset.n_features))
-        masks = _dropout_masks(rng_dropout, n, mask_widths, config.dropout)
-        enc_masks = dec_masks = None
-        if masks is not None:
-            enc_masks, dec_masks = masks[:n_enc], masks[n_enc:]
-
-        # Every d-wide array of the pass, the optimizer and the reconstruction
-        # matrix is a buffer made once and overwritten each epoch, so
-        # rebinding `step` frees only the small arrays of the previous pass.
-        # Fresh d-wide arrays each epoch cost more to allocate and fault in
-        # than the arithmetic done in them, and freeing them let glibc malloc
-        # return the heap top to the OS every epoch.
-        step = LossPass(
-            params,
-            emb,
-            recon_mat,
-            dataset.X,
-            dataset.y,
-            gumbel,
-            tau,
-            config.recon_weight,
-            config.leaky_slope,
-            enc_masks,
-            dec_masks,
-            workspace,
-        )
-        total = float(step.loss)
-        if not np.isfinite(total):
-            raise TrainingDiverged(
-                f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
-            )
-        rmsprop_step(  # updates params' arrays in place
-            params.arrays(),
-            step.grads,
-            opt,
-            config.learning_rate,
-            config.rms_decay,
-            config.rms_eps,
-        )
-        if need_recon_mat:  # the pass used it up; the monitor and the next pass share this
-            recon_matrix(params.recon_w, emb, out=recon_mat)
-
-        sel_epoch = unique_argmax(step.gates.T)
-        train_acc, _ = hard_scores(params, dataset.X, dataset.y, sel_epoch, config.leaky_slope)
-        test_acc = test_rec = None
-        if test is not None:
-            test_acc, test_rec = hard_scores(
-                params, test.X, test.y, sel_epoch, config.leaky_slope, recon_mat, test_err
-            )
-        class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
-        records.append(
-            EpochRecord(epoch, tau, total, class_loss, recon_loss, train_acc, test_acc, test_rec)
-        )
+    records = _anneal(params, emb, dataset, test, config, root)
 
     final_state = selection_weights(params, emb, config.tau_end)
     final_gates = sample_gates(final_state, root.derive("inference"))

@@ -175,6 +175,21 @@ def test_bad_flag_beside_a_good_config_file_is_reported_as_the_flag(tmp_path, da
     assert "n_select" in err and str(cfg_path) not in err
 
 
+def test_bad_layer_widths_are_reported_as_the_file_or_the_flag(tmp_path, data_csv, capsys):
+    cfg_path = tmp_path / "widths.json"
+    cfg_path.write_text(json.dumps({"encoder": [0]}))
+    code = main(["train", "--data", data_csv, "--config", str(cfg_path), "--k", "2",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "encoder" in err
+    code = main(["train", "--data", data_csv, "--k", "2", "--decoder", "4,0", "--out", str(tmp_path / "y")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "decoder" in err and str(cfg_path) not in err
+    assert not list(tmp_path.glob("*.model"))
+
+
 def test_malformed_config_file_is_a_usage_error(tmp_path, data_csv, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")

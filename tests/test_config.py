@@ -56,6 +56,14 @@ def test_invalid_values_rejected(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, widths", [("encoder", [0]), ("encoder", []), ("decoder", (4, 0)), ("decoder", (-2, 8))]
+)
+def test_bad_layer_widths_rejected_naming_the_field(field, widths):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(**{field: widths})
+
+
 def test_zero_learning_rate_allowed():
     # freezes the run at initialization; used by the no-op training contract
     assert TrainConfig(learning_rate=0.0).learning_rate == 0.0

@@ -207,8 +207,8 @@ def test_hard_pass_decoder_output_reconstructs_every_feature():
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("d", [500, 7129])  # a 20 x d array below, then above 256 KiB
-@pytest.mark.parametrize("with_out", [False, True])
-def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_out):
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_workspace):
     n, k = 20, 6
     X = RngState(3).normal((n, d))
     y = np.arange(n) % 3
@@ -218,17 +218,22 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_o
     if use_bias:  # nonzero biases, so that a dropped bias shows
         params = params.map(lambda a: a + 0.1 if a.ndim == 1 else a)
     selected = [d - 1, 0, 17, 3, d // 2, 250]
-    out = np.empty((n, d)) if with_out else None
+    # the buffers of a taller batch, holding stale values
+    workspace = {name: np.full((n + 3) * d, np.nan) for name in ("error", "squared")}
+    buffers = dict(workspace)
     recon_mat = recon_matrix(params.recon_w, emb)
 
-    acc, err = hard_scores(params, X, y, selected, 0.2, recon_mat, out)
+    caller_workspace = workspace if with_workspace else None
+    acc, err = hard_scores(params, X, y, selected, 0.2, recon_mat, caller_workspace)
     want_acc, want_err = hard_scores_reference(params, emb, X, y, selected, 0.2)
     assert (acc, err) == (want_acc, want_err)
     assert hard_scores(params, X, y, selected, 0.2) == (want_acc, None)
-    if with_out:  # the error was computed in out
+    if with_workspace:  # the squared error was computed in the caller's buffer
+        assert all(workspace[name] is buf for name, buf in buffers.items())
         hidden = encode(params.encoder, X[:, selected], 0.2)
         x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, 0.2))
-        assert np.array_equal(out, (X - x_hat) ** 2)
+        squared = workspace["squared"][: n * d].reshape(n, d)
+        assert squared.tobytes() == ((X - x_hat) ** 2).tobytes()
 
 
 # ---------------------------------------------------------------- recon
