@@ -154,9 +154,9 @@ def add_row(a: Node, row: Node) -> Node:
 
 
 def leaky_relu(a: Node, slope: float) -> Node:
-    out = numerics.leaky_relu(a.value, slope)
-    gate = np.where(a.value >= 0.0, 1.0, slope)
-    return a._tape._record(out, (a,), lambda g: (g * gate,))
+    """a * gate, backward g * gate, for gate = numerics.leaky_gate(a, slope)."""
+    gate = numerics.leaky_gate(a.value, slope)
+    return a._tape._record(a.value * gate, (a,), lambda g: (g * gate,))
 
 
 def tanh(a: Node) -> Node:

@@ -4,7 +4,7 @@ analytic / measured compression ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,8 +12,7 @@ from .config import TrainConfig
 from .data import Dataset
 from .embedding import compute_embeddings
 from .model import FsNetModel, record_cells, saved_size
-from .network import Architecture, hard_scores, init_params, recon_matrix, trainable_param_count
-from .rng import RngState
+from .network import Architecture, hard_scores, recon_matrix, trainable_param_count, zeros_params
 
 
 @dataclass(frozen=True)
@@ -116,17 +115,6 @@ def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -
     return 2.0 * total / (k * (k - 1))
 
 
-def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False) -> float:
-    """Analytic size ratio of the dense model to the predictor model at d
-    features: (d*K + h'*d + s) / (b*K + h'*b + s) with s the shared stack
-    size, as trainable_param_count counts them."""
-    if d < 1 or b < 1:
-        raise ValueError("d and b must be positive")
-    arch = replace(arch, n_features=d)
-    dense = trainable_param_count(arch, b, "dense", use_bias)
-    return dense / trainable_param_count(arch, b, "predictor", use_bias)
-
-
 def _size_probe_model(
     arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False
 ) -> FsNetModel:
@@ -139,11 +127,10 @@ def _size_probe_model(
         use_bias=use_bias,
         seed=seed,
     )
-    params = init_params(arch, embed_size, mode, RngState(seed), config.use_bias)
     return FsNetModel(
         config=config,
         arch=arch,
-        params=params,
+        params=zeros_params(arch, embed_size, mode, use_bias),
         selected=list(range(arch.n_select)),
         label_names=[f"c{i}" for i in range(arch.n_classes)],
     )
@@ -152,9 +139,10 @@ def _size_probe_model(
 def measured_compression_ratio(
     arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False
 ) -> float:
-    """Saved-size ratio dense/predictor for freshly initialized twin models,
-    with or without biases, as the byte counts of the files save_model would
-    write, without touching the disk."""
+    """Saved-size ratio dense/predictor for twin models, with or without
+    biases, as the byte counts of the files save_model would write, without
+    touching the disk. saved_size reads only shapes and header fields, so
+    the probes hold zero weights; the seed still goes into their headers."""
     sizes = {
         mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias))
         for mode in ("predictor", "dense")

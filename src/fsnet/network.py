@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_field_types
-from .numerics import DimensionError, matmul, softmax
+from .numerics import DimensionError, leaky_gate, matmul, softmax
 from .rng import RngState
 
 
@@ -215,10 +215,8 @@ class StackPass:
             if i == last and final_softmax:
                 a = softmax(z, axis=1)
             else:
-                # 1.0 where z >= 0, else slope (0 < slope < 1): exact, and no
-                # np.where, which is slow with two scalar operands
-                self.leaks.append(np.maximum(z >= 0.0, slope, dtype=np.float64))
-                a = z * self.leaks[-1]  # leaky ReLU: z * 1.0 is z, z * slope is slope * z
+                self.leaks.append(leaky_gate(z, slope))
+                a = z * self.leaks[-1]
                 if masks is not None:
                     a = a * masks[i]
         self.output = a

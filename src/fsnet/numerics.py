@@ -1,4 +1,4 @@
-"""Plain dense numeric kernels, shared by the training graph and inference paths.
+"""Plain dense numeric kernels, shared by the training pass, the tape and inference.
 
 All public functions operate on 64-bit float numpy arrays and are
 deterministic functions of their inputs.
@@ -59,12 +59,8 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     return e
 
 
-def leaky_relu(x, slope: float):
-    """x for x >= 0, slope*x otherwise; slope must lie in (0, 1)."""
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky slope must lie in (0, 1), got {slope}")
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.where(arr >= 0.0, arr, slope * arr)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return float(out)
-    return out
+def leaky_gate(z: np.ndarray, slope: float) -> np.ndarray:
+    """The one leaky-ReLU rule: 1.0 where z >= 0, else slope, in a fresh float64
+    array. The activation is z * gate (z * 1.0 is z, -0.0 too, z * slope is
+    slope * z), its backward g * gate. np.where is slow with scalar operands."""
+    return np.maximum(z >= 0.0, slope, dtype=np.float64)

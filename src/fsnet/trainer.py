@@ -185,14 +185,6 @@ def build_loss_graph(
     return loss, p.arrays(), named_nodes
 
 
-def _into(workspace: dict[str, np.ndarray], name: str, op, *operands, **kwargs) -> np.ndarray:
-    """op(*operands, **kwargs) written with out= into workspace[name]. The
-    first call stores its fresh result there, so each buffer has the layout
-    NumPy gives that expression, and later calls overwrite it."""
-    workspace[name] = op(*operands, out=workspace.get(name), **kwargs)
-    return workspace[name]
-
-
 class LossPass:
     """One hand-written forward and backward pass of the training loss.
 
@@ -224,11 +216,11 @@ class LossPass:
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
     gates, and grads in FsNetParams.named() order.
 
-    workspace is a dict that the K x d, n x d and h' x d arrays are written
-    into, ReconPass's under its own names: the first pass through it stores
-    its fresh arrays there, and each later pass of the same shapes overwrites
-    them. gates and grads are views of the workspace, valid until the next
-    pass through it.
+    Every K x d, n x d and h' x d array the pass reuses, ReconPass's too, is
+    a network._flat_view of a named buffer of the dict workspace, with the
+    layout NumPy gives its expression; g_gates is the C-ordered (d, K)
+    X.T @ g_selected, used through .T. gates and grads are views of the
+    workspace, valid until the next pass through it.
     """
 
     def __init__(
@@ -257,8 +249,8 @@ class LossPass:
         # made before the scores, which predictor mode computes in it
         delta = _flat_view(workspace, "delta", (len(params.select_w), X.shape[1]))
         numerics.softmax(virtual(params.select_w, emb, out=delta), axis=1, out=delta)
-        floored = _into(workspace, "floored", np.maximum, delta, LOG_FLOOR)
-        gates = _into(workspace, "gates", np.log, floored)  # noisy
+        floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape))
+        gates = np.log(floored, out=_flat_view(workspace, "gates", delta.shape))  # noisy
         np.add(gates, gumbel, out=gates)
         np.multiply(gates, inv_tau, out=gates)  # logits
         self.gates = numerics.softmax(gates, axis=1, out=gates)
@@ -295,15 +287,15 @@ class LossPass:
         # softmax backward is p * (g - sum(g * p)), the product computed into
         # the (g - sum) array as NumPy computes it into that temporary
         g_selected = encoder.backward(g_hidden)
-        g_gates = _into(workspace, "g_gates", np.matmul, X.T, g_selected).T
-        weighted = _into(workspace, "weighted", np.multiply, g_gates, gates)
+        g_gates = np.matmul(X.T, g_selected, out=_flat_view(workspace, "g_gates", delta.shape[::-1])).T
+        weighted = np.multiply(g_gates, gates, out=_flat_view(workspace, "weighted", delta.shape))
         g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)
         g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
         # g_floored, C-ordered as NumPy makes the fresh quotient, in the dead floored
         g_delta = np.divide(g_noisy, floored, out=floored)
         np.multiply(g_delta, delta > LOG_FLOOR, out=g_delta)
-        weighted = _into(workspace, "weighted", np.multiply, g_delta, delta)
+        np.multiply(g_delta, delta, out=weighted)
         g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
         np.multiply(delta, g_scores, out=g_scores)
         self.grads = FsNetParams(

@@ -5,16 +5,18 @@ histogram oracle of the embedding table, the cell-by-cell oracle of the table
 loader, the NumPy oracle of the training loss with the virtual weights
 written out (recon_matrix_formula), the encode/classify/decode compositions
 of the hard-selection scores, the out-of-place RMSprop formula, two oracles of the unique-argmax rule, a planted class-mean-shift instance
-for feature-recovery tests, and the tracemalloc peak of one call."""
+for feature-recovery tests, the analytic compression ratio, and the
+tracemalloc peak of one call."""
 
 import csv
 import tracemalloc
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from fsnet.data import DataError, Dataset
-from fsnet.network import classify, decode, encode
+from fsnet.network import Architecture, classify, decode, encode, trainable_param_count
 from fsnet.numerics import softmax
 from fsnet.rng import RngState
 from fsnet.selection import LOG_FLOOR
@@ -302,6 +304,17 @@ def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
         new_arrays.append(w - learning_rate * g / (np.sqrt(v2) + eps))
         new_ms.append(v2)
     return new_arrays, new_ms
+
+
+def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False) -> float:
+    """Analytic size ratio of the dense model to the predictor model at d
+    features: (d*K + h'*d + s) / (b*K + h'*b + s) with s the shared stack
+    size, as trainable_param_count counts them."""
+    if d < 1 or b < 1:
+        raise ValueError("d and b must be positive")
+    arch = replace(arch, n_features=d)
+    dense = trainable_param_count(arch, b, "dense", use_bias)
+    return dense / trainable_param_count(arch, b, "predictor", use_bias)
 
 
 def traced_peak(fn, *args):

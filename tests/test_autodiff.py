@@ -88,6 +88,21 @@ def test_leaky_tanh_log_clip_gradients():
     check_against_fd(build, [a])
 
 
+@pytest.mark.parametrize("slope", [0.01, 0.2])
+def test_leaky_relu_value_and_gradient_equal_the_where_expressions(slope):
+    # the bytes of the expressions the tape op used before numerics.leaky_gate
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.0, -1.0], RngState(9).normal(24)
+    ]).reshape(4, 8)
+    g = RngState(10).normal((4, 8))
+    tape = Tape()
+    leaf = tape.leaf(x)
+    node = ad.leaky_relu(leaf, slope)
+    assert node.value.tobytes() == np.where(x >= 0.0, x, slope * x).tobytes()
+    assert node._backward(g)[0].tobytes() == (g * np.where(x >= 0.0, 1.0, slope)).tobytes()
+
+
 def test_softmax_axis_gradients():
     rng = RngState(5)
     a = rng.normal((3, 5))

@@ -15,7 +15,6 @@ from fsnet.evaluator import (
     _size_probe_model,
     accuracy,
     avg_mutual_information,
-    compression_ratio,
     evaluate,
     measured_compression_ratio,
     mutual_information,
@@ -30,6 +29,7 @@ from fsnet.network import (
     zeros_params,
 )
 from fsnet.rng import RngState
+from helpers import compression_ratio
 
 
 def zero_model(d=6, k=2, n_classes=2, b=3, mode="predictor"):
@@ -210,27 +210,38 @@ def test_measured_ratio_equals_saved_file_size_ratio(tmp_path):
     assert measured_compression_ratio(arch, 6, seed=2) == sizes["dense"] / sizes["predictor"]
 
 
-def test_measured_ratio_of_a_bias_model_counts_its_biases():
-    # the report's measured ratio must describe the evaluated model, as the
-    # analytic compression_ratio beside it does
+def test_size_probe_holds_zero_weights_and_the_seed():
+    probe = _size_probe_model(Architecture(30, 4, 2), 6, "dense", seed=11, use_bias=True)
+    assert probe.config.seed == 11
+    assert all(not arr.any() for arr in probe.params.arrays())
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_measured_ratio_is_that_of_initialized_twins(use_bias, seed):
+    # the report's measured ratio must describe the evaluated model, biases
+    # included, as the analytic compression_ratio beside it does; the probes
+    # hold zero weights, yet measure the files of Glorot-initialized twins
     arch = Architecture(40, 4, 2, encoder=(5, 3), decoder=(3, 5))
     sizes = {}
     for mode in ("predictor", "dense"):
         config = TrainConfig(
             n_select=4, embed_size=10, mode=mode, encoder=(5, 3), decoder=(3, 5),
-            use_bias=True, seed=3,
+            use_bias=use_bias, seed=seed,
         )
         twin = FsNetModel(
             config=config,
             arch=arch,
-            params=init_params(arch, 10, mode, RngState(3), True),
+            params=init_params(arch, 10, mode, RngState(seed), use_bias),
             selected=list(range(4)),
             label_names=["c0", "c1"],
         )
         sizes[mode] = sum(len(line.encode("utf-8")) for line in model_lines(twin))
-    report = evaluate(twin, toy_dataset(n=20, d=40))
-    assert report.measured_compression_ratio == sizes["dense"] / sizes["predictor"]
-    assert report.measured_compression_ratio != measured_compression_ratio(arch, 10, seed=3)
+    ratio = sizes["dense"] / sizes["predictor"]
+    assert measured_compression_ratio(arch, 10, seed, use_bias) == ratio
+    assert evaluate(twin, toy_dataset(n=20, d=40)).measured_compression_ratio == ratio
+    if use_bias:
+        assert ratio != measured_compression_ratio(arch, 10, seed)
 
 
 # ---------------------------------------------------------------- reports

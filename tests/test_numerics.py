@@ -1,10 +1,10 @@
-"""Dense kernels: matmul, stable softmax, leaky ReLU."""
+"""Dense kernels: matmul, stable softmax, the leaky-ReLU gate."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsnet.numerics import DimensionError, leaky_relu, matmul, softmax
+from fsnet.numerics import DimensionError, leaky_gate, matmul, softmax
 
 
 def test_matmul_identity():
@@ -98,19 +98,28 @@ def test_softmax_shift_invariance(values, shift):
     assert np.allclose(softmax(v), softmax(v + shift), atol=1e-12)
 
 
-def test_leaky_relu_cases():
-    assert leaky_relu(5.0, 0.2) == 5.0
-    assert leaky_relu(-5.0, 0.2) == -1.0
-    assert leaky_relu(0.0, 0.2) == 0.0
+_TINY_SUB = np.nextafter(0.0, 1.0)  # the smallest subnormal double
 
 
-def test_leaky_relu_elementwise_on_arrays():
-    x = np.array([[-2.0, 3.0], [0.0, -0.5]])
-    assert np.array_equal(leaky_relu(x, 0.1), np.array([[-0.2, 3.0], [0.0, -0.05]]))
+@pytest.mark.parametrize("slope", [0.01, 0.2])
+def test_leaky_gate_cases(slope):
+    z = np.array([0.0, -0.0, np.inf, -np.inf, _TINY_SUB, -_TINY_SUB, 1.0, -1.0])
+    gate = leaky_gate(z, slope)
+    assert gate.dtype == np.float64
+    assert gate.tolist() == [1.0, 1.0, 1.0, slope, 1.0, slope, 1.0, slope]
 
 
-def test_leaky_relu_slope_validated():
-    with pytest.raises(ValueError):
-        leaky_relu(1.0, 0.0)
-    with pytest.raises(ValueError):
-        leaky_relu(1.0, 1.0)
+@pytest.mark.parametrize("slope", [0.01, 0.2])
+def test_leaky_gate_times_z_is_the_leaky_relu_to_the_byte(slope):
+    # x * 1.0 is x, -0.0 included, and x * slope is slope * x
+    z = np.array([[0.0, -0.0, np.inf, -np.inf], [_TINY_SUB, -_TINY_SUB, 1.0, -1.0]])
+    leaky = z * leaky_gate(z, slope)
+    assert leaky.tobytes() == np.where(z >= 0.0, z, slope * z).tobytes()
+    assert np.signbit(leaky[0, 1])
+
+
+def test_leaky_gate_is_a_fresh_array_shaped_like_z():
+    z = np.array([[-2.0, 3.0], [0.0, -0.5]])
+    gate = leaky_gate(z, 0.1)
+    assert gate.shape == z.shape and not np.shares_memory(gate, z)
+    assert np.array_equal(z * gate, np.array([[-0.2, 3.0], [0.0, -0.05]]))
