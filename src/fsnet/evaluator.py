@@ -4,7 +4,7 @@ analytic / measured compression ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .network import Architecture, hard_scores, recon_matrix, trainable_param_co
 @dataclass(frozen=True)
 class EvalReport:
     """The metrics of one evaluation; serializes as flat key-value text, one
-    line per field in field order (REPORT_KEYS)."""
+    line per field in field order."""
 
     accuracy: float
     recon_error: float
@@ -48,13 +48,21 @@ class EvalReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
-REPORT_KEYS = tuple(f.name for f in fields(EvalReport))
+def _hard_scores(
+    model: FsNetModel, dataset: Dataset, recon_mat: np.ndarray | None = None
+) -> tuple[float, float | None]:
+    """network.hard_scores of the model on dataset, whose label codes must be
+    the model's: the same label names in the same order."""
+    names, model_names = list(dataset.label_names), list(model.label_names)
+    if names != model_names:
+        raise ValueError(f"dataset labels {names} are not coded as the model's {model_names}")
+    slope = model.config.leaky_slope
+    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, recon_mat)
 
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
-    slope = model.config.leaky_slope
-    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope)[0]
+    return _hard_scores(model, dataset)[0]
 
 
 def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float:
@@ -74,9 +82,7 @@ def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tupl
         emb = None
     elif emb is None:
         emb = compute_embeddings(dataset.X, model.config.embed_size)
-    recon_mat = recon_matrix(model.params.recon_w, emb)
-    slope = model.config.leaky_slope
-    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, recon_mat)
+    return _hard_scores(model, dataset, recon_matrix(model.params.recon_w, emb))
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import base64
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -145,9 +145,9 @@ def _header_list(line: str, key: str, kind: type, nullable: bool = False) -> lis
     return value
 
 
-def _parse_row(line: str, version: int, name: str, row_len: int) -> np.ndarray:
-    """One weight row: the base64 of its little-endian float64 bytes in
-    version 2, space-separated decimals in version 1."""
+def _parse_row(line: str, version: int, name: str, index: int, row_len: int) -> np.ndarray:
+    """Row `index` of a weight array: the base64 of its little-endian float64
+    bytes in version 2, space-separated decimals in version 1; every value finite."""
     try:
         if version == 1:
             row = np.array(line.split(), dtype=np.float64)
@@ -156,21 +156,31 @@ def _parse_row(line: str, version: int, name: str, row_len: int) -> np.ndarray:
     except ValueError as exc:
         raise ModelFormatError(f"array {name!r}: non-numeric value ({exc})") from None
     _expect(row.size == row_len, f"array {name!r}: row has {row.size} values, expected {row_len}")
+    _expect(np.isfinite(row).all(), f"array {name!r}: row {index} holds a non-finite value")
     return row
 
 
 def load_model(path: str) -> FsNetModel:
+    """The model saved at path. A malformed file raises ModelFormatError, its
+    message prefixed with "<path>: line <n>: " for the line being read."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     pos = 0
 
     def next_line() -> str:
         nonlocal pos
-        _expect(pos < len(lines), "unexpected end of file")
-        line = lines[pos]
         pos += 1
-        return line
+        _expect(pos <= len(lines), "unexpected end of file")
+        return lines[pos - 1]
 
+    try:
+        return _parse_model(next_line)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: line {pos}: {exc}") from None
+
+
+def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
+    """The model in the lines next_line() returns in turn, checked as they are read."""
     magic = next_line()
     versions = {f"{MAGIC} v{v}": v for v in (1, FORMAT_VERSION)}
     _expect(
@@ -203,9 +213,13 @@ def load_model(path: str) -> FsNetModel:
     label_names = _header_list(next_line(), "labels", str)
     selected = _header_list(next_line(), "selected", int)
     selected_names = _header_list(next_line(), "selected_names", str, nullable=True)
-    n_arrays = _header_value(next_line(), "arrays")
-
     template = zeros_params(arch, config.embed_size, config.mode, config.use_bias)
+    try:  # checked at the last header it reads; the weights replace the template
+        model = FsNetModel(config, arch, template, selected, label_names, selected_names)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"inconsistent model contents: {exc}") from None
+
+    n_arrays = _header_value(next_line(), "arrays")
     expected = template.named()
     _expect(
         n_arrays == len(expected),
@@ -227,19 +241,9 @@ def load_model(path: str) -> FsNetModel:
         _expect(shape == exp_arr.shape, f"array {name!r}: shape {shape} != {exp_arr.shape}")
         n_rows = 1 if len(shape) == 1 else shape[0]
         row_len = shape[0] if len(shape) == 1 else shape[1]
-        rows = [_parse_row(next_line(), version, name, row_len) for _ in range(n_rows)]
+        rows = [_parse_row(next_line(), version, name, r, row_len) for r in range(n_rows)]
         arrays.append(np.vstack(rows).reshape(shape))
     _expect(next_line() == f"end {MAGIC}", "missing end marker")
 
-    params = template.replace_arrays(arrays)
-    try:
-        return FsNetModel(
-            config=config,
-            arch=arch,
-            params=params,
-            selected=selected,
-            label_names=label_names,
-            selected_names=selected_names,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"inconsistent model contents: {exc}") from None
+    model.params = template.replace_arrays(arrays)
+    return model

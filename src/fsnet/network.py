@@ -3,7 +3,8 @@ pass, the one pass of the reconstruction (ReconPass), the scores of the
 hard-selection pass, the one rule (virtual) of the virtual weights of both
 embedding-predicted layers, the reconstruction matrix, and the one
 parameter layout that initialization, counting, loading, the training pass
-and the loss graph share."""
+and the loss graph share: zeros_params alone lists its layers, and
+DenseStack.named/map alone walk a stack's arrays."""
 
 from __future__ import annotations
 
@@ -65,6 +66,16 @@ class DenseStack:
     weights: list[np.ndarray]
     biases: list[np.ndarray] | None = None
 
+    def named(self, label: str) -> list[tuple[str, np.ndarray]]:
+        """The arrays as label.i for weight i, then label.i.bias for bias i."""
+        biases = [(f"{label}.{i}.bias", b) for i, b in enumerate(self.biases or [])]
+        return [(f"{label}.{i}", w) for i, w in enumerate(self.weights)] + biases
+
+    def map(self, fn: Callable) -> "DenseStack":
+        """The same stack holding fn(arr) for every array, in named() order."""
+        ws = [fn(w) for w in self.weights]
+        return DenseStack(ws, None if self.biases is None else [fn(b) for b in self.biases])
+
 
 @dataclass
 class FsNetParams:
@@ -73,7 +84,7 @@ class FsNetParams:
     select_w and recon_w are (K, b) and (h', b) in predictor mode; in dense
     mode they address features directly and are (K, d) and (h', d). named()
     is the order that model files, gradients and optimizer slots follow, and
-    map() rebuilds the structure in that order.
+    map() rebuilds the structure in that order; both compose the stacks' own.
     """
 
     select_w: np.ndarray
@@ -83,19 +94,9 @@ class FsNetParams:
     recon_w: np.ndarray
 
     def named(self) -> list[tuple[str, np.ndarray]]:
-        out: list[tuple[str, np.ndarray]] = [("select_w", self.select_w)]
-        for label, stack in (
-            ("encoder", self.encoder),
-            ("classifier", self.classifier),
-            ("decoder", self.decoder),
-        ):
-            for i, w in enumerate(stack.weights):
-                out.append((f"{label}.{i}", w))
-            if stack.biases is not None:
-                for i, b in enumerate(stack.biases):
-                    out.append((f"{label}.{i}.bias", b))
-        out.append(("recon_w", self.recon_w))
-        return out
+        stacks = self.encoder.named("encoder") + self.classifier.named("classifier")
+        stacks += self.decoder.named("decoder")
+        return [("select_w", self.select_w), *stacks, ("recon_w", self.recon_w)]
 
     def arrays(self) -> list[np.ndarray]:
         return [arr for _, arr in self.named()]
@@ -103,18 +104,9 @@ class FsNetParams:
     def map(self, fn: Callable) -> "FsNetParams":
         """The same structure holding fn(arr) for every array, with fn called
         in named() order."""
-
-        def stack(s: DenseStack) -> DenseStack:
-            ws = [fn(w) for w in s.weights]
-            return DenseStack(ws, None if s.biases is None else [fn(b) for b in s.biases])
-
-        return FsNetParams(
-            fn(self.select_w),
-            stack(self.encoder),
-            stack(self.classifier),
-            stack(self.decoder),
-            fn(self.recon_w),
-        )
+        select_w = fn(self.select_w)
+        stacks = [s.map(fn) for s in (self.encoder, self.classifier, self.decoder)]
+        return FsNetParams(select_w, *stacks, fn(self.recon_w))
 
     def replace_arrays(self, arrays: list[np.ndarray]) -> "FsNetParams":
         """Same structure with new values, in named() order."""
@@ -133,30 +125,26 @@ class FsNetParams:
         return self.map(take)
 
 
-def _build_params(
-    arch: Architecture,
-    embed_size: int,
-    mode: str,
-    use_bias: bool,
-    weight: Callable[[int, int], np.ndarray],
+def zeros_params(
+    arch: Architecture, embed_size: int, mode: str, use_bias: bool = False
 ) -> FsNetParams:
-    """Parameters in FsNetParams.named() layout; weight(out, in) makes every
-    weight matrix, in that order, and biases start at zero."""
+    """All-zero parameters in FsNetParams.named() layout: the one list of the
+    layers and their shapes. Weights are (out, in); biases, if any, (out,)."""
     if mode not in ("predictor", "dense"):
         raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
     width = embed_size if mode == "predictor" else arch.n_features
-    select_w = weight(arch.n_select, width)
 
-    def build_stack(dims: list[int]) -> DenseStack:
-        ws = [weight(o, i) for i, o in zip(dims[:-1], dims[1:])]
-        bs = [np.zeros(o) for o in dims[1:]] if use_bias else None
-        return DenseStack(ws, bs)
+    def stack(dims: list[int]) -> DenseStack:
+        ws = [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
+        return DenseStack(ws, [np.zeros(o) for o in dims[1:]] if use_bias else None)
 
-    encoder = build_stack([arch.n_select, *arch.encoder])
-    classifier = build_stack([arch.hidden_width, arch.n_classes])
-    decoder = build_stack([arch.hidden_width, *arch.decoder])
-    recon_w = weight(arch.recon_width, width)
-    return FsNetParams(select_w, encoder, classifier, decoder, recon_w)
+    return FsNetParams(
+        np.zeros((arch.n_select, width)),
+        stack([arch.n_select, *arch.encoder]),
+        stack([arch.hidden_width, arch.n_classes]),
+        stack([arch.hidden_width, *arch.decoder]),
+        np.zeros((arch.recon_width, width)),
+    )
 
 
 def init_params(
@@ -166,20 +154,15 @@ def init_params(
     rng: RngState,
     use_bias: bool = False,
 ) -> FsNetParams:
-    """Glorot-uniform weights, drawn in a fixed order so a seed pins the model."""
+    """zeros_params with Glorot-uniform weights, drawn in named() order so a
+    seed pins the model."""
 
-    def glorot(out_dim: int, in_dim: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (in_dim + out_dim))
-        return (rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound
+    def glorot(a: np.ndarray) -> np.ndarray:
+        if a.ndim == 1:  # a bias stays zero
+            return a
+        return (rng.uniform(a.shape) * 2.0 - 1.0) * np.sqrt(6.0 / sum(a.shape))  # out + in
 
-    return _build_params(arch, embed_size, mode, use_bias, glorot)
-
-
-def zeros_params(
-    arch: Architecture, embed_size: int, mode: str, use_bias: bool = False
-) -> FsNetParams:
-    """All-zero parameters with the same structure init_params would produce."""
-    return _build_params(arch, embed_size, mode, use_bias, lambda o, i: np.zeros((o, i)))
+    return zeros_params(arch, embed_size, mode, use_bias).map(glorot)
 
 
 def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bias: bool = False) -> int:

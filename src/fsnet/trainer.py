@@ -214,7 +214,8 @@ class LossPass:
     can share it. When recon_weight > 0 the pass uses it up: the backward of
     its tanh is computed in its storage, the recon_w gradient in dense mode.
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
-    gates, and grads in FsNetParams.named() order.
+    gates, and grads in FsNetParams.named() order; when recon_weight is 0 the
+    decoder's and recon_w's are zeros, as the tape gives them.
 
     Every K x d, n x d and h' x d array the pass reuses, ReconPass's too, is
     a network._flat_view of a named buffer of the dict workspace, with the
@@ -275,11 +276,7 @@ class LossPass:
             g_recon_w = virtual_grad(recon.g_pre_tanh, emb)
             g_decoder = recon.decoder.grads
         else:  # the tape's zero gradients for the leaves the loss does not reach
-            dec = params.decoder
-            g_decoder = DenseStack(
-                [np.zeros_like(w) for w in dec.weights],
-                None if dec.biases is None else [np.zeros_like(b) for b in dec.biases],
-            )
+            g_decoder = params.decoder.map(np.zeros_like)
             g_recon_w = np.zeros_like(params.recon_w)
 
         # backward: the encoder, then the selection layer (g_gates ->

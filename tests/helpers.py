@@ -5,17 +5,19 @@ histogram oracle of the embedding table, the cell-by-cell oracle of the table
 loader, the NumPy oracle of the training loss with the virtual weights
 written out (recon_matrix_formula), the encode/classify/decode compositions
 of the hard-selection scores, the out-of-place RMSprop formula, two oracles of the unique-argmax rule, a planted class-mean-shift instance
-for feature-recovery tests, the analytic compression ratio, and the
+for feature-recovery tests, the per-weight Glorot draws of init_params, the
+analytic compression ratio, the keys of an evaluation report, and the
 tracemalloc peak of one call."""
 
 import csv
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from fsnet.data import DataError, Dataset
+from fsnet.evaluator import EvalReport
 from fsnet.network import Architecture, classify, decode, encode, trainable_param_count
 from fsnet.numerics import softmax
 from fsnet.rng import RngState
@@ -306,6 +308,32 @@ def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
     return new_arrays, new_ms
 
 
+def ref_init_named(arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool):
+    """init_params(arch, embed_size, mode, RngState(seed), use_bias).named(),
+    one weight at a time: each (out, in) weight drawn in turn as
+    (uniform((out, in)) * 2 - 1) * sqrt(6 / (in + out)) in the order select_w,
+    encoder, classifier, decoder, recon_w, and every bias zero."""
+    rng = RngState(seed)
+
+    def weight(out_dim, in_dim):
+        bound = np.sqrt(6.0 / (in_dim + out_dim))
+        return (rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound
+
+    width = embed_size if mode == "predictor" else arch.n_features
+    named = [("select_w", weight(arch.n_select, width))]
+    for label, dims in (
+        ("encoder", [arch.n_select, *arch.encoder]),
+        ("classifier", [arch.encoder[-1], arch.n_classes]),
+        ("decoder", [arch.encoder[-1], *arch.decoder]),
+    ):
+        outs = dims[1:]
+        named += [(f"{label}.{i}", weight(o, n)) for i, (n, o) in enumerate(zip(dims, outs))]
+        if use_bias:
+            named += [(f"{label}.{i}.bias", np.zeros(o)) for i, o in enumerate(outs)]
+    named.append(("recon_w", weight(arch.decoder[-1], width)))
+    return named
+
+
 def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False) -> float:
     """Analytic size ratio of the dense model to the predictor model at d
     features: (d*K + h'*d + s) / (b*K + h'*b + s) with s the shared stack
@@ -315,6 +343,9 @@ def compression_ratio(arch: Architecture, d: int, b: int, use_bias: bool = False
     arch = replace(arch, n_features=d)
     dense = trainable_param_count(arch, b, "dense", use_bias)
     return dense / trainable_param_count(arch, b, "predictor", use_bias)
+
+
+REPORT_KEYS = tuple(f.name for f in fields(EvalReport))  # the keys of EvalReport.lines(), in order
 
 
 def traced_peak(fn, *args):

@@ -16,9 +16,10 @@ import pytest
 from fsnet.cli import build_parser, main
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset, SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
-from fsnet.evaluator import REPORT_KEYS, accuracy
+from fsnet.evaluator import accuracy
 from fsnet.model import load_model, save_model
 from fsnet.rng import RngState
+from helpers import REPORT_KEYS
 
 
 def first_line(path):
@@ -472,8 +473,9 @@ def test_eval_rejects_a_model_that_reconstructs_nan(tmp_path, data_csv, capsys):
     save_model(bad, out + ".nan.model")
     capsys.readouterr()
     code = main(["eval", "--model", out + ".nan.model", "--data", data_csv, "--out", str(tmp_path / "e")])
-    assert code == 2
-    assert "recon_error" in capsys.readouterr().err
+    assert code == 2  # refused on load, before a NaN reaches the report
+    err = capsys.readouterr().err
+    assert f"{out}.nan.model: line " in err and "array 'recon_w': row 0 holds a non-finite" in err
     assert not (tmp_path / "e.eval.txt").exists()
 
 

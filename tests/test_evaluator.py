@@ -10,7 +10,6 @@ import pytest
 from fsnet.config import TrainConfig
 from fsnet.data import Dataset
 from fsnet.evaluator import (
-    REPORT_KEYS,
     EvalReport,
     _size_probe_model,
     accuracy,
@@ -29,7 +28,7 @@ from fsnet.network import (
     zeros_params,
 )
 from fsnet.rng import RngState
-from helpers import compression_ratio
+from helpers import REPORT_KEYS, compression_ratio
 
 
 def zero_model(d=6, k=2, n_classes=2, b=3, mode="predictor"):
@@ -52,7 +51,7 @@ def toy_dataset(seed=0, n=20, d=6):
     y = (rng.uniform((n,)) > 0.5).astype(np.intp)
     if len(set(y.tolist())) < 2:
         y[0] = 1 - y[0]
-    return Dataset(X, y, 2, ["a", "b"])
+    return Dataset(X, y, 2, ["c0", "c1"])
 
 
 # ---------------------------------------------------------------- accuracy
@@ -72,6 +71,13 @@ def test_accuracy_with_explicit_selection_override():
     assert accuracy(replace(model, selected=[3, 4]), ds) == accuracy(model, ds)
     with pytest.raises(ValueError):
         replace(model, selected=[0])
+
+
+@pytest.mark.parametrize("score", [accuracy, reconstruction_error, evaluate])
+def test_scoring_refuses_labels_coded_unlike_the_model(score):
+    flipped = replace(toy_dataset(), label_names=["c1", "c0"])
+    with pytest.raises(ValueError, match=r"\['c1', 'c0'\].*\['c0', 'c1'\]"):
+        score(zero_model(), flipped)
 
 
 # ---------------------------------------------------------------- recon

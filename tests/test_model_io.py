@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max,
     *_around(1e-100), *_around(1e-99), *_around(1e99), *_around(1e100),
     *(-v for v in _around(1e-99)), *(-v for v in _around(1e100)),
-    -1.5, 2.5, np.inf, -np.inf, np.nan,
+    -1.5, 2.5,
 ]
 
 
@@ -114,8 +115,8 @@ def test_round_trip_extreme_values(tmp_path):
     model.params.select_w[0, 0] = 1e-308
     model.params.select_w[0, 1] = -1.2345678901234567e300
     model.params.recon_w[0, 0] = np.nextafter(1.0, 2.0)
-    # -0.0 and NaNs with payload bits, which a decimal text would not keep
-    payloads = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x8000000000000000], dtype="<u8")
+    # -0.0, the smallest subnormal and the largest finite value, by their bits
+    payloads = np.array([0x8000000000000000, 0x0000000000000001, 0x7FEFFFFFFFFFFFFF], dtype="<u8")
     model.params.recon_w[1, :3] = payloads.view("<f8")
     path = str(tmp_path / "m.model")
     save_model(model, path)
@@ -140,6 +141,17 @@ def test_an_edge_value_loads_bit_exactly_from_either_version(tmp_path, value):
         path = str(tmp_path / f"{save.__name__}.model")
         save(model, path)
         assert_same_weights(model, load_model(path))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
+@pytest.mark.parametrize("save", [save_v1, save_model], ids=["v1", "v2"])
+def test_load_rejects_a_non_finite_weight(tmp_path, save, value):
+    model = tiny_model()
+    model.params.encoder.weights[0][2, 1] = value
+    path = str(tmp_path / "m.model")
+    save(model, path)
+    with pytest.raises(ModelFormatError, match="array 'encoder.0': row 2 holds a non-finite value"):
+        load_model(path)
 
 
 def test_version_2_bytes_are_pinned(tmp_path):
@@ -260,6 +272,25 @@ def test_load_rejects_a_bad_version_2_row(tmp_path, bad_row):
         lines[lines.index("array select_w 3 4") + 1] = bad_row(row)
     path = corrupt(tmp_path, mutate)
     with pytest.raises(ModelFormatError, match="select_w"):
+        load_model(path)
+
+
+def test_a_load_error_names_the_file_and_the_line(tmp_path):
+    """A header error, a row error, and the end of a file cut before a row."""
+    path = str(tmp_path / "m.model")
+    save_model(tiny_model(), path)
+    lines = Path(path).read_text().split("\n")
+    at = lines.index("array encoder.1 4 6") + 2  # row 1 of encoder.1, at line at + 1
+    short_row = _encoded(tiny_model().params.encoder.weights[1][1][:-1])
+    for index, line, message in (
+        (2, "config {not json", "line 3: bad JSON in 'config' header"),
+        (at, short_row, f"line {at + 1}: array 'encoder.1': row has 5 values"),
+    ):
+        Path(path).write_text("\n".join([*lines[:index], line, *lines[index + 1:]]))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: {message}"):
+            load_model(path)
+    Path(path).write_text("\n".join(lines[:at]))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: line {at + 1}: unexpected end"):
         load_model(path)
 
 

@@ -24,7 +24,7 @@ from fsnet.network import (
 from fsnet.numerics import DimensionError
 from fsnet.rng import RngState
 from fsnet.trainer import _graph_stack
-from helpers import hard_scores_reference
+from helpers import hard_scores_reference, ref_init_named
 
 DEFAULT = Architecture(n_features=500, n_select=10, n_classes=2)
 
@@ -350,20 +350,46 @@ def test_zeros_params_matches_init_structure():
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
 @pytest.mark.parametrize("use_bias", [False, True])
-def test_map_visits_arrays_in_named_order(mode, use_bias):
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize(
+    "arch", [DEFAULT, Architecture(40, 4, 3, encoder=(8, 5), decoder=(6,))], ids=["default", "small"]
+)
+def test_init_params_equals_the_per_weight_draws_to_the_byte(mode, use_bias, seed, arch):
+    got = init_params(arch, 7, mode, RngState(seed), use_bias).named()
+    want = ref_init_named(arch, 7, mode, seed, use_bias)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+@pytest.mark.parametrize("part", [None, "encoder", "classifier", "decoder"])
+def test_map_visits_arrays_in_named_order(mode, use_bias, part):
+    """FsNetParams.map/named, or DenseStack.map/named of one stack, whose
+    names are that stack's slice of FsNetParams.named()."""
     params = init_params(DEFAULT, 10, mode, RngState(8), use_bias)
+    tree = params if part is None else getattr(params, part)
+
+    def named(t):
+        return t.named() if part is None else t.named(part)
+
     seen = []
 
     def visit(arr):
         seen.append(arr)
         return arr * 2.0
 
-    doubled = params.map(visit)
-    assert len(seen) == len(params.arrays())
-    assert all(a is b for a, b in zip(seen, params.arrays()))
-    assert [n for n, _ in doubled.named()] == [n for n, _ in params.named()]
-    for (_, a), (_, b) in zip(params.named(), doubled.named()):
+    doubled = tree.map(visit)
+    arrays = [a for _, a in named(tree)]
+    assert len(seen) == len(arrays)
+    assert all(a is b for a, b in zip(seen, arrays))
+    assert [n for n, _ in named(doubled)] == [n for n, _ in named(tree)]
+    for (_, a), (_, b) in zip(named(tree), named(doubled)):
         assert np.array_equal(b, a * 2.0)
+    if part is not None:
+        in_params = [(n, a) for n, a in params.named() if n.startswith(part + ".")]
+        assert [(n, id(a)) for n, a in in_params] == [(n, id(a)) for n, a in named(tree)]
 
 
 def test_replace_arrays_checks_shapes():

@@ -1,7 +1,7 @@
 """The package's surface is no larger than its users: every module-level
-function and class of src/fsnet is loaded or imported by some code in src/
-or benchmarks/ outside its own definition. A name only tests use belongs
-in tests/helpers.py.
+function, class and assigned name (a constant) of src/fsnet is loaded or
+imported by some code in src/ or benchmarks/ outside its own definition. A
+name only tests use belongs in tests/helpers.py.
 
 Uses are resolved to the fsnet module they name: `from .numerics import
 softmax` uses numerics.softmax, `ad.log` uses autodiff.log when ad is bound by
@@ -65,19 +65,46 @@ def _used_names(tree: ast.AST, skip: ast.AST | None, own: str) -> set[str]:
     return used
 
 
-def test_every_module_level_definition_has_a_user():
-    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each name a module-level statement of tree defines (a function, a
+    class, or an assigned name such as a constant), with that statement."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            out += [(n.id, node) for n in names]
+    return out
+
+
+def _unused(trees: dict[Path, ast.Module], package: list[Path]) -> list[str]:
+    """The "module.name"s defined at module level in the package's files
+    that no file of trees uses outside the statement defining them."""
     used_by = {path: _used_names(tree, None, path.stem) for path, tree in trees.items()}
-    unused = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and f"{path.stem}.{node.name}" not in _used_names(trees[path], node, path.stem)
-        and not any(f"{path.stem}.{node.name}" in used_by[other] for other in paths if other != path)
+    return [
+        f"{path.stem}.{name}"
+        for path in package
+        for name, node in _definitions(trees[path])
+        if f"{path.stem}.{name}" not in _used_names(trees[path], node, path.stem)
+        and not any(f"{path.stem}.{name}" in used_by[other] for other in trees if other != path)
     ]
-    assert unused == []
+
+
+def test_every_module_level_definition_has_a_user():
+    package = sorted(SRC.glob("*.py"))
+    paths = package + sorted((ROOT / "benchmarks").glob("*.py"))
+    assert _unused({path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}, package) == []
+
+
+def test_the_check_flags_an_unused_constant():
+    sources = {
+        "m": "USED, SPARE = 1, 2\nUNUSED = 3\nTYPED: int = 4\n\ndef f():\n    return USED\n",
+        "other": "from .m import TYPED, f\n",
+    }
+    trees = {Path(f"{m}.py"): ast.parse(source) for m, source in sources.items()}
+    assert _unused(trees, [Path("m.py")]) == ["m.SPARE", "m.UNUSED"]
 
 
 def test_the_check_finds_a_definition_no_one_uses():
