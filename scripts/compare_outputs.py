@@ -1,0 +1,125 @@
+"""Check that this checkout's CLI writes the same bytes as a given commit's.
+
+    python3 scripts/compare_outputs.py --parent HEAD~1
+
+Run from anywhere inside a git checkout. It extracts the commit's `src/`
+with `git archive` into a temporary directory, then runs one CLI sequence
+against that tree and against the checkout's own `src/` (uncommitted edits
+included), each in its own empty output directory:
+
+    synth --n 60 --d 300 --k-star 5 --seed 3
+    train --epochs 60 --seed 4, three times: predictor mode, dense mode
+        with --use-bias --lambda 0.5, and dense mode at --lambda 0
+    eval and select of each of the three models
+
+Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
+only that tree's `src/` on its import path. Every file either sequence
+wrote is compared byte for byte, except manifests, which are compared as
+JSON without their `started`/`finished` timestamps; each command's stdout
+and exit code are compared too. It prints one line per file and per
+command, and exits 1 on any difference. It needs git history, so the
+test suite does not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+MANIFEST_TIMES = ("started", "finished")
+
+
+def command_sequence() -> list[list[str]]:
+    train = ["train", "--data", "syn.csv", "--epochs", "60", "--seed", "4"]
+    models = {
+        "predictor": [],
+        "dense": ["--mode", "dense", "--use-bias", "--lambda", "0.5"],
+        "dense0": ["--mode", "dense", "--lambda", "0"],
+    }
+    commands = [["synth", "--n", "60", "--d", "300", "--k-star", "5", "--seed", "3", "--out", "syn"]]
+    commands += [[*train, *flags, "--out", name] for name, flags in models.items()]
+    for name in models:
+        commands.append(["eval", "--model", f"{name}.model", "--data", "syn.csv", "--out", name])
+        commands.append(["select", "--model", f"{name}.model"])
+    return commands
+
+
+def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str]]:
+    """Each command's exit code and stdout, run with out_dir as the working
+    directory, so every path the outputs record is relative."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    results = []
+    for argv in command_sequence():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsnet.cli", *argv],
+            cwd=out_dir, env=env, capture_output=True, text=True,
+        )
+        results.append((proc.returncode, proc.stdout))
+    return results
+
+
+def comparable(path: Path) -> bytes | dict:
+    """A file's bytes, or a manifest's JSON without its timestamps."""
+    if not path.name.endswith(".manifest.json"):
+        return path.read_bytes()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in MANIFEST_TIMES:
+        doc.pop(key, None)
+    return doc
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"],
+        cwd=CHECKOUT, capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit whose src/ is the reference")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="fsnet-compare-") as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": extract_src(args.parent, tmp / "parent"), "checkout": CHECKOUT / "src"}
+        runs, outputs = {}, {}
+        for name, src in trees.items():
+            outputs[name] = tmp / f"{name}-out"
+            outputs[name].mkdir()
+            runs[name] = run_sequence(src, outputs[name])
+
+        differs = False
+        for argv, parent, checkout in zip(command_sequence(), runs["parent"], runs["checkout"]):
+            same = parent == checkout
+            differs |= not same
+            print(f"{'same' if same else 'DIFFERS':8} exit code and stdout of `fsnet {' '.join(argv)}`")
+        names = sorted(set(os.listdir(outputs["parent"])) | set(os.listdir(outputs["checkout"])))
+        for file_name in names:
+            paths = [outputs[name] / file_name for name in trees]
+            if not all(p.exists() for p in paths):
+                status = "only in " + next(n for n, p in zip(trees, paths) if p.exists())
+            else:
+                status = "same" if comparable(paths[0]) == comparable(paths[1]) else "DIFFERS"
+            differs |= status != "same"
+            print(f"{status:8} {file_name}")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

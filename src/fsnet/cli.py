@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 
 import numpy as np
@@ -70,30 +71,41 @@ def _numeric_build() -> dict:
     }
 
 
-def _write_manifest(
-    path: str,
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _publish(
+    out: str,
     command: str,
+    writers: dict[str, Callable[[str, str], None]],
+    inputs: list[str],
     seed: int | None,
     config: dict | None,
-    inputs: list[str],
-    outputs: list[str],
     started: str,
-) -> None:
-    doc = {
+) -> list[str]:
+    """Call each writers[suffix](path, manifest_name) at path <out>.<suffix>,
+    in order, then write the command's manifest, whose outputs list those
+    files in that order. Returns the paths written, the manifest's last."""
+    manifest = f"{out}.manifest.json" if command == "train" else f"{out}.{command}.manifest.json"
+    paths = [f"{out}.{suffix}" for suffix in writers]
+    for path, write in zip(paths, writers.values()):
+        write(path, os.path.basename(manifest))
+    _write_json(manifest, {
         "tool": "fsnet",
         "version": VERSION,
         "command": command,
         "seed": seed,
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},  # keyed by the path as given
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": [os.path.basename(p) for p in paths],
         "numerics": _numeric_build(),
         "started": started,
         "finished": _now(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+    return paths + [manifest]
 
 
 def _now() -> str:
@@ -178,27 +190,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model, selected, report = train(train_ds, config, test_ds)
 
-    out = args.out
-    model_path, report_path = f"{out}.model", f"{out}.train.csv"
-    manifest_path = f"{out}.manifest.json"
-    manifest_name = os.path.basename(manifest_path)
-    save_model(model, model_path, manifest_ref=manifest_name)
-    report.save(report_path, manifest_ref=manifest_name)
+    writers = {"model": lambda path, ref: save_model(model, path, ref), "train.csv": report.save}
     inputs = [args.data] + ([args.config] if args.config else [])
-    _write_manifest(
-        manifest_path,
-        "train",
-        config.seed,
-        config.to_dict(),
-        inputs,
-        [model_path, report_path],
-        started,
-    )
-
+    written = _publish(args.out, "train", writers, inputs, config.seed, config.to_dict(), started)
     print(f"selected features: {' '.join(str(j) for j in selected)}")
     print(f"final train accuracy: {accuracy(model, train_ds):.4f}")
     print(f"final test accuracy: {accuracy(model, test_ds):.4f}")
-    print(f"wrote {model_path}, {report_path}, {manifest_path}")
+    print(f"wrote {', '.join(written)}")
     return 0
 
 
@@ -248,17 +246,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
 
-    out = args.out
-    report_path, manifest_path = f"{out}.eval.txt", f"{out}.eval.manifest.json"
-    report.save(report_path, manifest_ref=os.path.basename(manifest_path))
     inputs = [args.model, args.data] + ([args.embed_data] if args.embed_data else [])
-    _write_manifest(
-        manifest_path, "eval", model.config.seed, model.config.to_dict(),
-        inputs, [report_path], started,
+    written = _publish(
+        args.out, "eval", {"eval.txt": report.save}, inputs,
+        model.config.seed, model.config.to_dict(), started,
     )
     for line in report.lines():
         print(line)
-    print(f"wrote {report_path}, {manifest_path}")
+    print(f"wrote {', '.join(written)}")
     return 0
 
 
@@ -268,31 +263,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         dataset, planted = make_synthetic(args.n, args.d, args.k_star, args.seed)
     except ValueError as exc:
         raise DataError(f"--n {args.n} --d {args.d} --k-star {args.k_star}: {exc}") from None
-    out = args.out
-    data_path, planted_path = f"{out}.csv", f"{out}.planted.json"
-    manifest_path = f"{out}.synth.manifest.json"
-    manifest_name = os.path.basename(manifest_path)
-    save_delimited(dataset, data_path, comments=[f"manifest {manifest_name}"])
-    with open(planted_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "n": args.n,
-                "d": args.d,
-                "k_star": args.k_star,
-                "seed": args.seed,
-                "planted": planted,
-                "manifest": manifest_name,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    _write_manifest(
-        manifest_path, "synth", args.seed, None, [], [data_path, planted_path], started
-    )
+    doc = {"n": args.n, "d": args.d, "k_star": args.k_star, "seed": args.seed, "planted": planted}
+    writers = {
+        "csv": lambda path, ref: save_delimited(dataset, path, comments=[f"manifest {ref}"]),
+        "planted.json": lambda path, ref: _write_json(path, {**doc, "manifest": ref}),
+    }
+    written = _publish(args.out, "synth", writers, [], args.seed, None, started)
     print(f"planted features: {' '.join(str(j) for j in planted)}")
-    print(f"wrote {data_path}, {planted_path}, {manifest_path}")
+    print(f"wrote {', '.join(written)}")
     return 0
 
 

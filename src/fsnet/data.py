@@ -36,7 +36,7 @@ class Dataset:
             raise DataError(f"labels must have length {n}, got shape {self.y.shape}")
         if not np.isfinite(self.X).all():
             bad = np.argwhere(~np.isfinite(self.X))[0]
-            raise DataError(f"non-finite value at row {bad[0]}, column {bad[1]}")
+            raise DataError(f"non-finite value at X[{bad[0]}, {bad[1]}] (0-based indices)")
         present = np.unique(self.y)
         if present.size and (present[0] < 0 or present[-1] >= self.n_classes):
             raise DataError(
@@ -109,14 +109,16 @@ def load_delimited(
     goes through `csv.reader`. Lines starting with '#' and blank lines are
     skipped, and a UTF-8 byte-order mark is ignored. Label strings are mapped
     to integer codes in order of first appearance. Feature cells are read as
-    Python `float()` reads them. Any ragged row or non-numeric feature cell
-    raises DataError naming the offending location.
+    Python `float()` reads them. A ragged row or a non-numeric feature cell
+    raises DataError naming its location; then so does the first non-finite
+    feature cell in file order.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise DataError(f"delimiter must be one character other than \\r and \\n, got {delimiter!r}")
     header_cells: list[str] | None = None
     width = label_idx = 0
     rows: list[np.ndarray] = []
+    linenos: list[int] = []
     y: list[int] = []
     codes: dict[str, int] = {}
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -152,6 +154,7 @@ def load_delimited(
                 _raise_non_numeric(path, lineno, cells, label_idx)
                 raise
             y.append(codes.setdefault(label, len(codes)))
+            linenos.append(lineno)
     if not rows:
         raise DataError(
             f"{path}: header only, no data rows"
@@ -161,20 +164,27 @@ def load_delimited(
     feature_names = None
     if header_cells is not None:
         feature_names = header_cells[:label_idx] + header_cells[label_idx + 1:]
-    return Dataset(np.stack(rows), y, len(codes), list(codes), feature_names)
+    X = np.stack(rows)
+    if not np.isfinite(X).all():
+        r, j = np.argwhere(~np.isfinite(X))[0]
+        raise _cell_error(path, linenos[r], j, label_idx, f"non-finite value {float(X[r, j])!r}")
+    return Dataset(X, y, len(codes), list(codes), feature_names)
+
+
+def _cell_error(path: str, lineno: int, j: int, label_idx: int, problem: str) -> DataError:
+    """A DataError locating feature cell j of a line by its 1-based file
+    column, which counts the label column."""
+    column = j + 2 if j >= label_idx else j + 1
+    return DataError(f"{path}: line {lineno}, column {column}: {problem}")
 
 
 def _raise_non_numeric(path: str, lineno: int, features: list[str], label_idx: int) -> None:
-    """Raise DataError for the first feature cell `float()` rejects; its column
-    number counts the label column, 1-based."""
+    """Raise DataError for the first feature cell `float()` rejects."""
     for j, cell in enumerate(features):
         try:
             float(cell)
         except ValueError:
-            column = j + 2 if j >= label_idx else j + 1
-            raise DataError(
-                f"{path}: line {lineno}, column {column}: non-numeric value {cell!r}"
-            ) from None
+            raise _cell_error(path, lineno, j, label_idx, f"non-numeric value {cell!r}") from None
 
 
 def save_delimited(dataset: Dataset, path: str, comments: list[str] | None = None) -> None:

@@ -401,7 +401,7 @@ def _anneal(
             config.rms_decay,
             config.rms_eps,
         )
-        if need_recon_mat:  # the pass used it up; the monitor and the next pass share this
+        if config.recon_weight > 0.0:  # the pass used it up; at lambda 0 recon_w stays put
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)

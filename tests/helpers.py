@@ -222,6 +222,12 @@ def ref_load_delimited(
                     f"{path}: line {lineno}, column {i + 1}: non-numeric value {cell!r}"
                 ) from None
             c += 1
+    for lineno, cells in rows:
+        for i, cell in enumerate(cells):
+            if i != label_idx and not np.isfinite(float(cell)):
+                raise DataError(
+                    f"{path}: line {lineno}, column {i + 1}: non-finite value {float(cell)!r}"
+                )
     label_names = [name for name, _ in sorted(codes.items(), key=lambda kv: kv[1])]
     return Dataset(X, y, len(codes), label_names, feature_names)
 

@@ -195,7 +195,7 @@ def test_criterion_5_planted_feature_recovery():
     # score over the 10-bin table puts 4-5 of 5 in the top 10 on every seed.
     # The raw table's entries are about 0.1 in size, and with this recipe
     # predictor mode passes 0/10 seeds; z-scoring each table column passes
-    # 10/10 (ROADMAP item 3).
+    # 10/10 (ROADMAP item 6).
     # learning_rate 5e-2: RMSprop moves a weight by about lr per step, and a
     # selection logit needs a lead of about ln(d - 1) ~ 6.2 over the Gumbel
     # noise to hold its column; at lr 1e-3 no entry moves by more than 0.4

@@ -27,6 +27,15 @@ def first_line(path):
         return fh.readline()
 
 
+def _manifest_named_by(path):
+    """The manifest name an artifact records, read as its format writes it."""
+    if path.endswith(".planted.json"):
+        return json.loads(Path(path).read_text())["manifest"]
+    if path.endswith(".model"):
+        return json.loads(Path(path).read_text().splitlines()[1].split(" ", 1)[1])
+    return first_line(path).split()[-1]
+
+
 @pytest.fixture()
 def data_csv(tmp_path):
     dataset, _ = make_synthetic(40, 6, 2, seed=0)
@@ -214,6 +223,24 @@ def test_train_rejects_a_delimiter_that_is_not_one_character(tmp_path, data_csv,
         f"fsnet: delimiter must be one character other than \\r and \\n, got {delimiter!r}\n"
     )
     assert not list(tmp_path.glob("delim*"))
+
+
+@pytest.mark.parametrize(
+    "text, flags, where",
+    [
+        ("a,b,label\n1,2,x\n3,inf,y\n", [], "line 3, column 2: non-finite value inf"),
+        ("a,b,label\n1,2,x\n3,1e999,y\n", [], "line 3, column 2: non-finite value inf"),
+        ("label,a,b\nx,1,2\n# c\ny,3,-1e999\n", ["--label-col", "0"],
+         "line 4, column 3: non-finite value -inf"),
+        ("a,b,label\n1,nan,x\n3,inf,y\n", [], "line 2, column 2: non-finite value nan"),
+    ],
+)
+def test_a_non_finite_cell_is_located_by_file_line_and_column(tmp_path, capsys, text, flags, where):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert main(["train", "--data", str(path), "--out", str(tmp_path / "run"), *flags]) == 2
+    assert capsys.readouterr().err == f"fsnet: {path}: {where}\n"
+    assert not list(tmp_path.glob("run*"))
 
 
 def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
@@ -515,20 +542,45 @@ def test_commands_sharing_a_prefix_keep_their_own_manifests(tmp_path):
     def command_of(manifest_name):
         return json.loads((tmp_path / manifest_name).read_text())["command"]
 
-    refs = {
-        "csv": first_line(p + ".csv").split()[-1],
-        "planted": json.loads(Path(p + ".planted.json").read_text())["manifest"],
-        "model": json.loads(Path(p + ".model").read_text().splitlines()[1].split(" ", 1)[1]),
-        "train.csv": first_line(p + ".train.csv").split()[-1],
-        "eval.txt": first_line(p + ".eval.txt").split()[-1],
-    }
-    assert {k: command_of(v) for k, v in refs.items()} == {
+    suffixes = ["csv", "planted.json", "model", "train.csv", "eval.txt"]
+    assert {s: command_of(_manifest_named_by(f"{p}.{s}")) for s in suffixes} == {
         "csv": "synth",
-        "planted": "synth",
+        "planted.json": "synth",
         "model": "train",
         "train.csv": "train",
         "eval.txt": "eval",
     }
+
+
+@pytest.mark.parametrize(
+    "command, manifest",
+    [("synth", "p.synth.manifest.json"), ("train", "p.manifest.json"), ("eval", "p.eval.manifest.json")],
+)
+def test_a_commands_manifest_lists_what_it_wrote_and_each_artifact_names_it(
+    tmp_path, capsys, command, manifest
+):
+    p = str(tmp_path / "p")
+    argvs = {
+        "synth": ["synth", "--n", "40", "--d", "6", "--k-star", "2", "--out", p],
+        "train": ["train", "--data", p + ".csv", "--out", p, "--k", "2", "--epochs", "2"],
+        "eval": ["eval", "--model", p + ".model", "--data", p + ".csv", "--out", p],
+    }
+    for name, argv in argvs.items():
+        before = set(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(argv) == 0
+        if name == command:
+            break
+    written = sorted(set(os.listdir(tmp_path)) - before)
+    wrote = capsys.readouterr().out.splitlines()[-1]
+    assert wrote.startswith("wrote ")
+    *artifacts, manifest_path = wrote[len("wrote "):].split(", ")
+    assert manifest_path == str(tmp_path / manifest)
+    assert sorted(os.path.basename(a) for a in [*artifacts, manifest_path]) == written
+    doc = json.loads(Path(manifest_path).read_text())
+    assert doc["command"] == command
+    assert doc["outputs"] == [os.path.basename(a) for a in artifacts]
+    assert [_manifest_named_by(a) for a in artifacts] == [manifest] * len(artifacts)
 
 
 def test_synth_is_byte_reproducible(tmp_path):

@@ -191,6 +191,8 @@ BROKEN_TABLES = {
     "no_feature_column": (b"label\na\nb\n", {}),
     "ragged_before_non_numeric": (b"f0,f1,label\n1,x,a\n3,b\n", {}),
     "non_finite": (b"f0,f1,label\n1,inf,a\n3,4,b\n", {}),
+    "non_finite_after_label": (b"f0,label,f1\n1,a,2\n3,b,-1e999\n", {"label_col": 1}),
+    "non_numeric_after_non_finite": (b"f0,f1,label\n1,nan,a\n3,x,b\n", {}),
     "nul_in_feature": (b"f0,f1,label\n1,2\x003,a\n4,5,b\n", {}),
     "trailing_delimiter": (b"f0,f1,label\n1,2,a\n3,4,b,\n", {}),
 }

@@ -514,6 +514,34 @@ def test_the_curve_scores_an_epochs_selection_as_the_evaluator_does(monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_lambda_zero_builds_the_reconstruction_matrix_once(monkeypatch, mode):
+    # at lambda 0 the pass neither uses the matrix up nor moves recon_w, so
+    # the monitor scores every epoch's test split with the first one built
+    builds, picks = [], []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return recon_matrix(*args, **kwargs)
+
+    def recording(a):
+        picks.append(unique_argmax(a))
+        return picks[-1]
+
+    monkeypatch.setattr("fsnet.trainer.recon_matrix", counting)
+    monkeypatch.setattr("fsnet.trainer.unique_argmax", recording)
+    data, _ = make_synthetic(40, 30, 3, seed=5)
+    tr, te = split(data, SplitSpec(0.7, 0))
+    tr, te, _ = standardize(tr, te)
+    config = TrainConfig(n_select=4, epochs=6, seed=3, mode=mode, recon_weight=0.0,
+                         learning_rate=0.05)
+    model, _, report = train(tr, config, test=te)
+    assert len(builds) == 1
+    emb = compute_embeddings(tr.X, config.embed_size) if mode == "predictor" else None
+    last_epoch_model = replace(model, selected=picks[-2])  # picks[-1] is the saved selection
+    assert report.records[-1].test_recon_error == reconstruction_error(last_epoch_model, te, emb)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
 @pytest.mark.parametrize("recon_weight", [0.0, 1.0])
 @pytest.mark.parametrize("train_fraction", [0.8, 0.3])
 def test_the_test_split_never_influences_the_optimization(mode, recon_weight, train_fraction):
