@@ -8,9 +8,9 @@ against that tree and against the checkout's own `src/` (uncommitted edits
 included), each in its own empty output directory:
 
     synth --n 60 --d 300 --k-star 5 --seed 3
-    train --epochs 60 --seed 4, three times: predictor mode, dense mode
-        with --use-bias --lambda 0.5, and dense mode at --lambda 0
-    eval and select of each of the three models
+    train --epochs 60 --seed 4, four times: predictor mode, dense mode
+        with --use-bias --lambda 0.5, and both modes at --lambda 0
+    eval and select of each of the four models
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -43,6 +43,7 @@ def command_sequence() -> list[list[str]]:
         "predictor": [],
         "dense": ["--mode", "dense", "--use-bias", "--lambda", "0.5"],
         "dense0": ["--mode", "dense", "--lambda", "0"],
+        "predictor0": ["--lambda", "0"],
     }
     commands = [["synth", "--n", "60", "--d", "300", "--k-star", "5", "--seed", "3", "--out", "syn"]]
     commands += [[*train, *flags, "--out", name] for name, flags in models.items()]

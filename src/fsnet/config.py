@@ -66,8 +66,8 @@ class TrainConfig:
             raise ValueError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not 0.0 <= self.rms_decay < 1.0:
             raise ValueError(f"rms_decay must lie in [0, 1), got {self.rms_decay}")
-        # RMSprop divides by sqrt(mean square) + eps, and a gradient can be
-        # exactly zero (every decoder weight at lambda 0): eps = 0 gives 0/0
+        # a weight between two units that dropout never keeps in the same row
+        # gets a zero gradient, and RMSprop's g / (sqrt(v) + eps) is 0/0 at eps 0
         if not (math.isfinite(self.rms_eps) and self.rms_eps > 0.0):
             raise ValueError(f"rms_eps must be finite and > 0, got {self.rms_eps}")
 

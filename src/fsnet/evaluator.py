@@ -52,10 +52,15 @@ def _hard_scores(
     model: FsNetModel, dataset: Dataset, recon_mat: np.ndarray | None = None
 ) -> tuple[float, float | None]:
     """network.hard_scores of the model on dataset, whose label codes must be
-    the model's: the same label names in the same order."""
+    the model's: the same label names in the same order. Where both name
+    their features, the selected columns must carry the model's names."""
     names, model_names = list(dataset.label_names), list(model.label_names)
     if names != model_names:
         raise ValueError(f"dataset labels {names} are not coded as the model's {model_names}")
+    if dataset.feature_names is not None and model.selected_names is not None:
+        found = [dataset.feature_names[j] for j in model.selected]
+        if found != list(model.selected_names):
+            raise ValueError(f"dataset names the selected columns {found}, the model {model.selected_names}")
     slope = model.config.leaky_slope
     return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, recon_mat)
 

@@ -17,7 +17,8 @@ per block of whole rows of a parameter, of at least RMSPROP_BLOCK elements, so
 its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
-plus `recon_weight` times the summed squared reconstruction error, with the
+plus `recon_weight` times the summed squared reconstruction error (at 0 the
+decoder and recon_w get no gradient, dropout mask or RMSprop step), with the
 soft gate matrix M resampled from fresh Gumbel noise every epoch. Inference
 replaces M with the hard index list S = unique_argmax(M^T): S[k] is the
 feature assigned to gate row k, so x[S] feeds encoder input k as M x did
@@ -215,7 +216,7 @@ class LossPass:
     its tanh is computed in its storage, the recon_w gradient in dense mode.
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
     gates, and grads in FsNetParams.named() order; when recon_weight is 0 the
-    decoder's and recon_w's are zeros, as the tape gives them.
+    decoder's and recon_w's are None, where the tape gives zeros.
 
     Every K x d, n x d and h' x d array the pass reuses, ReconPass's too, is
     a network._flat_view of a named buffer of the dict workspace, with the
@@ -271,13 +272,10 @@ class LossPass:
         g_probs = np.zeros(classifier.output.shape)
         g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
         g_hidden = classifier.backward(g_probs)
+        g_decoder, g_recon_w = params.decoder.map(lambda _: None), None  # unreached at lambda 0
         if lam != 0.0:
             g_hidden = recon.backward(lam) + g_hidden
-            g_recon_w = virtual_grad(recon.g_pre_tanh, emb)
-            g_decoder = recon.decoder.grads
-        else:  # the tape's zero gradients for the leaves the loss does not reach
-            g_decoder = params.decoder.map(np.zeros_like)
-            g_recon_w = np.zeros_like(params.recon_w)
+            g_decoder, g_recon_w = recon.decoder.grads, virtual_grad(recon.g_pre_tanh, emb)
 
         # backward: the encoder, then the selection layer (g_gates ->
         # g_logits -> g_noisy, then g_floored -> g_delta -> g_scores); each
@@ -317,14 +315,16 @@ def rmsprop_step(
     then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
     IEEE step in that order, over blocks of the fewest whole axis-0 rows that
     hold RMSPROP_BLOCK elements (one row when a row is longer), so temporaries
-    are block-sized and the result does not depend on RMSPROP_BLOCK. Returns
+    are block-sized and the result does not depend on RMSPROP_BLOCK. An array
+    whose gradient is None, and its mean square, are left as they are. Returns
     `arrays` and `mean_square`, the same objects, updated."""
     if len(arrays) != len(grads) or len(arrays) != len(mean_square):
         raise ValueError("parameter, gradient, and state lists must align")
-    for w, g, v in zip(arrays, grads, mean_square):
+    stepped = [(w, g, v) for w, g, v in zip(arrays, grads, mean_square) if g is not None]
+    for w, g, v in stepped:
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
-    for w, g, v in zip(arrays, grads, mean_square):
+    for w, g, v in stepped:
         rows = math.ceil(RMSPROP_BLOCK / math.prod(w.shape[1:]))
         for start in range(0, len(w), rows):
             block = slice(start, start + rows)
@@ -363,21 +363,17 @@ def _anneal(
     rng_gumbel = root.derive("gumbel")
     rng_dropout = root.derive("dropout")
     opt = rmsprop_init(params.arrays())
-    need_recon_mat = config.recon_weight > 0.0 or test is not None
-    recon_mat = recon_matrix(params.recon_w, emb) if need_recon_mat else None
+    decodes = config.recon_weight > 0.0  # else the loss does not reach the decoder
+    recon_mat = recon_matrix(params.recon_w, emb) if decodes or test is not None else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
 
     n = dataset.n_samples
-    # one draw per epoch for the encoder's masks, then the decoder's if it runs
-    n_enc = len(config.encoder)
-    mask_widths = config.encoder + config.decoder if config.recon_weight > 0.0 else config.encoder
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
-        masks = _dropout_masks(rng_dropout, n, mask_widths, config.dropout)
-        enc_masks = dec_masks = None
-        if masks is not None:
-            enc_masks, dec_masks = masks[:n_enc], masks[n_enc:]
+        # the encoder's masks, then the decoder's if it runs, from one stream
+        enc_masks = _dropout_masks(rng_dropout, n, config.encoder, config.dropout)
+        dec_masks = _dropout_masks(rng_dropout, n, config.decoder, config.dropout) if decodes else None
 
         # Fresh d-wide arrays each epoch cost more to allocate and fault in
         # than the arithmetic done in them, and freeing them let glibc malloc
@@ -401,7 +397,7 @@ def _anneal(
             config.rms_decay,
             config.rms_eps,
         )
-        if config.recon_weight > 0.0:  # the pass used it up; at lambda 0 recon_w stays put
+        if decodes:  # the pass used it up; at lambda 0 recon_w stays put
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)

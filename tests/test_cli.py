@@ -257,8 +257,9 @@ def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
 
 @pytest.mark.parametrize("eps", ["0", "-1e-8", "nan", "inf"])
 def test_train_rejects_an_rms_eps_that_is_not_finite_and_positive(tmp_path, data_csv, capsys, eps):
-    # at lambda 0 every decoder gradient is exactly 0, so eps = 0 made
-    # RMSprop compute 0/0 and save a model of NaN decoder weights
+    # a weight between two units that dropout never keeps in the same row
+    # gets an exactly zero gradient, and with eps = 0 RMSprop computes 0/0
+    # for it: at 6 rows and dropout 0.2, training diverged at epoch 2
     out = tmp_path / "eps"
     code = main(["train", "--data", data_csv, "--out", str(out), "--k", "2",
                  "--epochs", "2", "--lambda", "0", f"--rms-eps={eps}"])
@@ -331,6 +332,29 @@ def test_eval_scores_with_the_models_label_codes_whatever_the_row_order(tmp_path
     assert reports[0]["accuracy"] == reports[1]["accuracy"]
     recon_errors = [float(report["recon_error"]) for report in reports]
     assert recon_errors[0] == pytest.approx(recon_errors[1], rel=1e-12)
+
+
+def test_eval_rejects_a_table_whose_header_moved_the_selected_columns(tmp_path, capsys):
+    # the same table with its feature columns reversed, header included:
+    # scoring by position would read other features under the model's names
+    data = str(tmp_path / "t")
+    assert main(["synth", "--n", "60", "--d", "30", "--k-star", "3", "--seed", "3", "--out", data]) == 0
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data + ".csv", "--out", out, "--epochs", "20", "--seed", "4"]) == 0
+    lines = Path(data + ".csv").read_text().splitlines()[1:]
+    reversed_csv = tmp_path / "reversed.csv"
+    reversed_csv.write_text(
+        "".join(",".join(cells[-2::-1] + cells[-1:]) + "\n" for cells in (ln.split(",") for ln in lines))
+    )
+    names = load_model(out + ".model").selected_names
+    capsys.readouterr()
+    for path, code in ((data + ".csv", 0), (str(reversed_csv), 2)):
+        argv = ["eval", "--model", out + ".model", "--data", path, "--out", str(tmp_path / Path(path).stem)]
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    moved = [f"f{29 - int(name[1:])}" for name in names]
+    assert str(names) in err and str(moved) in err
+    assert not (tmp_path / "reversed.eval.txt").exists()
 
 
 def test_eval_rejects_a_label_the_model_does_not_know(tmp_path, data_csv, capsys):

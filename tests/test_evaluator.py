@@ -80,6 +80,20 @@ def test_scoring_refuses_labels_coded_unlike_the_model(score):
         score(zero_model(), flipped)
 
 
+@pytest.mark.parametrize("score", [accuracy, reconstruction_error, evaluate])
+def test_scoring_refuses_selected_columns_named_unlike_the_model(score):
+    model = replace(zero_model(), selected_names=["x0", "x1"])
+    names = [f"x{j}" for j in range(6)]
+    moved = replace(toy_dataset(), feature_names=names[::-1])
+    with pytest.raises(ValueError, match=r"\['x5', 'x4'\].*\['x0', 'x1'\]"):
+        score(model, moved)
+    # the same names in place, a table without a header or a model without
+    # names are scored as before
+    score(model, replace(toy_dataset(), feature_names=names))
+    score(model, toy_dataset())
+    score(zero_model(), moved)
+
+
 # ---------------------------------------------------------------- recon
 
 

@@ -96,10 +96,13 @@ def test_rmsprop_in_place_steps_equal_the_out_of_place_formula(w_order, g_order)
 
 def test_blocked_rmsprop_equals_the_out_of_place_formula():
     # parameters of many blocks, of one block, and with rows longer than a
-    # block, against C-ordered and transposed gradients
+    # block, against C-ordered and transposed gradients; a None gradient
+    # (one of many blocks, one of one block) leaves its array and its mean
+    # square as they were
     rng = RngState(37)
     shapes = [(64, 7129), (10, 7129), (64, 7129), (10, 7129), (3 * RMSPROP_BLOCK + 5,), (2, 40000), (2, 16)]
     transposed = [False, False, True, True, False, False, False]
+    unreached = (2, 6)
 
     def gradients():
         return [
@@ -108,14 +111,17 @@ def test_blocked_rmsprop_equals_the_out_of_place_formula():
         ]
 
     w = [rng.normal(shape) for shape in shapes]
+    initial = [a.tobytes() for a in w]
     want_w, want_ms = [a.copy() for a in w], [np.zeros_like(a) for a in w]
     state = rmsprop_init(w)
     for _ in range(3):
-        g = gradients()
+        g = [None if i in unreached else gi for i, gi in enumerate(gradients())]
         rmsprop_step(w, g, state, 1e-2, 0.9, 1e-8)
         want_w, want_ms = rmsprop_reference(want_w, g, want_ms, 1e-2, 0.9, 1e-8)
         for got, want in zip(w + state, want_w + want_ms):
             assert got.tobytes() == want.tobytes()
+        for i in unreached:
+            assert w[i].tobytes() == initial[i] and not state[i].any()
     # the temporaries are sized to a block or to the longest row, not to a
     # parameter (an unblocked step over these shapes peaks near 7.3 MB)
     _, peak = traced_peak(rmsprop_step, w, gradients(), state, 1e-2, 0.9, 1e-8)
@@ -262,10 +268,12 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     assert len(fused.grads) == len(leaves)
     for (name, arr), leaf, g in zip(params.named(), leaves, fused.grads):
         want = gmap[leaf]
+        if recon_weight == 0.0 and (name.startswith("decoder.") or name == "recon_w"):
+            # the loss does not reach these leaves: the tape gives zeros, the pass None
+            assert g is None and want.shape == arr.shape and not want.any(), name
+            continue
         assert (g.shape, g.strides) == (want.shape, want.strides), name
         assert g.tobytes() == want.tobytes(), name
-        if recon_weight == 0.0 and (name.startswith("decoder.") or name == "recon_w"):
-            assert g.shape == arr.shape and not g.any(), name
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
@@ -450,8 +458,12 @@ def test_training_memory_is_the_first_epochs(mode):
     assert peaks[5] <= 1.05 * peaks[1]
 
 
-@pytest.mark.parametrize("mode, train_peak_mib", [("predictor", 16.0), ("dense", 27.2)])
-def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib):
+@pytest.mark.parametrize(
+    "mode, recon_weight, train_peak_mib",
+    [("predictor", 1.0, 16.0), ("dense", 1.0, 27.2), ("dense", 0.0, 18.5)],
+    ids=["predictor-16.0", "dense-27.2", "dense-lambda0-18.5"],
+)
+def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, train_peak_mib):
     # each chain of elementwise steps on a d-wide value runs in one buffer,
     # the gradients through the selection layer's log in the dead floored
     # delta, and the squared error and the reconstruction matrix's gradient
@@ -460,12 +472,14 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib)
     # 3-epoch train() on the benchmark's 58/14 split, with RMSprop in blocks,
     # the monitor in the pass's buffers and the loop's buffers gone before
     # the final selection, peaks at 14.8 and 22.3 MiB of tracemalloc (17.8
-    # and 25.3 with those buffers alive at the final selection)
+    # and 25.3 with those buffers alive at the final selection). At lambda 0
+    # the pass makes no gradient for the decoder and recon_w, which the loss
+    # does not reach: dense mode peaks at 17.1 MiB (23.8 with their zeros)
     data, _ = make_synthetic(72, 7129, 5, 0)
     data, test = split(data, SplitSpec(0.8, 0, True))
     data, test, _ = standardize(data, test)
     assert (data.n_samples, test.n_samples) == (58, 14)
-    config = TrainConfig(n_select=10, epochs=3, seed=0, mode=mode)
+    config = TrainConfig(n_select=10, epochs=3, seed=0, mode=mode, recon_weight=recon_weight)
     arch = Architecture(7129, 10, data.n_classes, config.encoder, config.decoder)
     emb = compute_embeddings(data.X, config.embed_size) if mode == "predictor" else None
     params = init_params(arch, config.embed_size, mode, RngState(1))
@@ -473,7 +487,10 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, train_peak_mib)
     for seed in (2, 3):
         gumbel = RngState(seed).gumbel((10, 7129))
         recon_mat = recon_matrix(params.recon_w, emb)
-        LossPass(params, emb, recon_mat, data.X, data.y, gumbel, 0.5, 1.0, 0.2, None, None, workspace)
+        LossPass(
+            params, emb, recon_mat, data.X, data.y, gumbel, 0.5, recon_weight, 0.2, None, None,
+            workspace,
+        )
     assert sum(buf.nbytes for buf in workspace.values()) <= 10.8 * 2**20
     assert traced_peak(train, data, config, test)[1] <= train_peak_mib * 2**20
 
@@ -505,7 +522,8 @@ def test_the_curve_scores_an_epochs_selection_as_the_evaluator_does(monkeypatch,
     config = TrainConfig(n_select=4, epochs=1, seed=3, mode=mode, learning_rate=0.05)
     model, _, report = train(tr, config, test=te)
     assert len(picks) == 2  # epoch 1's selection, then the saved one
-    epoch_model = replace(model, selected=picks[0])
+    names = [tr.feature_names[j] for j in picks[0]]
+    epoch_model = replace(model, selected=picks[0], selected_names=names)
     emb = compute_embeddings(tr.X, config.embed_size) if mode == "predictor" else None
     record = report.records[0]
     assert record.train_accuracy == accuracy(epoch_model, tr)
@@ -537,8 +555,28 @@ def test_lambda_zero_builds_the_reconstruction_matrix_once(monkeypatch, mode):
     model, _, report = train(tr, config, test=te)
     assert len(builds) == 1
     emb = compute_embeddings(tr.X, config.embed_size) if mode == "predictor" else None
-    last_epoch_model = replace(model, selected=picks[-2])  # picks[-1] is the saved selection
+    last = picks[-2]  # picks[-1] is the saved selection
+    last_epoch_model = replace(model, selected=last, selected_names=[tr.feature_names[j] for j in last])
     assert report.records[-1].test_recon_error == reconstruction_error(last_epoch_model, te, emb)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_lambda_zero_leaves_the_decoder_and_recon_w_as_drawn(mode, use_bias):
+    # the loss does not reach them, so training must not move a byte of them,
+    # also with dropout masks drawn and a test split scored every epoch
+    data, _ = make_synthetic(40, 30, 3, seed=5)
+    tr, te = split(data, SplitSpec(0.7, 0))
+    tr, te, _ = standardize(tr, te)
+    config = TrainConfig(n_select=4, epochs=6, seed=3, mode=mode, recon_weight=0.0, dropout=0.2,
+                         use_bias=use_bias, learning_rate=0.05)
+    model, _, _ = train(tr, config, test=te)
+    drawn = init_params(model.arch, config.embed_size, mode, RngState(3).derive("init"), use_bias)
+    for (name, got), (_, want) in zip(model.params.named(), drawn.named()):
+        if name.startswith("decoder.") or name == "recon_w":
+            assert got.tobytes() == want.tobytes(), name
+        else:  # the arrays the loss reaches did train
+            assert not np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
