@@ -216,11 +216,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.mi_bins < 1:
         raise DataError(f"--mi-bins must be at least 1, got {args.mi_bins}")
     model = load_model(args.model)
-    if args.embed_data and model.config.mode != "predictor":
-        raise DataError(
-            f"--embed-data {args.embed_data}: a {model.config.mode}-mode model"
-            " reads no embedding table"
-        )
+    # only the reconstruction of a predictor-mode model reads an embedding table
+    reads_table = model.config.mode == "predictor" and model.params.recon_w is not None
+    if args.embed_data and not reads_table:
+        kind = "model without a decoder" if model.config.mode == "predictor" else "dense-mode model"
+        raise DataError(f"--embed-data {args.embed_data}: a {kind} reads no embedding table")
     dataset = _load_table(args, args.data, model.arch.n_features)
     # score against the model's label codes, not the file's order of first appearance
     labels = model.label_names
@@ -234,7 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.no_standardize:
         dataset, _, _ = standardize(dataset)
     emb, b = None, model.config.embed_size
-    if model.config.mode == "predictor":  # from --embed-data if given, else from the eval data
+    if reads_table:  # from --embed-data if given, else from the eval data
         emb_path, emb_ds = args.embed_data or args.data, dataset
         if args.embed_data:
             emb_ds = _load_table(args, emb_path, model.arch.n_features)

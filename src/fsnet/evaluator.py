@@ -18,10 +18,10 @@ from .network import Architecture, hard_scores, recon_matrix, trainable_param_co
 @dataclass(frozen=True)
 class EvalReport:
     """The metrics of one evaluation; serializes as flat key-value text, one
-    line per field in field order."""
+    line per field in field order, a None recon_error (no decoder) as the key alone."""
 
     accuracy: float
-    recon_error: float
+    recon_error: float | None
     avg_mi: float
     mi_bins: int
     param_count_predictor: int
@@ -34,13 +34,13 @@ class EvalReport:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
         for name in ("recon_error", "avg_mi"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0.0):
+            if (name, value) != ("recon_error", None) and not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.mi_bins < 1:
             raise ValueError(f"mi_bins must be at least 1, got {self.mi_bins}")
 
     def lines(self) -> list[str]:
-        return [f"{key} {cell}" for key, cell in record_cells(self).items()]
+        return [f"{key} {cell}".rstrip() for key, cell in record_cells(self).items()]
 
     def save(self, path: str, manifest_ref: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -70,8 +70,9 @@ def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     return _hard_scores(model, dataset)[0]
 
 
-def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float:
-    """Mean squared reconstruction error per sample on the hard-selection path.
+def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float | None:
+    """Mean squared reconstruction error per sample on the hard-selection
+    path, or None for a model without a decoder (trained at recon_weight 0).
 
     Predictor-mode models need a feature embedding table to realize their
     virtual reconstruction weights; when none is passed it is recomputed from
@@ -80,9 +81,11 @@ def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | 
     return _scores(model, dataset, emb)[1]
 
 
-def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tuple[float, float]:
+def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tuple[float, float | None]:
     """The accuracy and the reconstruction error of one hard-selection pass,
     the virtual weights realized as reconstruction_error documents."""
+    if model.params.recon_w is None:
+        return _hard_scores(model, dataset)
     if model.config.mode == "dense":
         emb = None
     elif emb is None:
@@ -127,35 +130,26 @@ def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -
 
 
 def _size_probe_model(
-    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False
+    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False, decodes: bool = True
 ) -> FsNetModel:
     config = TrainConfig(
-        n_select=arch.n_select,
-        embed_size=embed_size,
-        mode=mode,
-        encoder=arch.encoder,
-        decoder=arch.decoder,
-        use_bias=use_bias,
-        seed=seed,
+        n_select=arch.n_select, embed_size=embed_size, mode=mode, encoder=arch.encoder,
+        decoder=arch.decoder, use_bias=use_bias, seed=seed, recon_weight=1.0 if decodes else 0.0,
     )
-    return FsNetModel(
-        config=config,
-        arch=arch,
-        params=zeros_params(arch, embed_size, mode, use_bias),
-        selected=list(range(arch.n_select)),
-        label_names=[f"c{i}" for i in range(arch.n_classes)],
-    )
+    params = zeros_params(arch, embed_size, mode, use_bias, decodes)
+    labels = [f"c{i}" for i in range(arch.n_classes)]
+    return FsNetModel(config, arch, params, list(range(arch.n_select)), labels)
 
 
 def measured_compression_ratio(
-    arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False
+    arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False, decodes: bool = True
 ) -> float:
     """Saved-size ratio dense/predictor for twin models, with or without
-    biases, as the byte counts of the files save_model would write, without
-    touching the disk. saved_size reads only shapes and header fields, so
+    biases and the decoder, as the byte counts of the files save_model would
+    write, without touching the disk. saved_size reads only shapes and header fields, so
     the probes hold zero weights; the seed still goes into their headers."""
     sizes = {
-        mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias))
+        mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias, decodes))
         for mode in ("predictor", "dense")
     }
     return sizes["dense"] / sizes["predictor"]
@@ -167,7 +161,8 @@ def evaluate(
     emb: np.ndarray | None = None,
     mi_bins: int = 10,
 ) -> EvalReport:
-    """All report metrics for one (model, dataset) pair.
+    """All report metrics for one (model, dataset) pair; the parameter counts
+    and compression ratios count the arrays the model holds.
 
     A single selected feature has no pairs, so avg_mi degenerates to 0.
     """
@@ -181,9 +176,10 @@ def evaluate(
         else 0.0
     )
     arch, b, bias = model.arch, model.config.embed_size, model.config.use_bias
+    decodes = model.params.recon_w is not None
     acc, recon_error = _scores(model, dataset, emb)
-    predictor = trainable_param_count(arch, b, "predictor", bias)
-    dense = trainable_param_count(arch, b, "dense", bias)
+    predictor = trainable_param_count(arch, b, "predictor", bias, decodes)
+    dense = trainable_param_count(arch, b, "dense", bias, decodes)
     return EvalReport(
         accuracy=acc,
         recon_error=recon_error,
@@ -192,5 +188,5 @@ def evaluate(
         param_count_predictor=predictor,
         param_count_dense=dense,
         compression_ratio=dense / predictor,
-        measured_compression_ratio=measured_compression_ratio(arch, b, model.config.seed, bias),
+        measured_compression_ratio=measured_compression_ratio(arch, b, model.config.seed, bias, decodes),
     )

@@ -5,8 +5,9 @@ header (training config, architecture, binning convention, class labels,
 selected features), then one named block per weight array with its shape,
 then an end marker. Each weight row is one line holding the base64 of its
 little-endian float64 bytes, so every weight round-trips bit-exactly through
-save/load. Version 1 files, which wrote each weight as a 17-significant-digit
-decimal, still load.
+save/load. Version 3 lists the arrays the model holds: at recon_weight 0, no
+decoder or recon_w. Versions 1 (17-significant-digit decimals) and 2 list
+them at every recon_weight and still load; at 0 those rows are checked, then dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import TrainConfig
 from .network import Architecture, FsNetParams, zeros_params
 
 MAGIC = "fsnet-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 BINNING = "equal-width"
 
 
@@ -55,6 +56,8 @@ class FsNetModel:
             raise ValueError("label_names must have one entry per class")
         if self.selected_names is not None and len(self.selected_names) != len(self.selected):
             raise ValueError("selected_names must align with selected indices")
+        if (self.params.recon_w is not None) != (self.config.recon_weight > 0.0):
+            raise ValueError("the params must hold a decoder exactly when recon_weight > 0")
 
 
 def record_cells(record) -> dict[str, str]:
@@ -147,7 +150,7 @@ def _header_list(line: str, key: str, kind: type, nullable: bool = False) -> lis
 
 def _parse_row(line: str, version: int, name: str, index: int, row_len: int) -> np.ndarray:
     """Row `index` of a weight array: the base64 of its little-endian float64
-    bytes in version 2, space-separated decimals in version 1; every value finite."""
+    bytes from version 2 on, space-separated decimals in version 1; every value finite."""
     try:
         if version == 1:
             row = np.array(line.split(), dtype=np.float64)
@@ -182,7 +185,7 @@ def load_model(path: str) -> FsNetModel:
 def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     """The model in the lines next_line() returns in turn, checked as they are read."""
     magic = next_line()
-    versions = {f"{MAGIC} v{v}": v for v in (1, FORMAT_VERSION)}
+    versions = {f"{MAGIC} v{v}": v for v in (1, 2, FORMAT_VERSION)}
     _expect(
         magic in versions,
         f"unrecognized model header {magic!r} (expected one of {list(versions)})",
@@ -213,14 +216,17 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     label_names = _header_list(next_line(), "labels", str)
     selected = _header_list(next_line(), "selected", int)
     selected_names = _header_list(next_line(), "selected_names", str, nullable=True)
-    template = zeros_params(arch, config.embed_size, config.mode, config.use_bias)
+    decodes = config.recon_weight > 0.0
+    template = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes)
     try:  # checked at the last header it reads; the weights replace the template
         model = FsNetModel(config, arch, template, selected, label_names, selected_names)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model contents: {exc}") from None
 
     n_arrays = _header_value(next_line(), "arrays")
-    expected = template.named()
+    # before v3 a file lists the decoder and recon_w, last, at every recon_weight
+    listed = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes or version < 3)
+    expected = listed.named()
     _expect(
         n_arrays == len(expected),
         f"file lists {n_arrays} arrays, architecture requires {len(expected)}",
@@ -245,5 +251,5 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
         arrays.append(np.vstack(rows).reshape(shape))
     _expect(next_line() == f"end {MAGIC}", "missing end marker")
 
-    model.params = template.replace_arrays(arrays)
+    model.params = template.replace_arrays(arrays[: len(template.named())])
     return model

@@ -82,21 +82,24 @@ class FsNetParams:
     """Every trainable array of the model, in a fixed order.
 
     select_w and recon_w are (K, b) and (h', b) in predictor mode; in dense
-    mode they address features directly and are (K, d) and (h', d). named()
-    is the order that model files, gradients and optimizer slots follow, and
-    map() rebuilds the structure in that order; both compose the stacks' own.
+    mode they address features directly and are (K, d) and (h', d). Where the
+    loss cannot reach them (recon_weight 0), the decoder is empty and recon_w
+    None. named() is the order that model files, gradients and optimizer slots
+    follow, and map() rebuilds the structure in that order; both compose the
+    stacks' own.
     """
 
     select_w: np.ndarray
     encoder: DenseStack
     classifier: DenseStack
     decoder: DenseStack
-    recon_w: np.ndarray
+    recon_w: np.ndarray | None
 
     def named(self) -> list[tuple[str, np.ndarray]]:
         stacks = self.encoder.named("encoder") + self.classifier.named("classifier")
         stacks += self.decoder.named("decoder")
-        return [("select_w", self.select_w), *stacks, ("recon_w", self.recon_w)]
+        recon = [] if self.recon_w is None else [("recon_w", self.recon_w)]
+        return [("select_w", self.select_w), *stacks, *recon]
 
     def arrays(self) -> list[np.ndarray]:
         return [arr for _, arr in self.named()]
@@ -106,7 +109,7 @@ class FsNetParams:
         in named() order."""
         select_w = fn(self.select_w)
         stacks = [s.map(fn) for s in (self.encoder, self.classifier, self.decoder)]
-        return FsNetParams(select_w, *stacks, fn(self.recon_w))
+        return FsNetParams(select_w, *stacks, None if self.recon_w is None else fn(self.recon_w))
 
     def replace_arrays(self, arrays: list[np.ndarray]) -> "FsNetParams":
         """Same structure with new values, in named() order."""
@@ -126,10 +129,11 @@ class FsNetParams:
 
 
 def zeros_params(
-    arch: Architecture, embed_size: int, mode: str, use_bias: bool = False
+    arch: Architecture, embed_size: int, mode: str, use_bias: bool = False, decodes: bool = True
 ) -> FsNetParams:
     """All-zero parameters in FsNetParams.named() layout: the one list of the
-    layers and their shapes. Weights are (out, in); biases, if any, (out,)."""
+    layers and their shapes. Weights are (out, in); biases, if any, (out,).
+    Unless `decodes`, the decoder is empty and recon_w None."""
     if mode not in ("predictor", "dense"):
         raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
     width = embed_size if mode == "predictor" else arch.n_features
@@ -142,32 +146,32 @@ def zeros_params(
         np.zeros((arch.n_select, width)),
         stack([arch.n_select, *arch.encoder]),
         stack([arch.hidden_width, arch.n_classes]),
-        stack([arch.hidden_width, *arch.decoder]),
-        np.zeros((arch.recon_width, width)),
+        stack([arch.hidden_width, *arch.decoder] if decodes else []),
+        np.zeros((arch.recon_width, width)) if decodes else None,
     )
 
 
 def init_params(
-    arch: Architecture,
-    embed_size: int,
-    mode: str,
-    rng: RngState,
-    use_bias: bool = False,
+    arch: Architecture, embed_size: int, mode: str, rng: RngState, use_bias: bool = False,
+    decodes: bool = True,
 ) -> FsNetParams:
     """zeros_params with Glorot-uniform weights, drawn in named() order so a
-    seed pins the model."""
+    seed pins the model; the decoder and recon_w come last, so one without
+    them holds the first arrays of one with them."""
 
     def glorot(a: np.ndarray) -> np.ndarray:
         if a.ndim == 1:  # a bias stays zero
             return a
         return (rng.uniform(a.shape) * 2.0 - 1.0) * np.sqrt(6.0 / sum(a.shape))  # out + in
 
-    return zeros_params(arch, embed_size, mode, use_bias).map(glorot)
+    return zeros_params(arch, embed_size, mode, use_bias, decodes).map(glorot)
 
 
-def trainable_param_count(arch: Architecture, embed_size: int, mode: str, use_bias: bool = False) -> int:
-    """Total trainable parameters for either weight-provenance mode."""
-    return sum(arr.size for arr in zeros_params(arch, embed_size, mode, use_bias).arrays())
+def trainable_param_count(
+    arch: Architecture, embed_size: int, mode: str, use_bias: bool = False, decodes: bool = True
+) -> int:
+    """Total trainable parameters: the size of zeros_params of the same arguments."""
+    return sum(arr.size for arr in zeros_params(arch, embed_size, mode, use_bias, decodes).arrays())
 
 
 class StackPass:

@@ -17,9 +17,10 @@ per block of whole rows of a parameter, of at least RMSPROP_BLOCK elements, so
 its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
-plus `recon_weight` times the summed squared reconstruction error (at 0 the
-decoder and recon_w get no gradient, dropout mask or RMSprop step), with the
-soft gate matrix M resampled from fresh Gumbel noise every epoch. Inference
+plus `recon_weight` times the summed squared reconstruction error, with the
+soft gate matrix M resampled from fresh Gumbel noise every epoch. At
+recon_weight 0 the loss would not reach the decoder and recon_w, so the
+model holds neither and the curve has no test_recon_error. Inference
 replaces M with the hard index list S = unique_argmax(M^T): S[k] is the
 feature assigned to gate row k, so x[S] feeds encoder input k as M x did
 (network.hard_scores). Each epoch's curve scores the S of that epoch's M;
@@ -215,8 +216,9 @@ class LossPass:
     can share it. When recon_weight > 0 the pass uses it up: the backward of
     its tanh is computed in its storage, the recon_w gradient in dense mode.
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
-    gates, and grads in FsNetParams.named() order; when recon_weight is 0 the
-    decoder's and recon_w's are None, where the tape gives zeros.
+    gates, and grads in params.named() order. At recon_weight 0 params hold
+    no decoder and no recon_w (init_params(..., decodes=False)), and
+    recon_mat is None.
 
     Every K x d, n x d and h' x d array the pass reuses, ReconPass's too, is
     a network._flat_view of a named buffer of the dict workspace, with the
@@ -272,7 +274,7 @@ class LossPass:
         g_probs = np.zeros(classifier.output.shape)
         g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
         g_hidden = classifier.backward(g_probs)
-        g_decoder, g_recon_w = params.decoder.map(lambda _: None), None  # unreached at lambda 0
+        g_decoder, g_recon_w = params.decoder, None  # the empty decoder at lambda 0
         if lam != 0.0:
             g_hidden = recon.backward(lam) + g_hidden
             g_decoder, g_recon_w = recon.decoder.grads, virtual_grad(recon.g_pre_tanh, emb)
@@ -315,16 +317,14 @@ def rmsprop_step(
     then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
     IEEE step in that order, over blocks of the fewest whole axis-0 rows that
     hold RMSPROP_BLOCK elements (one row when a row is longer), so temporaries
-    are block-sized and the result does not depend on RMSPROP_BLOCK. An array
-    whose gradient is None, and its mean square, are left as they are. Returns
+    are block-sized and the result does not depend on RMSPROP_BLOCK. Returns
     `arrays` and `mean_square`, the same objects, updated."""
     if len(arrays) != len(grads) or len(arrays) != len(mean_square):
         raise ValueError("parameter, gradient, and state lists must align")
-    stepped = [(w, g, v) for w, g, v in zip(arrays, grads, mean_square) if g is not None]
-    for w, g, v in stepped:
+    for w, g, v in zip(arrays, grads, mean_square):
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
-    for w, g, v in stepped:
+    for w, g, v in zip(arrays, grads, mean_square):
         rows = math.ceil(RMSPROP_BLOCK / math.prod(w.shape[1:]))
         for start in range(0, len(w), rows):
             block = slice(start, start + rows)
@@ -363,8 +363,8 @@ def _anneal(
     rng_gumbel = root.derive("gumbel")
     rng_dropout = root.derive("dropout")
     opt = rmsprop_init(params.arrays())
-    decodes = config.recon_weight > 0.0  # else the loss does not reach the decoder
-    recon_mat = recon_matrix(params.recon_w, emb) if decodes or test is not None else None
+    decodes = params.recon_w is not None  # train() leaves it out at recon_weight 0
+    recon_mat = recon_matrix(params.recon_w, emb) if decodes else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
 
     n = dataset.n_samples
@@ -390,14 +390,9 @@ def _anneal(
                 f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
             )
         rmsprop_step(  # updates params' arrays in place
-            params.arrays(),
-            step.grads,
-            opt,
-            config.learning_rate,
-            config.rms_decay,
-            config.rms_eps,
+            params.arrays(), step.grads, opt, config.learning_rate, config.rms_decay, config.rms_eps
         )
-        if decodes:  # the pass used it up; at lambda 0 recon_w stays put
+        if decodes:  # the pass used it up
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)
@@ -447,12 +442,9 @@ def train(
             )
 
     root = RngState(config.seed)
-    emb = (
-        compute_embeddings(dataset.X, config.embed_size)
-        if config.mode == "predictor"
-        else None
-    )
-    params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias)
+    emb = compute_embeddings(dataset.X, config.embed_size) if config.mode == "predictor" else None
+    decodes = config.recon_weight > 0.0  # else the loss does not reach the decoder and recon_w
+    params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias, decodes)
     records = _anneal(params, emb, dataset, test, config, root)
 
     final_state = selection_weights(params, emb, config.tau_end)

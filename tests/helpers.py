@@ -305,14 +305,9 @@ def hard_scores_reference(params, emb, X, y, selected, slope):
 
 def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
     """One RMSprop step as fresh arrays, leaving its inputs untouched:
-    (new arrays, new mean squares). A None gradient keeps its array and mean
-    square."""
+    (new arrays, new mean squares)."""
     new_arrays, new_ms = [], []
     for w, g, v in zip(arrays, grads, mean_square):
-        if g is None:
-            new_arrays.append(w)
-            new_ms.append(v)
-            continue
         v2 = decay * v + (1.0 - decay) * g * g
         new_arrays.append(w - learning_rate * g / (np.sqrt(v2) + eps))
         new_ms.append(v2)

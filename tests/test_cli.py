@@ -483,6 +483,26 @@ def test_eval_embed_data_is_standardized_like_the_eval_data(tmp_path, data_csv, 
     assert recon[0] == recon[1]
 
 
+def test_a_lambda_zero_predictor_model_is_scored_without_an_embedding_table(tmp_path, data_csv, capsys):
+    # it holds no decoder and no recon_w, and the rest of its scoring reads no
+    # table: a table shorter than embed_size scores, the report's recon_error
+    # is the key alone, and --embed-data is refused as for a dense model
+    out = str(tmp_path / "m")
+    train = ["train", "--data", data_csv, "--out", out, "--k", "2", "--lambda", "0", "--epochs", "5"]
+    assert main([*train, "--seed", "1"]) == 0
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(Path(data_csv).read_text().splitlines()[:6]) + "\n")  # 5 rows
+    capsys.readouterr()
+    argv = ["eval", "--model", out + ".model", "--data", str(small), "--out", str(tmp_path / "e")]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    saved = (tmp_path / "e.eval.txt").read_text().splitlines()[1:]
+    assert saved == stdout[: len(REPORT_KEYS)] and saved[1] == "recon_error"
+    assert main([*argv, "--embed-data", data_csv]) == 2
+    err = capsys.readouterr().err
+    assert f"--embed-data {data_csv}: a model without a decoder reads no embedding table" in err
+
+
 def test_eval_rejects_embed_data_for_a_dense_model(tmp_path, data_csv, capsys):
     # a dense-mode model reads no embedding table, so naming one is an error,
     # not an input to record

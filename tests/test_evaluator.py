@@ -19,7 +19,7 @@ from fsnet.evaluator import (
     mutual_information,
     reconstruction_error,
 )
-from fsnet.model import FsNetModel, model_lines, save_model
+from fsnet.model import FsNetModel, model_lines, save_model, saved_size
 from fsnet.network import (
     Architecture,
     StackPass,
@@ -31,15 +31,15 @@ from fsnet.rng import RngState
 from helpers import REPORT_KEYS, compression_ratio
 
 
-def zero_model(d=6, k=2, n_classes=2, b=3, mode="predictor"):
+def zero_model(d=6, k=2, n_classes=2, b=3, mode="predictor", recon_weight=1.0):
     arch = Architecture(d, k, n_classes, encoder=(4, 3), decoder=(3, 4))
     config = TrainConfig(
-        n_select=k, embed_size=b, mode=mode, encoder=(4, 3), decoder=(3, 4)
+        n_select=k, embed_size=b, mode=mode, encoder=(4, 3), decoder=(3, 4), recon_weight=recon_weight
     )
     return FsNetModel(
         config=config,
         arch=arch,
-        params=zeros_params(arch, b, mode),
+        params=zeros_params(arch, b, mode, decodes=recon_weight > 0.0),
         selected=list(range(k)),
         label_names=[f"c{i}" for i in range(n_classes)],
     )
@@ -305,6 +305,8 @@ def test_report_rejects_out_of_range_metrics():
                 EvalReport(**{**kwargs, name: bad})
     with pytest.raises(ValueError, match="mi_bins"):
         EvalReport(**{**kwargs, "mi_bins": 0})
+    # a model without a decoder has no recon_error: the key alone
+    assert EvalReport(**{**kwargs, "recon_error": None}).lines()[1] == "recon_error"
 
 
 def test_report_save_with_manifest_reference(tmp_path):
@@ -325,6 +327,24 @@ def test_evaluate_end_to_end_consistency():
     assert report.param_count_predictor == trainable_param_count(model.arch, 3, "predictor")
     assert report.param_count_dense == trainable_param_count(model.arch, 3, "dense")
     assert report.compression_ratio == compression_ratio(model.arch, 6, 3)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_a_model_without_a_decoder_reports_what_it_holds(monkeypatch, mode):
+    # no reconstruction error, and counts and ratios of the arrays a model
+    # trained at recon_weight 0 holds; no embedding table is computed
+    monkeypatch.setattr("fsnet.evaluator.compute_embeddings", None)
+    model, ds = zero_model(mode=mode, recon_weight=0.0), toy_dataset(8)
+    report = evaluate(model, ds)
+    assert report.recon_error is None and reconstruction_error(model, ds) is None
+    assert report.accuracy == accuracy(model, ds)
+    assert report.lines()[1] == "recon_error"
+    count = {m: trainable_param_count(model.arch, 3, m, decodes=False) for m in ("predictor", "dense")}
+    assert (report.param_count_predictor, report.param_count_dense) == (count["predictor"], count["dense"])
+    assert report.compression_ratio == count["dense"] / count["predictor"]
+    assert report.measured_compression_ratio == measured_compression_ratio(model.arch, 3, decodes=False)
+    # the probe of the model's own mode is the file the model saves
+    assert saved_size(_size_probe_model(model.arch, 3, mode, 0, decodes=False)) == saved_size(model)
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])

@@ -21,8 +21,10 @@ from fsnet.model import (
 from fsnet.network import Architecture, init_params
 from fsnet.rng import RngState
 
+FIXTURES = Path(__file__).parent / "fixtures"
 
-def tiny_model(mode="predictor", use_bias=False, seed=0):
+
+def tiny_model(mode="predictor", use_bias=False, seed=0, recon_weight=1.0):
     cfg = TrainConfig(
         n_select=3,
         embed_size=4,
@@ -32,6 +34,7 @@ def tiny_model(mode="predictor", use_bias=False, seed=0):
         decoder=(4, 6),
         use_bias=use_bias,
         seed=seed,
+        recon_weight=recon_weight,
     )
     arch = Architecture(
         n_features=12,
@@ -40,7 +43,7 @@ def tiny_model(mode="predictor", use_bias=False, seed=0):
         encoder=cfg.encoder,
         decoder=cfg.decoder,
     )
-    params = init_params(arch, cfg.embed_size, mode, RngState(seed), use_bias)
+    params = init_params(arch, cfg.embed_size, mode, RngState(seed), use_bias, recon_weight > 0.0)
     return FsNetModel(cfg, arch, params, [4, 0, 7], ["neg", "pos"], ["f4", "f0", "f7"])
 
 
@@ -59,6 +62,12 @@ def test_model_validation():
         FsNetModel(m.config, m.arch, m.params, [1, 2, 3], ["only"])
     with pytest.raises(ValueError, match="selected_names"):
         FsNetModel(m.config, m.arch, m.params, [1, 2, 3], m.label_names, ["f1"])
+    # a model holds the decoder and recon_w exactly when its loss reaches them
+    without = tiny_model(recon_weight=0.0)
+    with pytest.raises(ValueError, match="decoder"):
+        FsNetModel(without.config, m.arch, m.params, [1, 2, 3], m.label_names)
+    with pytest.raises(ValueError, match="decoder"):
+        FsNetModel(m.config, m.arch, without.params, [1, 2, 3], m.label_names)
 
 
 # ---------------------------------------------------------------- round trip
@@ -90,17 +99,23 @@ def save_v1(model, path):
 
 
 def assert_same_weights(a, b):
-    for (na, wa), (nb, wb) in zip(a.params.named(), b.params.named()):
+    for (na, wa), (nb, wb) in zip(a.params.named(), b.params.named(), strict=True):
         assert na == nb
         assert wa.tobytes() == wb.tobytes(), na
         assert wb.flags.writeable and wb.flags.c_contiguous, nb
 
 
-@pytest.mark.parametrize("mode,use_bias", [("predictor", False), ("dense", True)])
-def test_round_trip_bit_exact(tmp_path, mode, use_bias):
-    model = tiny_model(mode=mode, use_bias=use_bias)
+@pytest.mark.parametrize(
+    "mode,use_bias,recon_weight", [("predictor", False, 1.0), ("dense", True, 1.0), ("dense", True, 0.0)]
+)
+def test_round_trip_bit_exact(tmp_path, mode, use_bias, recon_weight):
+    model = tiny_model(mode=mode, use_bias=use_bias, recon_weight=recon_weight)
     path = str(tmp_path / "m.model")
     save_model(model, path)
+    blocks = [line.split()[1] for line in Path(path).read_text().splitlines() if line.startswith("array ")]
+    assert blocks == [name for name, _ in model.params.named()]
+    # at lambda 0 the file holds no decoder.* or recon_w block
+    assert any(name.startswith("decoder.") or name == "recon_w" for name in blocks) == (recon_weight > 0)
     again = load_model(path)
     assert again.config == model.config
     assert again.arch == model.arch
@@ -144,7 +159,7 @@ def test_an_edge_value_loads_bit_exactly_from_either_version(tmp_path, value):
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
-@pytest.mark.parametrize("save", [save_v1, save_model], ids=["v1", "v2"])
+@pytest.mark.parametrize("save", [save_v1, save_model], ids=["v1", "v3"])
 def test_load_rejects_a_non_finite_weight(tmp_path, save, value):
     model = tiny_model()
     model.params.encoder.weights[0][2, 1] = value
@@ -154,14 +169,64 @@ def test_load_rejects_a_non_finite_weight(tmp_path, save, value):
         load_model(path)
 
 
-def test_version_2_bytes_are_pinned(tmp_path):
-    """The v2 bytes of tiny_model(). A change to the row encoding, the header
+def test_version_3_bytes_are_pinned(tmp_path):
+    """The v3 bytes of tiny_model(). A change to the row encoding, the header
     lines or tiny_model's weights moves this digest; one that changes what an
-    existing file means also bumps FORMAT_VERSION."""
+    existing file means also bumps FORMAT_VERSION. At recon_weight > 0, v3
+    differs from the v2 file of the same model in the magic line alone."""
     path = tmp_path / "m.model"
     save_model(tiny_model(), str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "45c2a53cb3e9f5c93a1851c22782d4762cd524ef5d84dc545bc3b22bd472d157"
+    assert digest == "aa2a4f2afa994cb5175d3bad114071d316db8e35b62b148453319501e8d42a8a"
+    v2 = (FIXTURES / "v2-predictor.model").read_text()
+    assert path.read_text() == v2.replace("fsnet-model v2\n", "fsnet-model v3\n", 1)
+
+
+# Written by the version 2 writer from tiny_model()'s arrays; the lambda-0
+# file also lists the decoder and recon_w, as version 2 did at every
+# recon_weight
+V2_FIXTURES = {
+    "v2-predictor.model": dict(mode="predictor", use_bias=False, recon_weight=1.0),
+    "v2-dense-lambda0.model": dict(mode="dense", use_bias=True, recon_weight=0.0),
+}
+
+
+@pytest.mark.parametrize("name", V2_FIXTURES)
+def test_a_version_2_file_loads_bit_exactly(name):
+    model = tiny_model(**V2_FIXTURES[name])
+    again = load_model(str(FIXTURES / name))
+    assert (again.config, again.arch, again.selected) == (model.config, model.arch, model.selected)
+    assert (again.label_names, again.selected_names) == (model.label_names, model.selected_names)
+    assert_same_weights(model, again)  # at lambda 0, without the decoder and recon_w
+
+
+def test_a_version_2_lambda_zero_file_has_its_decoder_rows_checked(tmp_path):
+    # the rows load drops are still read and checked first
+    lines = (FIXTURES / "v2-dense-lambda0.model").read_text().split("\n")
+    at = lines.index("array decoder.1 6 4") + 3  # row 2 of decoder.1, at line at + 1
+    lines[at] = _encoded(np.array([1.0, np.inf, 0.0, 2.0]))
+    path = tmp_path / "m.model"
+    path.write_text("\n".join(lines))
+    message = f"line {at + 1}: array 'decoder.1': row 2 holds a non-finite value"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("arrays_line", ["arrays 12", "arrays 7"], ids=["count-12", "count-7"])
+def test_a_version_3_lambda_zero_file_that_lists_the_decoder_is_refused(tmp_path, arrays_line):
+    # v2's lambda-0 layout under a v3 magic line: refused at the array count,
+    # or, with the count of the arrays the model holds, at the first decoder block
+    lines = (FIXTURES / "v2-dense-lambda0.model").read_text().split("\n")
+    lines[0] = "fsnet-model v3"
+    lines[lines.index("arrays 12")] = arrays_line
+    path = tmp_path / "m.model"
+    path.write_text("\n".join(lines))
+    if arrays_line == "arrays 12":
+        at, message = lines.index(arrays_line), "file lists 12 arrays, architecture requires 7"
+    else:
+        at, message = lines.index("array decoder.0 4 4"), "missing end marker"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: line {at + 1}: {message}"):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
@@ -209,7 +274,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_load_rejects_future_version(tmp_path):
-    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v3"))
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v4"))
     with pytest.raises(ModelFormatError, match="unrecognized"):
         load_model(path)
 

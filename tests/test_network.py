@@ -392,6 +392,35 @@ def test_map_visits_arrays_in_named_order(mode, use_bias, part):
         assert [(n, id(a)) for n, a in in_params] == [(n, id(a)) for n, a in named(tree)]
 
 
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_a_tree_without_a_decoder_holds_the_first_arrays_of_one_with_it(mode, use_bias):
+    # the decoder and recon_w come last in named() order, which is the draw
+    # order, so leaving them out keeps the bytes of every other array
+    full = init_params(DEFAULT, 10, mode, RngState(9), use_bias)
+    head = init_params(DEFAULT, 10, mode, RngState(9), use_bias, decodes=False)
+    assert head.recon_w is None and head.decoder.weights == []
+    assert head.decoder.biases == ([] if use_bias else None)
+    kept = full.named()[: len(head.named())]
+    dropped = [n for n, _ in full.named()[len(kept):]]
+    assert dropped == [n for n, _ in full.decoder.named("decoder")] + ["recon_w"]
+    assert [(n, a.tobytes()) for n, a in head.named()] == [(n, a.tobytes()) for n, a in kept]
+    zero = zeros_params(DEFAULT, 10, mode, use_bias, decodes=False)
+    assert [(n, a.shape) for n, a in zero.named()] == [(n, a.shape) for n, a in head.named()]
+    assert head.map(np.copy).recon_w is None
+    assert head.replace_arrays(zero.arrays()).recon_w is None
+    count = trainable_param_count(DEFAULT, 10, mode, use_bias, decodes=False)
+    assert count == sum(a.size for a in head.arrays())
+
+
+def test_counts_without_the_decoder():
+    # select_w, the encoder (640 + 2048 + 512) and the head (32), without the
+    # decoder (512 + 2048) and recon_w (64 x b or 64 x d)
+    arch = Architecture(n_features=500, n_select=10, n_classes=2)
+    assert trainable_param_count(arch, 10, "predictor", decodes=False) == 100 + 3200 + 32
+    assert trainable_param_count(arch, 10, "dense", decodes=False) == 5000 + 3200 + 32
+
+
 def test_replace_arrays_checks_shapes():
     params = zeros_params(DEFAULT, 10, "predictor")
     arrays = params.arrays()

@@ -1,5 +1,6 @@
 """Training loop: loss, optimizer, annealed gate sampling and reporting."""
 
+import hashlib
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import accuracy, reconstruction_error
+from fsnet.model import record_cells
 from fsnet.network import (
     Architecture,
     init_params,
@@ -96,13 +98,10 @@ def test_rmsprop_in_place_steps_equal_the_out_of_place_formula(w_order, g_order)
 
 def test_blocked_rmsprop_equals_the_out_of_place_formula():
     # parameters of many blocks, of one block, and with rows longer than a
-    # block, against C-ordered and transposed gradients; a None gradient
-    # (one of many blocks, one of one block) leaves its array and its mean
-    # square as they were
+    # block, against C-ordered and transposed gradients
     rng = RngState(37)
     shapes = [(64, 7129), (10, 7129), (64, 7129), (10, 7129), (3 * RMSPROP_BLOCK + 5,), (2, 40000), (2, 16)]
     transposed = [False, False, True, True, False, False, False]
-    unreached = (2, 6)
 
     def gradients():
         return [
@@ -111,17 +110,14 @@ def test_blocked_rmsprop_equals_the_out_of_place_formula():
         ]
 
     w = [rng.normal(shape) for shape in shapes]
-    initial = [a.tobytes() for a in w]
     want_w, want_ms = [a.copy() for a in w], [np.zeros_like(a) for a in w]
     state = rmsprop_init(w)
     for _ in range(3):
-        g = [None if i in unreached else gi for i, gi in enumerate(gradients())]
+        g = gradients()
         rmsprop_step(w, g, state, 1e-2, 0.9, 1e-8)
         want_w, want_ms = rmsprop_reference(want_w, g, want_ms, 1e-2, 0.9, 1e-8)
         for got, want in zip(w + state, want_w + want_ms):
             assert got.tobytes() == want.tobytes()
-        for i in unreached:
-            assert w[i].tobytes() == initial[i] and not state[i].any()
     # the temporaries are sized to a block or to the longest row, not to a
     # parameter (an unblocked step over these shapes peaks near 7.3 MB)
     _, peak = traced_peak(rmsprop_step, w, gradients(), state, 1e-2, 0.9, 1e-8)
@@ -240,7 +236,8 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     y = np.arange(n) % 2
     emb = compute_embeddings(X, b) if mode == "predictor" else None
     arch = Architecture(d, k, 2, encoder=(6, 4), decoder=(4, 6))
-    params = init_params(arch, b, mode, RngState(22), use_bias)
+    decodes = recon_weight > 0.0  # else the model holds no decoder and no recon_w
+    params = init_params(arch, b, mode, RngState(22), use_bias, decodes)
     gumbel = RngState(23).gumbel((k, d))
     enc_masks = _dropout_masks(RngState(24), n, arch.encoder, dropout)
     dec_masks = _dropout_masks(RngState(25), n, arch.decoder, dropout)
@@ -251,11 +248,11 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     gmap = grad(tape, loss)
     workspace = {}
     if reused:
-        first = init_params(arch, b, mode, RngState(32), use_bias)
+        first = init_params(arch, b, mode, RngState(32), use_bias, decodes)
         first_args = (X, y, RngState(33).gumbel((k, d)), 0.3) + args[4:]
-        LossPass(first, emb, recon_matrix(first.recon_w, emb), *first_args, workspace)
+        LossPass(first, emb, recon_matrix(first.recon_w, emb) if decodes else None, *first_args, workspace)
         buffers = dict(workspace)
-    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb), *args, workspace)
+    fused = LossPass(params, emb, recon_matrix(params.recon_w, emb) if decodes else None, *args, workspace)
     if reused:  # the second pass wrote into the first one's buffers
         assert workspace.keys() == buffers.keys()
         assert all(workspace[name] is buf for name, buf in buffers.items())
@@ -265,13 +262,9 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     recon = nodes["recon_loss"]
     assert float(fused.recon_loss) == (0.0 if recon is None else float(recon.value))
     assert fused.gates.tobytes() == nodes["gates"].value.tobytes()
-    assert len(fused.grads) == len(leaves)
+    assert len(fused.grads) == len(leaves) == len(params.named())
     for (name, arr), leaf, g in zip(params.named(), leaves, fused.grads):
         want = gmap[leaf]
-        if recon_weight == 0.0 and (name.startswith("decoder.") or name == "recon_w"):
-            # the loss does not reach these leaves: the tape gives zeros, the pass None
-            assert g is None and want.shape == arr.shape and not want.any(), name
-            continue
         assert (g.shape, g.strides) == (want.shape, want.strides), name
         assert g.tobytes() == want.tobytes(), name
 
@@ -460,8 +453,8 @@ def test_training_memory_is_the_first_epochs(mode):
 
 @pytest.mark.parametrize(
     "mode, recon_weight, train_peak_mib",
-    [("predictor", 1.0, 16.0), ("dense", 1.0, 27.2), ("dense", 0.0, 18.5)],
-    ids=["predictor-16.0", "dense-27.2", "dense-lambda0-18.5"],
+    [("predictor", 1.0, 16.0), ("dense", 1.0, 27.2), ("dense", 0.0, 6.5)],
+    ids=["predictor-16.0", "dense-27.2", "dense-lambda0-6.5"],
 )
 def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, train_peak_mib):
     # each chain of elementwise steps on a d-wide value runs in one buffer,
@@ -473,8 +466,10 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, t
     # the monitor in the pass's buffers and the loop's buffers gone before
     # the final selection, peaks at 14.8 and 22.3 MiB of tracemalloc (17.8
     # and 25.3 with those buffers alive at the final selection). At lambda 0
-    # the pass makes no gradient for the decoder and recon_w, which the loss
-    # does not reach: dense mode peaks at 17.1 MiB (23.8 with their zeros)
+    # the model holds no decoder and no recon_w, which the loss would not
+    # reach: dense mode peaks at 5.1 MiB (17.1 with recon_w, its mean square,
+    # the reconstruction matrix and the monitor's test reconstruction; 23.8
+    # with a zero gradient for each array)
     data, _ = make_synthetic(72, 7129, 5, 0)
     data, test = split(data, SplitSpec(0.8, 0, True))
     data, test, _ = standardize(data, test)
@@ -482,11 +477,12 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, t
     config = TrainConfig(n_select=10, epochs=3, seed=0, mode=mode, recon_weight=recon_weight)
     arch = Architecture(7129, 10, data.n_classes, config.encoder, config.decoder)
     emb = compute_embeddings(data.X, config.embed_size) if mode == "predictor" else None
-    params = init_params(arch, config.embed_size, mode, RngState(1))
+    decodes = recon_weight > 0.0
+    params = init_params(arch, config.embed_size, mode, RngState(1), decodes=decodes)
     workspace = {}
     for seed in (2, 3):
         gumbel = RngState(seed).gumbel((10, 7129))
-        recon_mat = recon_matrix(params.recon_w, emb)
+        recon_mat = recon_matrix(params.recon_w, emb) if decodes else None
         LossPass(
             params, emb, recon_mat, data.X, data.y, gumbel, 0.5, recon_weight, 0.2, None, None,
             workspace,
@@ -532,51 +528,91 @@ def test_the_curve_scores_an_epochs_selection_as_the_evaluator_does(monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
-def test_lambda_zero_builds_the_reconstruction_matrix_once(monkeypatch, mode):
-    # at lambda 0 the pass neither uses the matrix up nor moves recon_w, so
-    # the monitor scores every epoch's test split with the first one built
-    builds, picks = [], []
+def test_lambda_zero_builds_no_reconstruction_matrix(monkeypatch, mode):
+    # at lambda 0 the model holds no recon_w, so neither the pass nor the
+    # monitor reconstructs, and the curve and the evaluator report no error
+    builds = []
 
     def counting(*args, **kwargs):
         builds.append(args)
         return recon_matrix(*args, **kwargs)
 
-    def recording(a):
-        picks.append(unique_argmax(a))
-        return picks[-1]
-
     monkeypatch.setattr("fsnet.trainer.recon_matrix", counting)
-    monkeypatch.setattr("fsnet.trainer.unique_argmax", recording)
     data, _ = make_synthetic(40, 30, 3, seed=5)
     tr, te = split(data, SplitSpec(0.7, 0))
     tr, te, _ = standardize(tr, te)
     config = TrainConfig(n_select=4, epochs=6, seed=3, mode=mode, recon_weight=0.0,
                          learning_rate=0.05)
     model, _, report = train(tr, config, test=te)
-    assert len(builds) == 1
-    emb = compute_embeddings(tr.X, config.embed_size) if mode == "predictor" else None
-    last = picks[-2]  # picks[-1] is the saved selection
-    last_epoch_model = replace(model, selected=last, selected_names=[tr.feature_names[j] for j in last])
-    assert report.records[-1].test_recon_error == reconstruction_error(last_epoch_model, te, emb)
+    assert builds == []
+    assert model.params.recon_w is None and model.params.decoder.weights == []
+    assert all(r.test_accuracy is not None and r.test_recon_error is None for r in report.records)
+    assert reconstruction_error(model, te) is None
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 digests of a lambda-0 train() recorded before the decoder and
+# recon_w left the lambda-0 model, when both were still drawn and saved: the
+# selection (its indices joined by spaces), every array the model still
+# holds, and the text of curve columns 1-7 (all but test_recon_error), one
+# line per epoch, keyed by whether a test split was scored
+LAMBDA_ZERO_PINS = {
+    "predictor": {
+        "selected": "bc30bcfe48613450f0a9cd699752eb4618e700affda9f7dfc1c125309e2c7187",
+        "arrays": {
+            "select_w": "06e85b21100ceefa0b9b0a831665a406a5d4bb2af693739fff288d526f20da75",
+            "encoder.0": "52ef2210cc7d42b39cb5729be555c82b18b196db692c81425796d7b872bbf781",
+            "encoder.1": "88c9e157e07835c99128f6307984345b9be2086e253db48b295ea40096219798",
+            "encoder.2": "2fce0d3ef9b1e824b27439a96692ae431e1e3cf35e0a0c1b5c51ab441eaa4c15",
+            "classifier.0": "9eeb10bf2b231e6598a060c8b8448b4a5e9fb94d3d37d69062fb245c981cfb3d",
+        },
+        "curve": {
+            False: "455de866d1b8da5ec09ad4e7c0261cf8609f7da6028cd1c47f34c5c10c25ac8a",
+            True: "b695f01c94df4f5693d6cca1be457b9ca4bfbf44910c67780439a567c4fe130d",
+        },
+    },
+    "dense": {
+        "selected": "73892d32448f6fe1a91e9021e5cfedfdc1fc3a23002c02044a716851913581da",
+        "arrays": {
+            "select_w": "4e63c437013d410a9775b2c8305e05a32a327d67ca41936e74935e4629cda265",
+            "encoder.0": "8bf07796ded72dafd484338e486496d980da4956c81902f08d1739cc1633567c",
+            "encoder.1": "c1c7e63a926f5d8e8c89b1db330b1c99e4132a8978f8c5c51200b3a088163633",
+            "encoder.2": "2cebb9e9a16a4ee7b34d089a1664d2bb144447d26ef52f78a0f2c8e8a25450c7",
+            "encoder.0.bias": "f66cc03231022ad87f0dc0f86ed48ed5a5b1e5bc9b4bf3394e6a1d9e7f88437c",
+            "encoder.1.bias": "53c774c7daf233cadbbe5bdd1ee4e988e0a3ebf26f999e949242237dd97b7c13",
+            "encoder.2.bias": "08d2e5e78606a75f65da676db97f6bfc744906c82f941594c86dcccad8fd4e78",
+            "classifier.0": "c6c071ec4c201526e7c036d6a6dade41e1505c8655a60ce231f11dc4764bfdeb",
+            "classifier.0.bias": "6e3150d5b040605672b0b40f1cfccb58458a113f8a9860770be185471171f57f",
+        },
+        "curve": {
+            False: "be39fd34efa81b2ced874c7986d610c4ab23e8dfc5cf16c8a44f085f8c2e1c42",
+            True: "ae281bb64c2cbaae9916d297a70266608b75f0e08c0797294276c3141dcf9fad",
+        },
+    },
+}
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
-@pytest.mark.parametrize("use_bias", [False, True])
-def test_lambda_zero_leaves_the_decoder_and_recon_w_as_drawn(mode, use_bias):
-    # the loss does not reach them, so training must not move a byte of them,
-    # also with dropout masks drawn and a test split scored every epoch
+@pytest.mark.parametrize("with_test", [False, True])
+def test_lambda_zero_keeps_the_bytes_it_had_with_a_decoder(mode, with_test):
+    # dropping the decoder and recon_w must not move a byte of what remains:
+    # they came last in the draw, took no step and fed no curve column but
+    # test_recon_error; dense mode also carries biases, dropout is on
     data, _ = make_synthetic(40, 30, 3, seed=5)
     tr, te = split(data, SplitSpec(0.7, 0))
     tr, te, _ = standardize(tr, te)
     config = TrainConfig(n_select=4, epochs=6, seed=3, mode=mode, recon_weight=0.0, dropout=0.2,
-                         use_bias=use_bias, learning_rate=0.05)
-    model, _, _ = train(tr, config, test=te)
-    drawn = init_params(model.arch, config.embed_size, mode, RngState(3).derive("init"), use_bias)
-    for (name, got), (_, want) in zip(model.params.named(), drawn.named()):
-        if name.startswith("decoder.") or name == "recon_w":
-            assert got.tobytes() == want.tobytes(), name
-        else:  # the arrays the loss reaches did train
-            assert not np.array_equal(got, want), name
+                         use_bias=mode == "dense", learning_rate=0.05)
+    model, selected, report = train(tr, config, te if with_test else None)
+    pins = LAMBDA_ZERO_PINS[mode]
+    assert _sha(" ".join(str(j) for j in selected).encode()) == pins["selected"]
+    assert {name: _sha(arr.tobytes()) for name, arr in model.params.named()} == pins["arrays"]
+    curve = "".join(",".join(list(record_cells(r).values())[:7]) + "\n" for r in report.records)
+    assert _sha(curve.encode()) == pins["curve"][with_test]
+    assert all(r.test_recon_error is None for r in report.records)
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
@@ -600,7 +636,8 @@ def test_the_test_split_never_influences_the_optimization(mode, recon_weight, tr
         assert a.tobytes() == b.tobytes(), name
     for r, ref in zip(monitored.records, alone.records, strict=True):
         assert (r.loss, r.class_loss, r.recon_loss) == (ref.loss, ref.class_loss, ref.recon_loss)
-        assert r.train_accuracy == ref.train_accuracy and r.test_recon_error is not None
+        assert r.train_accuracy == ref.train_accuracy
+        assert (r.test_recon_error is None) == (recon_weight == 0.0)
 
 
 def test_train_rejects_mismatched_test_split():
