@@ -11,6 +11,9 @@ included), each in its own empty output directory:
     train --epochs 60 --seed 4, four times: predictor mode, dense mode
         with --use-bias --lambda 0.5, and both modes at --lambda 0
     eval and select of each of the four models
+    eval of the predictor model on syn1.csv, the synth table with the
+        rows of label 1 moved first, so eval maps the file's label codes
+        to the model's by name
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -50,7 +53,17 @@ def command_sequence() -> list[list[str]]:
     for name in models:
         commands.append(["eval", "--model", f"{name}.model", "--data", "syn.csv", "--out", name])
         commands.append(["select", "--model", f"{name}.model"])
+    commands.append(["eval", "--model", "predictor.model", "--data", "syn1.csv", "--out", "predictor1"])
     return commands
+
+
+def write_label_one_first(table: Path, dest: Path) -> None:
+    """The table with its rows of label 1 moved before the others, each
+    group in file order; comment lines and the header stay on top."""
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    top = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    rows = sorted(lines[top:], key=lambda row: not row.rstrip("\n").endswith(",1"))  # a stable sort
+    dest.write_text("".join(lines[:top] + rows), encoding="utf-8")
 
 
 def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str]]:
@@ -69,6 +82,8 @@ def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str]]:
             cwd=out_dir, env=env, capture_output=True, text=True,
         )
         results.append((proc.returncode, proc.stdout))
+        if argv[0] == "synth":
+            write_label_one_first(out_dir / "syn.csv", out_dir / "syn1.csv")
     return results
 
 

@@ -221,30 +221,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.embed_data and not reads_table:
         kind = "model without a decoder" if model.config.mode == "predictor" else "dense-mode model"
         raise DataError(f"--embed-data {args.embed_data}: a {kind} reads no embedding table")
-    dataset = _load_table(args, args.data, model.arch.n_features)
-    # score against the model's label codes, not the file's order of first appearance
-    labels = model.label_names
-    unknown = [name for name in dataset.label_names if name not in labels]
-    if unknown:
-        raise DataError(f"{args.data}: labels {unknown} are not among the model's {labels}")
-    codes = [labels.index(name) for name in dataset.label_names]
-    dataset = dataclasses.replace(
-        dataset, y=np.take(codes, dataset.y), n_classes=len(labels), label_names=list(labels)
-    )
+    dataset = _load_table(args, args.data)
     if not args.no_standardize:
         dataset, _, _ = standardize(dataset)
     emb, b = None, model.config.embed_size
-    if reads_table:  # from --embed-data if given, else from the eval data
-        emb_path, emb_ds = args.embed_data or args.data, dataset
-        if args.embed_data:
-            emb_ds = _load_table(args, emb_path, model.arch.n_features)
-            if not args.no_standardize:
-                emb_ds, _, _ = standardize(emb_ds)
+    if args.embed_data:  # else evaluate builds the table from the eval data
+        emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
+        if not args.no_standardize:
+            emb_ds, _, _ = standardize(emb_ds)
         if b > emb_ds.n_samples:
-            raise DataError(f"{emb_path}: embed_size {b} exceeds its {emb_ds.n_samples} rows")
+            raise DataError(f"{args.embed_data}: embed_size {b} exceeds its {emb_ds.n_samples} rows")
         emb = compute_embeddings(emb_ds.X, b)
-
-    report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
+    try:
+        report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
+    except DataError as exc:
+        raise DataError(f"{args.data}: {exc}") from None
 
     inputs = [args.model, args.data] + ([args.embed_data] if args.embed_data else [])
     written = _publish(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .data import Dataset
+from .data import DataError, Dataset
 from .embedding import compute_embeddings
 from .model import FsNetModel, record_cells, saved_size
 from .network import Architecture, hard_scores, recon_matrix, trainable_param_count, zeros_params
@@ -51,18 +51,23 @@ class EvalReport:
 def _hard_scores(
     model: FsNetModel, dataset: Dataset, recon_mat: np.ndarray | None = None
 ) -> tuple[float, float | None]:
-    """network.hard_scores of the model on dataset, whose label codes must be
-    the model's: the same label names in the same order. Where both name
-    their features, the selected columns must carry the model's names."""
-    names, model_names = list(dataset.label_names), list(model.label_names)
-    if names != model_names:
-        raise ValueError(f"dataset labels {names} are not coded as the model's {model_names}")
+    """The table gate, the one check of a table against a model, then
+    network.hard_scores with the table's labels mapped to the model's codes
+    by name. DataError unless the table is as wide as the model's input, holds
+    only labels the model knows and, where both name their features, carries
+    the model's names at the selected columns."""
+    d, labels = model.arch.n_features, list(model.label_names)
+    if dataset.n_features != d:
+        raise DataError(f"dimension mismatch: model expects {d} features, table has {dataset.n_features}")
+    unknown = [name for name in dataset.label_names if name not in labels]
+    if unknown:
+        raise DataError(f"labels {unknown} are not among the model's {labels}")
     if dataset.feature_names is not None and model.selected_names is not None:
         found = [dataset.feature_names[j] for j in model.selected]
         if found != list(model.selected_names):
-            raise ValueError(f"dataset names the selected columns {found}, the model {model.selected_names}")
-    slope = model.config.leaky_slope
-    return hard_scores(model.params, dataset.X, dataset.y, model.selected, slope, recon_mat)
+            raise DataError(f"dataset names the selected columns {found}, the model {model.selected_names}")
+    y = np.take([labels.index(name) for name in dataset.label_names], dataset.y)
+    return hard_scores(model.params, dataset.X, y, model.selected, model.config.leaky_slope, recon_mat)
 
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
@@ -72,11 +77,12 @@ def accuracy(model: FsNetModel, dataset: Dataset) -> float:
 
 def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float | None:
     """Mean squared reconstruction error per sample on the hard-selection
-    path, or None for a model without a decoder (trained at recon_weight 0).
+    path, or None for a model without a decoder (trained at recon_weight 0),
+    on a table that passes _hard_scores's table gate.
 
     Predictor-mode models need a feature embedding table to realize their
-    virtual reconstruction weights; when none is passed it is recomputed from
-    the evaluated dataset itself. Dense-mode models ignore `emb`.
+    virtual reconstruction weights; when none is passed it is computed from
+    the dataset's rows, at least embed_size of them. Dense-mode models ignore `emb`.
     """
     return _scores(model, dataset, emb)[1]
 
@@ -89,7 +95,10 @@ def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tupl
     if model.config.mode == "dense":
         emb = None
     elif emb is None:
-        emb = compute_embeddings(dataset.X, model.config.embed_size)
+        b = model.config.embed_size
+        if b > dataset.n_samples:
+            raise DataError(f"embed_size {b} exceeds its {dataset.n_samples} rows")
+        emb = compute_embeddings(dataset.X, b)
     return _hard_scores(model, dataset, recon_matrix(model.params.recon_w, emb))
 
 
@@ -161,15 +170,13 @@ def evaluate(
     emb: np.ndarray | None = None,
     mi_bins: int = 10,
 ) -> EvalReport:
-    """All report metrics for one (model, dataset) pair; the parameter counts
-    and compression ratios count the arrays the model holds.
+    """All report metrics for one (model, dataset) pair, scored, and so put
+    through _hard_scores's table gate, first; the parameter counts and
+    compression ratios count the arrays the model holds.
 
     A single selected feature has no pairs, so avg_mi degenerates to 0.
     """
-    if dataset.n_features != model.arch.n_features:
-        raise ValueError(
-            f"dataset has {dataset.n_features} features, model expects {model.arch.n_features}"
-        )
+    acc, recon_error = _scores(model, dataset, emb)
     avg_mi = (
         avg_mutual_information(dataset.X, model.selected, mi_bins)
         if len(model.selected) >= 2
@@ -177,7 +184,6 @@ def evaluate(
     )
     arch, b, bias = model.arch, model.config.embed_size, model.config.use_bias
     decodes = model.params.recon_w is not None
-    acc, recon_error = _scores(model, dataset, emb)
     predictor = trainable_param_count(arch, b, "predictor", bias, decodes)
     dense = trainable_param_count(arch, b, "dense", bias, decodes)
     return EvalReport(

@@ -34,7 +34,9 @@ class ModelFormatError(ValueError):
 @dataclass
 class FsNetModel:
     """Everything needed for inference: weights, config, labels, and the
-    selected feature indices."""
+    selected feature indices. The constructor is the model gate: config and
+    arch agree on n_select and the widths, and params hold exactly the named
+    arrays, of the shapes, that zeros_params lists for them."""
 
     config: TrainConfig
     arch: Architecture
@@ -44,6 +46,13 @@ class FsNetModel:
     selected_names: list[str] | None = None
 
     def __post_init__(self):
+        cfg, arch = self.config, self.arch
+        if (cfg.n_select, cfg.encoder, cfg.decoder) != (arch.n_select, arch.encoder, arch.decoder):
+            raise ValueError("the config's n_select, encoder and decoder disagree with the arch's")
+        layout = zeros_params(arch, cfg.embed_size, cfg.mode, cfg.use_bias, cfg.recon_weight > 0.0)
+        held, need = ([(name, a.shape) for name, a in p.named()] for p in (self.params, layout))
+        if held != need:
+            raise ValueError(f"the params hold {held}, the config and arch give {need}")
         if len(self.selected) != self.arch.n_select:
             raise ValueError(
                 f"expected {self.arch.n_select} selected features, got {len(self.selected)}"
@@ -56,8 +65,6 @@ class FsNetModel:
             raise ValueError("label_names must have one entry per class")
         if self.selected_names is not None and len(self.selected_names) != len(self.selected):
             raise ValueError("selected_names must align with selected indices")
-        if (self.params.recon_w is not None) != (self.config.recon_weight > 0.0):
-            raise ValueError("the params must hold a decoder exactly when recon_weight > 0")
 
 
 def record_cells(record) -> dict[str, str]:
@@ -206,11 +213,6 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
         arch = Architecture(**arch_doc)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"invalid 'arch' header: {exc}") from None
-    _expect(
-        (config.n_select, config.encoder, config.decoder)
-        == (arch.n_select, arch.encoder, arch.decoder),
-        "'config' header's n_select, encoder and decoder disagree with the 'arch' header",
-    )
     binning = _header_value(next_line(), "binning")
     _expect(binning == BINNING, f"unsupported binning convention {binning!r}")
     label_names = _header_list(next_line(), "labels", str)
@@ -218,7 +220,7 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     selected_names = _header_list(next_line(), "selected_names", str, nullable=True)
     decodes = config.recon_weight > 0.0
     template = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes)
-    try:  # checked at the last header it reads; the weights replace the template
+    try:  # the model gate, at the last header it reads; the weights replace the template
         model = FsNetModel(config, arch, template, selected, label_names, selected_names)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model contents: {exc}") from None

@@ -292,6 +292,31 @@ def test_select_prints_rank_index_name_rows(tmp_path, data_csv, capsys):
     assert [r[2] for r in rows] == model.selected_names
 
 
+def test_select_prints_rank_index_rows_for_a_model_without_feature_names(tmp_path, data_csv, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(Path(data_csv).read_text().splitlines()[1:]) + "\n")
+    out = str(tmp_path / "sel")
+    argv = ["train", "--data", str(plain), "--no-header", "--out", out, "--k", "3", "--epochs", "3"]
+    assert main(argv) == 0
+    model = load_model(out + ".model")
+    assert model.selected_names is None
+    capsys.readouterr()
+    assert main(["select", "--model", out + ".model"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows == [[str(rank + 1), str(j)] for rank, j in enumerate(model.selected)]
+
+
+@pytest.mark.parametrize(
+    "widths,message",
+    [("6,x", "expected comma-separated widths, got '6,x'"), (",", "width list is empty")],
+)
+def test_train_rejects_a_malformed_width_list(tmp_path, data_csv, capsys, widths, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", data_csv, "--out", str(tmp_path / "m"), "--encoder", widths])
+    assert exc.value.code == 2
+    assert f"--encoder: {message}" in capsys.readouterr().err
+
+
 def test_eval_reports_all_metrics(tmp_path, data_csv, capsys):
     out = str(tmp_path / "m")
     assert main(["train", "--data", data_csv, "--out", out, "--k", "3", "--epochs", "3"]) == 0
@@ -530,6 +555,21 @@ def test_eval_rejects_dimension_mismatch(tmp_path, data_csv, capsys):
     code = main(["eval", "--model", out + ".model", "--data", other_path, "--out", str(tmp_path / "e")])
     assert code == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_eval_names_the_table_whose_header_renames_the_selected_columns(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    model = load_model(out + ".model")
+    header, *rows = Path(data_csv).read_text().splitlines()
+    renamed = str(tmp_path / "renamed.csv")
+    Path(renamed).write_text("\n".join(["z" + header.replace(",", ",z"), *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--model", out + ".model", "--data", renamed, "--out", str(tmp_path / "e")]) == 2
+    found = ["z" + name for name in model.selected_names]
+    expected = f"{renamed}: dataset names the selected columns {found}, the model {model.selected_names}"
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "e.eval.txt").exists()
 
 
 def test_eval_rejects_a_model_that_reconstructs_nan(tmp_path, data_csv, capsys):

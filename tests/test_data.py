@@ -40,6 +40,12 @@ def test_dataset_validation():
         Dataset(
             np.array([[1.0, np.nan]]), np.array([0]), 2, ["a", "b"]
         )
+    with pytest.raises(DataError, match=r"labels must lie in 0\.\.1, found 0\.\.2"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2, ["a", "b"])
+    with pytest.raises(DataError, match="label_names must have one entry per class"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, ["a", "b", "c"])
+    with pytest.raises(DataError, match="expected 2 feature names, got 3"):
+        Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2, ["a", "b"], ["x", "y", "z"])
     # a class without rows is a valid table; training on it is the error
     empty = Dataset(np.zeros((2, 2)), np.array([0, 0]), 2, ["a", "b"])
     with pytest.raises(DataError, match=r"classes \['b'\] have no samples"):
@@ -432,6 +438,12 @@ def test_split_unstratified_ignores_classes():
     tr, _ = split(ds, SplitSpec(0.5, seed=3, stratified=False))
     with pytest.raises(DataError, match=r"classes \['b'\] have no samples"):
         train(tr, TrainConfig(n_select=1, embed_size=1, encoder=(2,), decoder=(2,)))
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_split_spec_rejects_a_fraction_outside_the_open_interval(fraction):
+    with pytest.raises(ValueError, match=r"train_fraction must lie in \(0, 1\), got"):
+        SplitSpec(fraction, seed=0)
 
 
 def test_split_empty_side_rejected():

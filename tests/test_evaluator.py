@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fsnet.config import TrainConfig
-from fsnet.data import Dataset
+from fsnet.data import DataError, Dataset
 from fsnet.evaluator import (
     EvalReport,
     _size_probe_model,
@@ -73,11 +73,30 @@ def test_accuracy_with_explicit_selection_override():
         replace(model, selected=[0])
 
 
+def random_model(mode="predictor"):
+    model = zero_model(mode=mode)
+    return replace(model, params=init_params(model.arch, 3, mode, RngState(7), decodes=True))
+
+
 @pytest.mark.parametrize("score", [accuracy, reconstruction_error, evaluate])
-def test_scoring_refuses_labels_coded_unlike_the_model(score):
-    flipped = replace(toy_dataset(), label_names=["c1", "c0"])
-    with pytest.raises(ValueError, match=r"\['c1', 'c0'\].*\['c0', 'c1'\]"):
-        score(zero_model(), flipped)
+def test_scoring_maps_the_tables_labels_to_the_models_codes_by_name(score):
+    # the same rows with the labels coded in the other order score the same;
+    # a label the model does not know is refused
+    model, ds = random_model(), toy_dataset()
+    flipped = replace(ds, y=1 - ds.y, label_names=["c1", "c0"])
+    assert score(model, flipped) == score(model, ds)
+    only_c1 = replace(ds, y=np.zeros_like(ds.y), n_classes=1, label_names=["c1"])
+    assert score(model, only_c1) == score(model, replace(ds, y=np.ones_like(ds.y)))
+    with pytest.raises(DataError, match=r"labels \['zz'\] are not among the model's \['c0', 'c1'\]"):
+        score(model, replace(ds, label_names=["c0", "zz"]))
+
+
+@pytest.mark.parametrize("score", [accuracy, reconstruction_error, evaluate])
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("d", [5, 7])
+def test_scoring_refuses_a_table_of_another_width(score, mode, d):
+    with pytest.raises(DataError, match=f"dimension mismatch: model expects 6 features, table has {d}"):
+        score(random_model(mode), toy_dataset(d=d))
 
 
 @pytest.mark.parametrize("score", [accuracy, reconstruction_error, evaluate])

@@ -3,11 +3,14 @@
 import base64
 import hashlib
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsnet.config import TrainConfig
 from fsnet.model import (
@@ -18,7 +21,7 @@ from fsnet.model import (
     saved_size,
     save_model,
 )
-from fsnet.network import Architecture, init_params
+from fsnet.network import Architecture, init_params, zeros_params
 from fsnet.rng import RngState
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -68,6 +71,72 @@ def test_model_validation():
         FsNetModel(without.config, m.arch, m.params, [1, 2, 3], m.label_names)
     with pytest.raises(ValueError, match="decoder"):
         FsNetModel(m.config, m.arch, without.params, [1, 2, 3], m.label_names)
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (TrainConfig(n_select=4), "n_select, encoder and decoder disagree with the arch's"),
+        (TrainConfig(n_select=3, embed_size=5), r"the params hold .*\(3, 10\).* give .*\(3, 5\)"),
+        (TrainConfig(n_select=3, mode="dense"), r"the params hold .*\(3, 10\).* give .*\(3, 30\)"),
+    ],
+    ids=["n_select", "embed_size", "mode"],
+)
+def test_a_model_refuses_params_laid_out_for_another_config(config, message):
+    # the params are a predictor-mode layout at embed_size 10 for this arch;
+    # each config disagrees with the arch or asks for another layout
+    arch = Architecture(30, 3, 2)
+    with pytest.raises(ValueError, match=message):
+        FsNetModel(config, arch, zeros_params(arch, 10, "predictor"), [0, 1, 2], ["a", "b"])
+
+
+WIDTHS = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def candidate_models(draw):
+    """A config, an arch and params that may or may not agree, the params
+    filled with random weights, and the rest of a model."""
+    d = draw(st.integers(2, 6))
+    k = draw(st.integers(1, d))
+    arch = Architecture(d, k, draw(st.integers(2, 3)), draw(WIDTHS), draw(WIDTHS))
+    agrees = draw(st.booleans())
+    config = TrainConfig(
+        n_select=k if agrees else draw(st.integers(1, d)),
+        encoder=arch.encoder if agrees else draw(WIDTHS),
+        decoder=arch.decoder if agrees else draw(WIDTHS),
+        embed_size=draw(st.integers(1, 3)),
+        mode=draw(st.sampled_from(["predictor", "dense"])),
+        use_bias=draw(st.booleans()),
+        recon_weight=draw(st.sampled_from([0.0, 1.0])),
+    )
+    if draw(st.booleans()):
+        layout = (config.embed_size, config.mode, config.use_bias, config.recon_weight > 0.0)
+    else:
+        layout = (
+            draw(st.integers(1, 3)), draw(st.sampled_from(["predictor", "dense"])),
+            draw(st.booleans()), draw(st.booleans()),
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = zeros_params(arch, *layout).map(lambda a: rng.standard_normal(a.shape))
+    labels = [f"c{i}" for i in range(arch.n_classes)]
+    return config, arch, params, list(range(k))[::-1], labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(candidate_models())
+def test_every_model_the_constructor_accepts_loads_back_bit_exactly(candidate):
+    try:
+        model = FsNetModel(*candidate)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model")
+        save_model(model, path)
+        again = load_model(path)
+    for field in ("config", "arch", "selected", "label_names", "selected_names"):
+        assert getattr(again, field) == getattr(model, field), field
+    assert_same_weights(model, again)
 
 
 # ---------------------------------------------------------------- round trip
@@ -394,11 +463,32 @@ def test_load_rejects_a_mistyped_header(tmp_path, index, line, header):
         load_model(path)
 
 
-def test_load_rejects_a_config_that_disagrees_with_the_arch(tmp_path):
+def _set_config(key, value):
     def mutate(lines):
         doc = json.loads(lines[2].split(" ", 1)[1])
-        doc["encoder"] = [8]
+        doc[key] = value
         lines[2] = "config " + json.dumps(doc, sort_keys=True)
+    return mutate
+
+
+def test_load_rejects_a_config_that_disagrees_with_the_arch(tmp_path):
+    # the model gate reports it at the last header the gate reads, line 8
+    path = corrupt(tmp_path, _set_config("encoder", [8]))
+    message = "line 8: inconsistent model contents: the config's n_select, encoder and decoder disagree"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: {message}"):
+        load_model(path)
+
+
+def test_load_rejects_an_invalid_config_header(tmp_path):
+    path = corrupt(tmp_path, _set_config("epochs", 0))
+    message = "line 3: invalid 'config' header: epochs must be >= 1, got 0"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: {message}"):
+        load_model(path)
+
+
+def test_load_rejects_a_non_integer_shape(tmp_path):
+    def mutate(lines):
+        lines[lines.index("array select_w 3 4")] = "array select_w 3 x"
     path = corrupt(tmp_path, mutate)
-    with pytest.raises(ModelFormatError, match="'config' header"):
+    with pytest.raises(ModelFormatError, match=r"array 'select_w': non-integer shape \['3', 'x'\]"):
         load_model(path)
