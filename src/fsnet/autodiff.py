@@ -15,6 +15,9 @@ the trained model to equal LossPass's byte for byte.
 A tape owns its nodes, but a node refers back to its tape only weakly, so a
 graph holds no reference cycle: it is freed as soon as the last reference to
 its tape and nodes goes, without waiting for the cyclic garbage collector.
+
+A leaf keeps the float dtype of its value (other values become float64), and
+every op computes in its operands' dtype.
 """
 
 from __future__ import annotations
@@ -63,8 +66,7 @@ class Tape:
         self._ref = weakref.ref(self)
 
     def leaf(self, value) -> Node:
-        arr = np.asarray(value, dtype=np.float64)
-        node = Node(arr, (), None, self._ref)
+        node = Node(numerics.as_float(value), (), None, self._ref)
         self._nodes.append(node)
         return node
 
@@ -72,7 +74,7 @@ class Tape:
         for p in parents:
             if p._tape_ref is not self._ref:
                 raise ValueError("operand was recorded on a different tape")
-        node = Node(np.asarray(value, dtype=np.float64), parents, backward, self._ref)
+        node = Node(np.asarray(value), parents, backward, self._ref)
         self._nodes.append(node)
         return node
 
@@ -199,10 +201,10 @@ def pick(a: Node, indices: Sequence[int]) -> Node:
     if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
         raise IndexError(f"pick index out of range for {a.value.shape[1]} columns")
     rows = np.arange(a.value.shape[0])
-    shape = a.value.shape
+    shape, dtype = a.value.shape, a.value.dtype
 
     def backward(g):
-        out = np.zeros(shape)
+        out = np.zeros(shape, dtype=dtype)
         out[rows, idx] = g
         return (out,)
 

@@ -56,8 +56,9 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _numeric_build() -> dict:
-    """The NumPy and BLAS build and BLAS thread count: outputs are
+def _numeric_build(dtype: str | None) -> dict:
+    """The NumPy and BLAS build, the BLAS thread count and the arithmetic
+    dtype (of the model trained or loaded; None without one): outputs are
     byte-identical only when these match."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -68,6 +69,7 @@ def _numeric_build() -> dict:
         "numpy": np.__version__,
         "blas": blas_name,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "dtype": dtype,
     }
 
 
@@ -85,10 +87,12 @@ def _publish(
     seed: int | None,
     config: dict | None,
     started: str,
+    dtype: str | None,
 ) -> list[str]:
     """Call each writers[suffix](path, manifest_name) at path <out>.<suffix>,
     in order, then write the command's manifest, whose outputs list those
-    files in that order. Returns the paths written, the manifest's last."""
+    files in that order and whose numerics name `dtype`. Returns the paths
+    written, the manifest's last."""
     manifest = f"{out}.manifest.json" if command == "train" else f"{out}.{command}.manifest.json"
     paths = [f"{out}.{suffix}" for suffix in writers]
     for path, write in zip(paths, writers.values()):
@@ -101,7 +105,7 @@ def _publish(
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},  # keyed by the path as given
         "outputs": [os.path.basename(p) for p in paths],
-        "numerics": _numeric_build(),
+        "numerics": _numeric_build(dtype),
         "started": started,
         "finished": _now(),
     })
@@ -192,7 +196,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     writers = {"model": lambda path, ref: save_model(model, path, ref), "train.csv": report.save}
     inputs = [args.data] + ([args.config] if args.config else [])
-    written = _publish(args.out, "train", writers, inputs, config.seed, config.to_dict(), started)
+    written = _publish(
+        args.out, "train", writers, inputs, config.seed, config.to_dict(), started, model.params.dtype.name
+    )
     print(f"selected features: {' '.join(str(j) for j in selected)}")
     print(f"final train accuracy: {accuracy(model, train_ds):.4f}")
     print(f"final test accuracy: {accuracy(model, test_ds):.4f}")
@@ -240,7 +246,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     inputs = [args.model, args.data] + ([args.embed_data] if args.embed_data else [])
     written = _publish(
         args.out, "eval", {"eval.txt": report.save}, inputs,
-        model.config.seed, model.config.to_dict(), started,
+        model.config.seed, model.config.to_dict(), started, model.params.dtype.name,
     )
     for line in report.lines():
         print(line)
@@ -259,7 +265,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         "csv": lambda path, ref: save_delimited(dataset, path, comments=[f"manifest {ref}"]),
         "planted.json": lambda path, ref: _write_json(path, {**doc, "manifest": ref}),
     }
-    written = _publish(args.out, "synth", writers, [], args.seed, None, started)
+    written = _publish(args.out, "synth", writers, [], args.seed, None, started, None)
     print(f"planted features: {' '.join(str(j) for j in planted)}")
     print(f"wrote {', '.join(written)}")
     return 0

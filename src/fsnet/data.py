@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import numerics
 from .rng import RngState
 
 
@@ -18,7 +19,8 @@ class DataError(ValueError):
 class Dataset:
     """Samples as rows, integer class labels, and optional feature names. A
     class may have no rows (an eval table); train() needs at least 2 classes
-    and rows of each."""
+    and rows of each. X keeps a float32 or float64 dtype; other values
+    become float64."""
 
     X: np.ndarray
     y: np.ndarray
@@ -27,7 +29,7 @@ class Dataset:
     feature_names: list[str] | None = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        self.X = numerics.as_float(self.X)
         self.y = np.asarray(self.y, dtype=np.intp)
         if self.X.ndim != 2:
             raise DataError(f"sample matrix must be 2-D, got shape {self.X.shape}")
@@ -90,9 +92,10 @@ class Standardizer:
     scale: np.ndarray  # std with zero-variance features mapped to 1
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """(X - mean) / scale, divided in the array of the subtraction."""
-        out = np.subtract(np.asarray(X, dtype=np.float64), self.mean)
-        return np.divide(out, self.scale, out=out)
+        """(X - mean) / scale as a numerics.DTYPE array: the subtraction is
+        written straight into it, then divided in place by scale in its dtype."""
+        out = np.subtract(X, self.mean, out=np.empty(np.shape(X), dtype=numerics.DTYPE))
+        return np.divide(out, self.scale.astype(out.dtype), out=out)
 
 
 def load_delimited(
@@ -204,7 +207,8 @@ def save_delimited(dataset: Dataset, path: str, comments: list[str] | None = Non
 def standardize(
     train: Dataset, test: Dataset | None = None
 ) -> tuple[Dataset, Dataset | None, Standardizer]:
-    """Z-score both splits using training statistics only.
+    """Z-score both splits using training statistics only, into
+    numerics.DTYPE tables (Standardizer.apply).
 
     Zero-variance features map to exactly 0 in both splits.
     """

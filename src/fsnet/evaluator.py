@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .config import TrainConfig
 from .data import DataError, Dataset
 from .embedding import compute_embeddings
@@ -121,13 +122,14 @@ def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
 
 
 def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -> float:
-    """Mean pairwise mutual information over the selected features.
+    """Mean pairwise mutual information over the selected features, each
+    column read as float64 (mutual_information).
 
     `selected` is treated as a list of positions, so repeated indices
     contribute self-information pairs (useful for scoring selections made
     without a distinctness guarantee).
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     k = len(selected)
     if k < 2:
         raise ValueError(f"need at least 2 selected features, got {k}")
@@ -139,26 +141,30 @@ def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -
 
 
 def _size_probe_model(
-    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False, decodes: bool = True
+    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False, decodes: bool = True,
+    dtype=None,
 ) -> FsNetModel:
     config = TrainConfig(
         n_select=arch.n_select, embed_size=embed_size, mode=mode, encoder=arch.encoder,
         decoder=arch.decoder, use_bias=use_bias, seed=seed, recon_weight=1.0 if decodes else 0.0,
     )
-    params = zeros_params(arch, embed_size, mode, use_bias, decodes)
+    dtype = numerics.DTYPE if dtype is None else dtype
+    params = zeros_params(arch, embed_size, mode, use_bias, decodes).map(lambda a: a.astype(dtype))
     labels = [f"c{i}" for i in range(arch.n_classes)]
     return FsNetModel(config, arch, params, list(range(arch.n_select)), labels)
 
 
 def measured_compression_ratio(
-    arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False, decodes: bool = True
+    arch: Architecture, embed_size: int, seed: int = 0, use_bias: bool = False, decodes: bool = True,
+    dtype=None,
 ) -> float:
     """Saved-size ratio dense/predictor for twin models, with or without
-    biases and the decoder, as the byte counts of the files save_model would
-    write, without touching the disk. saved_size reads only shapes and header fields, so
-    the probes hold zero weights; the seed still goes into their headers."""
+    biases and the decoder, of `dtype` (default numerics.DTYPE), as the byte
+    counts of the files save_model would write, without touching the disk.
+    saved_size reads only shapes, dtypes and header fields, so the probes hold
+    zero weights; the seed still goes into their headers."""
     sizes = {
-        mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias, decodes))
+        mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias, decodes, dtype))
         for mode in ("predictor", "dense")
     }
     return sizes["dense"] / sizes["predictor"]
@@ -170,9 +176,10 @@ def evaluate(
     emb: np.ndarray | None = None,
     mi_bins: int = 10,
 ) -> EvalReport:
-    """All report metrics for one (model, dataset) pair, scored, and so put
-    through _hard_scores's table gate, first; the parameter counts and
-    compression ratios count the arrays the model holds.
+    """All report metrics for one (model, dataset) pair, scored in the
+    model's dtype, and so put through _hard_scores's table gate, first; the
+    parameter counts and compression ratios count the arrays the model holds,
+    the measured ratio in the model's dtype.
 
     A single selected feature has no pairs, so avg_mi degenerates to 0.
     """
@@ -194,5 +201,7 @@ def evaluate(
         param_count_predictor=predictor,
         param_count_dense=dense,
         compression_ratio=dense / predictor,
-        measured_compression_ratio=measured_compression_ratio(arch, b, model.config.seed, bias, decodes),
+        measured_compression_ratio=measured_compression_ratio(
+            arch, b, model.config.seed, bias, decodes, model.params.dtype
+        ),
     )

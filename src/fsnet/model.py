@@ -2,12 +2,14 @@
 
 The on-disk format is self-describing: a magic/version line, a key-value
 header (training config, architecture, binning convention, class labels,
-selected features), then one named block per weight array with its shape,
-then an end marker. Each weight row is one line holding the base64 of its
-little-endian float64 bytes, so every weight round-trips bit-exactly through
-save/load. Version 3 lists the arrays the model holds: at recon_weight 0, no
-decoder or recon_w. Versions 1 (17-significant-digit decimals) and 2 list
-them at every recon_weight and still load; at 0 those rows are checked, then dropped.
+selected features, the weights' dtype), then one named block per weight
+array with its shape, then an end marker. Each weight row is one line holding
+the base64 of its little-endian bytes in the model's dtype, float32 or
+float64, so every weight round-trips bit-exactly through save/load. Version 4
+names that dtype; versions 1-3 hold float64 weights and still load as
+float64. Versions 3 and 4 list the arrays the model holds: at recon_weight 0,
+no decoder or recon_w. Versions 1 (17-significant-digit decimals) and 2 list
+them at every recon_weight; at 0 those rows are checked, then dropped.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .config import TrainConfig
 from .network import Architecture, FsNetParams, zeros_params
 
 MAGIC = "fsnet-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 BINNING = "equal-width"
+ROW_DTYPES = {"float32": "<f4", "float64": "<f8"}  # a model's dtype: its rows' encoding
 
 
 class ModelFormatError(ValueError):
@@ -36,7 +39,8 @@ class FsNetModel:
     """Everything needed for inference: weights, config, labels, and the
     selected feature indices. The constructor is the model gate: config and
     arch agree on n_select and the widths, and params hold exactly the named
-    arrays, of the shapes, that zeros_params lists for them."""
+    arrays, of the shapes, that zeros_params lists for them, all of one dtype
+    of ROW_DTYPES."""
 
     config: TrainConfig
     arch: Architecture
@@ -53,6 +57,9 @@ class FsNetModel:
         held, need = ([(name, a.shape) for name, a in p.named()] for p in (self.params, layout))
         if held != need:
             raise ValueError(f"the params hold {held}, the config and arch give {need}")
+        dtypes = sorted({a.dtype.name for a in self.params.arrays()})
+        if len(dtypes) != 1 or dtypes[0] not in ROW_DTYPES:
+            raise ValueError(f"the params must share one dtype of {list(ROW_DTYPES)}, got {dtypes}")
         if len(self.selected) != self.arch.n_select:
             raise ValueError(
                 f"expected {self.arch.n_select} selected features, got {len(self.selected)}"
@@ -93,6 +100,7 @@ def _model_blocks(model: FsNetModel, manifest_ref: str | None) -> Iterator[str |
     yield f"labels {json.dumps(model.label_names)}\n"
     yield f"selected {json.dumps(model.selected)}\n"
     yield f"selected_names {json.dumps(model.selected_names)}\n"
+    yield f"dtype {json.dumps(model.params.dtype.name)}\n"
     yield f"arrays {len(named)}\n"
     for name, arr in named:
         dims = " ".join(str(s) for s in arr.shape)
@@ -107,18 +115,19 @@ def model_lines(model: FsNetModel, manifest_ref: str | None = None) -> Iterator[
         if isinstance(block, str):
             yield block
         else:
+            encoding = ROW_DTYPES[block.dtype.name]
             for row in block:
-                yield base64.b64encode(row.astype("<f8", copy=False).tobytes()).decode() + "\n"
+                yield base64.b64encode(row.astype(encoding, copy=False).tobytes()).decode() + "\n"
 
 
 def saved_size(model: FsNetModel) -> int:
     """Bytes of the file save_model writes without a manifest reference,
-    counted without encoding the weights: a row of c float64 values is
-    4 * ceil(8c / 3) base64 characters and a newline."""
+    counted without encoding the weights: a row of c values of s bytes each is
+    4 * ceil(s * c / 3) base64 characters and a newline."""
     return sum(
         len(block.encode("utf-8"))
         if isinstance(block, str)
-        else block.shape[0] * (4 * -(-8 * block.shape[1] // 3) + 1)
+        else block.shape[0] * (4 * -(-block.itemsize * block.shape[1] // 3) + 1)
         for block in _model_blocks(model, None)
     )
 
@@ -155,14 +164,15 @@ def _header_list(line: str, key: str, kind: type, nullable: bool = False) -> lis
     return value
 
 
-def _parse_row(line: str, version: int, name: str, index: int, row_len: int) -> np.ndarray:
-    """Row `index` of a weight array: the base64 of its little-endian float64
-    bytes from version 2 on, space-separated decimals in version 1; every value finite."""
+def _parse_row(line: str, version: int, dtype: str, name: str, index: int, row_len: int) -> np.ndarray:
+    """Row `index` of a weight array: the base64 of its little-endian bytes in
+    `dtype` from version 2 on, space-separated float64 decimals in version 1;
+    every value finite."""
     try:
         if version == 1:
             row = np.array(line.split(), dtype=np.float64)
-        else:  # bad base64 raises binascii.Error, a ValueError, as does a partial float64
-            row = np.frombuffer(base64.b64decode(line, validate=True), "<f8")
+        else:  # bad base64 raises binascii.Error, a ValueError, as does a partial value
+            row = np.frombuffer(base64.b64decode(line, validate=True), ROW_DTYPES[dtype])
     except ValueError as exc:
         raise ModelFormatError(f"array {name!r}: non-numeric value ({exc})") from None
     _expect(row.size == row_len, f"array {name!r}: row has {row.size} values, expected {row_len}")
@@ -192,7 +202,7 @@ def load_model(path: str) -> FsNetModel:
 def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     """The model in the lines next_line() returns in turn, checked as they are read."""
     magic = next_line()
-    versions = {f"{MAGIC} v{v}": v for v in (1, 2, FORMAT_VERSION)}
+    versions = {f"{MAGIC} v{v}": v for v in range(1, FORMAT_VERSION + 1)}
     _expect(
         magic in versions,
         f"unrecognized model header {magic!r} (expected one of {list(versions)})",
@@ -225,6 +235,11 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model contents: {exc}") from None
 
+    dtype = _header_value(next_line(), "dtype") if version >= 4 else "float64"
+    _expect(
+        isinstance(dtype, str) and dtype in ROW_DTYPES,
+        f"unsupported dtype {dtype!r} (expected one of {list(ROW_DTYPES)})",
+    )
     n_arrays = _header_value(next_line(), "arrays")
     # before v3 a file lists the decoder and recon_w, last, at every recon_weight
     listed = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes or version < 3)
@@ -249,7 +264,7 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
         _expect(shape == exp_arr.shape, f"array {name!r}: shape {shape} != {exp_arr.shape}")
         n_rows = 1 if len(shape) == 1 else shape[0]
         row_len = shape[0] if len(shape) == 1 else shape[1]
-        rows = [_parse_row(next_line(), version, name, r, row_len) for r in range(n_rows)]
+        rows = [_parse_row(next_line(), version, dtype, name, r, row_len) for r in range(n_rows)]
         arrays.append(np.vstack(rows).reshape(shape))
     _expect(next_line() == f"end {MAGIC}", "missing end marker")
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .config import check_field_types
 from .numerics import DimensionError, leaky_gate, matmul, softmax
 from .rng import RngState
@@ -95,6 +96,11 @@ class FsNetParams:
     decoder: DenseStack
     recon_w: np.ndarray | None
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The arrays' dtype, the one every pass over them computes in."""
+        return self.select_w.dtype
+
     def named(self) -> list[tuple[str, np.ndarray]]:
         stacks = self.encoder.named("encoder") + self.classifier.named("classifier")
         stacks += self.decoder.named("decoder")
@@ -131,23 +137,27 @@ class FsNetParams:
 def zeros_params(
     arch: Architecture, embed_size: int, mode: str, use_bias: bool = False, decodes: bool = True
 ) -> FsNetParams:
-    """All-zero parameters in FsNetParams.named() layout: the one list of the
-    layers and their shapes. Weights are (out, in); biases, if any, (out,).
-    Unless `decodes`, the decoder is empty and recon_w None."""
+    """All-zero parameters of dtype numerics.DTYPE in FsNetParams.named()
+    layout: the one list of the layers and their shapes. Weights are (out,
+    in); biases, if any, (out,). Unless `decodes`, the decoder is empty and
+    recon_w None."""
     if mode not in ("predictor", "dense"):
         raise ValueError(f"mode must be 'predictor' or 'dense', got {mode!r}")
     width = embed_size if mode == "predictor" else arch.n_features
 
+    def zeros(shape) -> np.ndarray:
+        return np.zeros(shape, dtype=numerics.DTYPE)
+
     def stack(dims: list[int]) -> DenseStack:
-        ws = [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
-        return DenseStack(ws, [np.zeros(o) for o in dims[1:]] if use_bias else None)
+        ws = [zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
+        return DenseStack(ws, [zeros(o) for o in dims[1:]] if use_bias else None)
 
     return FsNetParams(
-        np.zeros((arch.n_select, width)),
+        zeros((arch.n_select, width)),
         stack([arch.n_select, *arch.encoder]),
         stack([arch.hidden_width, arch.n_classes]),
         stack([arch.hidden_width, *arch.decoder] if decodes else []),
-        np.zeros((arch.recon_width, width)) if decodes else None,
+        zeros((arch.recon_width, width)) if decodes else None,
     )
 
 
@@ -157,12 +167,14 @@ def init_params(
 ) -> FsNetParams:
     """zeros_params with Glorot-uniform weights, drawn in named() order so a
     seed pins the model; the decoder and recon_w come last, so one without
-    them holds the first arrays of one with them."""
+    them holds the first arrays of one with them. Each weight is computed
+    from the generator's float64 draw and then cast to the array's dtype."""
 
     def glorot(a: np.ndarray) -> np.ndarray:
         if a.ndim == 1:  # a bias stays zero
             return a
-        return (rng.uniform(a.shape) * 2.0 - 1.0) * np.sqrt(6.0 / sum(a.shape))  # out + in
+        w = (rng.uniform(a.shape) * 2.0 - 1.0) * np.sqrt(6.0 / sum(a.shape))  # out + in
+        return w.astype(a.dtype, copy=False)
 
     return zeros_params(arch, embed_size, mode, use_bias, decodes).map(glorot)
 
@@ -178,8 +190,9 @@ class StackPass:
     """A DenseStack applied to a batch, keeping what its backward needs: the
     one NumPy pass of the encoder, the classifier head and the decoder, run
     by training and inference alike. Each hidden layer is a leaky ReLU,
-    scaled by its dropout mask if masks are given; the last layer of a
-    final_softmax stack is a softmax over each row."""
+    scaled by its dropout mask, cast to the layer's dtype, if masks are given;
+    the last layer of a final_softmax stack is a softmax over each row. The
+    batch comes in the stack's dtype."""
 
     def __init__(
         self,
@@ -189,7 +202,10 @@ class StackPass:
         masks: list[np.ndarray] | None,
         final_softmax: bool,
     ):
-        self.stack, self.masks, self.final_softmax = stack, masks, final_softmax
+        self.stack, self.final_softmax = stack, final_softmax
+        self.masks = None if masks is None else [
+            m.astype(w.dtype, copy=False) for m, w in zip(masks, stack.weights)
+        ]
         self.inputs: list[np.ndarray] = []
         self.leaks: list[np.ndarray] = []  # leaky-ReLU derivative of each hidden layer
         a = batch
@@ -204,8 +220,8 @@ class StackPass:
             else:
                 self.leaks.append(leaky_gate(z, slope))
                 a = z * self.leaks[-1]
-                if masks is not None:
-                    a = a * masks[i]
+                if self.masks is not None:
+                    a = a * self.masks[i]
         self.output = a
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -245,13 +261,16 @@ def decode(dec: DenseStack, hidden: np.ndarray, slope: float) -> np.ndarray:
     return StackPass(dec, hidden, slope, None, False).output
 
 
-def _flat_view(workspace: dict[str, np.ndarray], name: str, shape: tuple[int, int]) -> np.ndarray:
-    """A C-ordered view of the first rows * columns doubles of the flat
-    buffer workspace[name], which is dropped and made again if it holds fewer."""
+def _flat_view(
+    workspace: dict[str, np.ndarray], name: str, shape: tuple[int, int], dtype: np.dtype
+) -> np.ndarray:
+    """A C-ordered view of the first rows * columns elements of the flat
+    buffer workspace[name], which is dropped and made again if it holds fewer
+    or another dtype."""
     size = shape[0] * shape[1]
-    if name not in workspace or workspace[name].size < size:
+    if name not in workspace or workspace[name].size < size or workspace[name].dtype != dtype:
         workspace.pop(name, None)  # before the new one is made
-        workspace[name] = np.empty(size)
+        workspace[name] = np.empty(size, dtype=dtype)
     return workspace[name][:size].reshape(shape)
 
 
@@ -265,7 +284,8 @@ class ReconPass:
     passes overwrite their prefixes, so a monitor can score a test split in
     the training pass's buffers. Only backward() needs an (h', d) buffer: the
     gradient of V goes into the squared error's, dead once summed, and the
-    gradient before V's tanh into V's own storage, using recon_mat up.
+    gradient before V's tanh into V's own storage, using recon_mat up. The
+    pass computes in recon_mat's dtype, to which it casts X.
     """
 
     def __init__(
@@ -274,9 +294,10 @@ class ReconPass:
     ):
         self.decoder = StackPass(decoder, hidden, slope, masks, False)
         self.recon_mat, self.workspace = recon_mat, workspace
-        error = matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape))
-        self.error = np.subtract(X, error, out=error)  # x_hat becomes the error
-        self.squared = np.multiply(error, error, out=_flat_view(workspace, "squared", X.shape))
+        dtype = recon_mat.dtype
+        error = matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape, dtype))
+        self.error = np.subtract(np.asarray(X, dtype=dtype), error, out=error)  # x_hat becomes the error
+        self.squared = np.multiply(error, error, out=_flat_view(workspace, "squared", X.shape, dtype))
 
     def backward(self, scale: float) -> np.ndarray:
         """The gradient into hidden of scale times the summed squared error;
@@ -286,7 +307,7 @@ class ReconPass:
         # broadcast temporary; doubling and negation are exact
         g_x_hat = np.multiply(-2.0 * scale, self.error, out=self.error)
         v, self.squared = self.recon_mat, None  # its buffer takes the gradient of V
-        g_v = _flat_view(self.workspace, "squared", v.shape)
+        g_v = _flat_view(self.workspace, "squared", v.shape, v.dtype)
         np.matmul(self.decoder.output.T, g_x_hat, out=g_v)
         g_hidden = self.decoder.backward(g_x_hat @ v.T)
         # g_v * (1.0 - V * V) in the storage of V
@@ -300,14 +321,14 @@ def hard_scores(
     params: FsNetParams, X: np.ndarray, y: np.ndarray, selected: list[int], slope: float,
     recon_mat: np.ndarray | None = None, workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float | None]:
-    """The hard-selection pass, which encodes X[:, selected] once: its accuracy
-    on y (argmax, ties to the lowest class) and, given recon_mat =
-    recon_matrix(...), the mean summed squared reconstruction error per row,
-    from ReconPass's forward in the buffers of `workspace` (fresh ones if
-    None); else None."""
+    """The hard-selection pass, which encodes X[:, selected] once, cast to the
+    params' dtype: its accuracy on y (argmax, ties to the lowest class) and,
+    given recon_mat = recon_matrix(...), the mean summed squared
+    reconstruction error per row, from ReconPass's forward in the buffers of
+    `workspace` (fresh ones if None); else None."""
     if len(X) == 0:
         raise ValueError("cannot score an empty dataset")
-    hidden = encode(params.encoder, X[:, selected], slope)
+    hidden = encode(params.encoder, np.asarray(X[:, selected], dtype=params.dtype), slope)
     acc = float((classify(params.classifier, hidden, slope).argmax(axis=1) == y).mean())
     if recon_mat is None:
         return acc, None
@@ -318,14 +339,15 @@ def hard_scores(
 
 def virtual(w: np.ndarray, table: np.ndarray | None, out: np.ndarray | None = None) -> np.ndarray:
     """The virtual weights of a predicted layer, one column per feature:
-    w @ table.T for the (d, b) embedding table, written into `out` if given,
-    or w itself in dense mode (table is None), the rule with the identity."""
-    return w if table is None else matmul(w, table.T, out=out)
+    w @ table.T for the (d, b) embedding table cast to w's dtype, written into
+    `out` if given, or w itself in dense mode (table is None), the rule with
+    the identity."""
+    return w if table is None else matmul(w, table.astype(w.dtype, copy=False).T, out=out)
 
 
 def virtual_grad(g: np.ndarray, table: np.ndarray | None) -> np.ndarray:
-    """The gradient of w from the gradient g of virtual(w, table)."""
-    return g if table is None else g @ table
+    """The gradient of w from the gradient g of virtual(w, table), in g's dtype."""
+    return g if table is None else g @ table.astype(g.dtype, copy=False)
 
 
 def recon_matrix(

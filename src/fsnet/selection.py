@@ -40,7 +40,11 @@ def selection_weights(
 
 def sample_gates(state: ConcreteState, rng: RngState) -> np.ndarray:
     """Relaxed one-hot gate matrix: row k is the softmax over features of
-    (log weights_k + gumbel noise) / temperature, fresh noise per row."""
+    (log weights_k + gumbel noise) / temperature, fresh noise per row. The
+    noise is the generator's float64 draw, uncast, so the gates are float64
+    whatever the weights' dtype: float32 gates would flush many more entries
+    to 0 (numerics.softmax), and ties among them would decide more of
+    unique_argmax's picks."""
     k, d = state.weights.shape
     noise = rng.gumbel((k, d))  # row-major fill: one fresh vector per row
     logits = (np.log(np.maximum(state.weights, LOG_FLOOR)) + noise) / state.temperature

@@ -13,8 +13,12 @@ before the final selection. Within the pass, each chain of elementwise steps
 on a d-wide value runs in one buffer, and the reconstruction (a
 network.ReconPass) shares its buffers as that class describes. RMSprop's
 state is the list of mean squares; each step runs three in-place statements
-per block of whole rows of a parameter, of at least RMSPROP_BLOCK elements, so
+per block of whole rows of a parameter, of at least RMSPROP_BLOCK bytes, so
 its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
+
+The parameters are numerics.DTYPE (float32) arrays, and every pass computes
+in their dtype: LossPass and the tape cast the table, the embedding table,
+the float64 Gumbel noise and the float64 dropout masks they receive to it.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -30,7 +34,8 @@ Every softmax of the loop, on the tape as in LossPass, writes 0 where its
 output would be subnormal (numerics.softmax). Near the final temperature the
 gates would otherwise hold thousands of subnormals, and the gate products
 (X @ M^T, the softmax backwards) would run several times slower on x86.
-Results can change only where values below 2.2e-308 decide them.
+Results can change only where values below the dtype's smallest normal
+number (1.2e-38 in float32) decide them.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .selection import (
 )
 
 PROB_FLOOR = 1e-12  # inside log of the cross-entropy term
-RMSPROP_BLOCK = 32768  # fewest elements per RMSprop block: 256 KiB, where NumPy reuses temporaries
+RMSPROP_BLOCK = 256 * 1024  # fewest bytes per RMSprop block, where NumPy reuses temporaries
 
 
 class TrainingDiverged(RuntimeError):
@@ -121,7 +126,8 @@ def _graph_stack(
     masks: list[np.ndarray] | None,
     final_softmax: bool,
 ) -> Node:
-    """A DenseStack of weight and bias leaves applied to a batch node."""
+    """A DenseStack of weight and bias leaves applied to a batch node, each
+    mask cast to the batch's dtype."""
     a = batch
     last = len(stack.weights) - 1
     for i, w in enumerate(stack.weights):
@@ -133,7 +139,7 @@ def _graph_stack(
         else:
             a = ad.leaky_relu(z, slope)
             if masks is not None:
-                a = ad.mul(a, tape.leaf(masks[i]))
+                a = ad.mul(a, tape.leaf(masks[i].astype(a.value.dtype, copy=False)))
     return a
 
 
@@ -150,24 +156,25 @@ def build_loss_graph(
     encoder_masks: list[np.ndarray] | None = None,
     decoder_masks: list[np.ndarray] | None = None,
 ) -> tuple[Node, list[Node], dict[str, Node]]:
-    """The training loss as a tape graph, with optional dropout masks.
+    """The training loss as a tape graph, with optional dropout masks, in
+    the params' dtype: X, emb, gumbel and the masks are cast to it.
 
     Returns the loss node, the parameter leaves in FsNetParams.named() order,
     and named intermediate nodes (gates, class_loss, recon_loss).
     """
     _check_labels(y, params.classifier.weights[-1].shape[0])
-    X = np.asarray(X, dtype=np.float64)
+    dtype = params.dtype
     p = params.map(tape.leaf)
-    table = None if emb is None else tape.leaf(emb.T)
+    table = None if emb is None else tape.leaf(emb.T.astype(dtype, copy=False))
 
     def virtual_node(w: Node) -> Node:  # network.virtual on the tape
         return w if table is None else ad.matmul(w, table)
 
     delta = ad.softmax(virtual_node(p.select_w), axis=1)
-    noisy = ad.add(ad.log(ad.clip_min(delta, LOG_FLOOR)), tape.leaf(gumbel))
+    noisy = ad.add(ad.log(ad.clip_min(delta, LOG_FLOOR)), tape.leaf(gumbel.astype(dtype, copy=False)))
     gates = ad.softmax(ad.scale(noisy, 1.0 / temperature), axis=1)
 
-    x_node = tape.leaf(X)
+    x_node = tape.leaf(np.asarray(X, dtype=dtype))
     selected = ad.matmul(x_node, ad.transpose(gates))
     hidden = _graph_stack(tape, p.encoder, selected, slope, encoder_masks, False)
     probs = _graph_stack(tape, p.classifier, hidden, slope, None, True)
@@ -198,7 +205,8 @@ class LossPass:
     order. Each tape op stays one IEEE step here, in the tape's order, and
     every array that a row sum or a matrix product reads has the layout it
     has on the tape. Nothing is differentiated into X, the embedding table,
-    the Gumbel noise or the dropout masks.
+    the Gumbel noise or the dropout masks, which the pass, as the tape, casts
+    to the params' dtype, the one it computes in.
 
     Each chain of elementwise steps on a d-wide value runs in one array: the
     selection scores become delta (in predictor mode); the log of the floored
@@ -243,7 +251,8 @@ class LossPass:
         workspace: dict[str, np.ndarray],
     ):
         _check_labels(y, params.classifier.weights[-1].shape[0])
-        X = np.asarray(X, dtype=np.float64)
+        dtype = params.dtype
+        X = np.asarray(X, dtype=dtype)
         picks = (np.arange(X.shape[0]), np.asarray(y, dtype=np.intp))
         inv_tau = float(1.0 / temperature)
         lam = float(recon_weight)
@@ -251,11 +260,11 @@ class LossPass:
         # forward: the selection layer (scores -> delta, log -> noisy ->
         # logits -> gates), the encoder and classifier, then the reconstruction
         # made before the scores, which predictor mode computes in it
-        delta = _flat_view(workspace, "delta", (len(params.select_w), X.shape[1]))
+        delta = _flat_view(workspace, "delta", (len(params.select_w), X.shape[1]), dtype)
         numerics.softmax(virtual(params.select_w, emb, out=delta), axis=1, out=delta)
-        floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape))
-        gates = np.log(floored, out=_flat_view(workspace, "gates", delta.shape))  # noisy
-        np.add(gates, gumbel, out=gates)
+        floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape, dtype))
+        gates = np.log(floored, out=_flat_view(workspace, "gates", delta.shape, dtype))  # noisy
+        np.add(gates, np.asarray(gumbel, dtype=dtype), out=gates)
         np.multiply(gates, inv_tau, out=gates)  # logits
         self.gates = numerics.softmax(gates, axis=1, out=gates)
         encoder = StackPass(params.encoder, X @ gates.T, slope, encoder_masks, False)
@@ -271,7 +280,7 @@ class LossPass:
             self.loss = self.class_loss + self.recon_loss * lam
 
         # backward: the classifier, then the reconstruction
-        g_probs = np.zeros(classifier.output.shape)
+        g_probs = np.zeros(classifier.output.shape, dtype=dtype)
         g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
         g_hidden = classifier.backward(g_probs)
         g_decoder, g_recon_w = params.decoder, None  # the empty decoder at lambda 0
@@ -284,8 +293,9 @@ class LossPass:
         # softmax backward is p * (g - sum(g * p)), the product computed into
         # the (g - sum) array as NumPy computes it into that temporary
         g_selected = encoder.backward(g_hidden)
-        g_gates = np.matmul(X.T, g_selected, out=_flat_view(workspace, "g_gates", delta.shape[::-1])).T
-        weighted = np.multiply(g_gates, gates, out=_flat_view(workspace, "weighted", delta.shape))
+        g_gates = _flat_view(workspace, "g_gates", delta.shape[::-1], dtype)
+        g_gates = np.matmul(X.T, g_selected, out=g_gates).T
+        weighted = np.multiply(g_gates, gates, out=_flat_view(workspace, "weighted", delta.shape, dtype))
         g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)
         g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
@@ -316,7 +326,7 @@ def rmsprop_step(
     """One RMSprop update, in place: v = decay * v + (1 - decay) * g * g,
     then w = w - learning_rate * g / (sqrt(v) + eps), each operation its own
     IEEE step in that order, over blocks of the fewest whole axis-0 rows that
-    hold RMSPROP_BLOCK elements (one row when a row is longer), so temporaries
+    hold RMSPROP_BLOCK bytes (one row when a row is longer), so temporaries
     are block-sized and the result does not depend on RMSPROP_BLOCK. Returns
     `arrays` and `mean_square`, the same objects, updated."""
     if len(arrays) != len(grads) or len(arrays) != len(mean_square):
@@ -325,7 +335,7 @@ def rmsprop_step(
         if w.shape != g.shape or w.shape != v.shape:
             raise ValueError(f"shape mismatch in update: {w.shape} vs {g.shape} vs {v.shape}")
     for w, g, v in zip(arrays, grads, mean_square):
-        rows = math.ceil(RMSPROP_BLOCK / math.prod(w.shape[1:]))
+        rows = math.ceil(RMSPROP_BLOCK / (w.itemsize * math.prod(w.shape[1:])))
         for start in range(0, len(w), rows):
             block = slice(start, start + rows)
             wb, gb, vb = w[block], g[block], v[block]
@@ -338,8 +348,9 @@ def rmsprop_step(
 def _dropout_masks(
     rng: RngState, n: int, widths: tuple[int, ...], rate: float
 ) -> list[np.ndarray] | None:
-    """One (n, w) mask per width, (uniform >= rate) / (1 - rate): inverted
-    scaling boosts kept activations so inference needs no rescale. All masks
+    """One float64 (n, w) mask per width, (uniform >= rate) / (1 - rate):
+    inverted scaling boosts kept activations so inference needs no rescale;
+    the pass casts them to its dtype. All masks
     come from one draw, made and scaled in place and split into C-ordered
     views; the generator is counter-based, so they hold the bits of one draw
     per mask made in order."""
@@ -442,9 +453,11 @@ def train(
             )
 
     root = RngState(config.seed)
-    emb = compute_embeddings(dataset.X, config.embed_size) if config.mode == "predictor" else None
     decodes = config.recon_weight > 0.0  # else the loss does not reach the decoder and recon_w
     params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias, decodes)
+    emb = None  # cast once here, not by each pass
+    if config.mode == "predictor":
+        emb = compute_embeddings(dataset.X, config.embed_size).astype(params.dtype)
     records = _anneal(params, emb, dataset, test, config, root)
 
     final_state = selection_weights(params, emb, config.tau_end)

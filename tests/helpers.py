@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fsnet import numerics
 from fsnet.data import DataError, Dataset
 from fsnet.evaluator import EvalReport
 from fsnet.network import Architecture, classify, decode, encode, trainable_param_count
@@ -294,9 +295,12 @@ def concrete_loss(params, emb, X, y, gumbel, temperature, recon_weight, slope):
 
 
 def hard_scores_reference(params, emb, X, y, selected, slope):
-    """network.hard_scores with a reconstruction, composed from the stacks:
-    the accuracy of encode + classify, and the error of encode + decode +
-    recon_matrix_formula + ((X - x_hat) ** 2).sum(1).mean()."""
+    """network.hard_scores with a reconstruction, composed from the stacks in
+    the params' dtype, to which X and emb are cast first: the accuracy of
+    encode + classify, and the error of encode + decode + recon_matrix_formula
+    + ((X - x_hat) ** 2).sum(1).mean()."""
+    X = X.astype(params.dtype)
+    emb = None if emb is None else emb.astype(params.dtype)
     hidden = encode(params.encoder, X[:, selected], slope)
     probs = classify(params.classifier, hidden, slope)
     x_hat = decode(params.decoder, hidden, slope) @ recon_matrix_formula(params.recon_w, emb)
@@ -317,13 +321,14 @@ def rmsprop_reference(arrays, grads, mean_square, learning_rate, decay, eps):
 def ref_init_named(arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool):
     """init_params(arch, embed_size, mode, RngState(seed), use_bias).named(),
     one weight at a time: each (out, in) weight drawn in turn as
-    (uniform((out, in)) * 2 - 1) * sqrt(6 / (in + out)) in the order select_w,
-    encoder, classifier, decoder, recon_w, and every bias zero."""
+    (uniform((out, in)) * 2 - 1) * sqrt(6 / (in + out)) in float64, then cast
+    to numerics.DTYPE, in the order select_w, encoder, classifier, decoder,
+    recon_w, and every bias zero."""
     rng = RngState(seed)
 
     def weight(out_dim, in_dim):
         bound = np.sqrt(6.0 / (in_dim + out_dim))
-        return (rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound
+        return ((rng.uniform((out_dim, in_dim)) * 2.0 - 1.0) * bound).astype(numerics.DTYPE)
 
     width = embed_size if mode == "predictor" else arch.n_features
     named = [("select_w", weight(arch.n_select, width))]
@@ -335,7 +340,7 @@ def ref_init_named(arch: Architecture, embed_size: int, mode: str, seed: int, us
         outs = dims[1:]
         named += [(f"{label}.{i}", weight(o, n)) for i, (n, o) in enumerate(zip(dims, outs))]
         if use_bias:
-            named += [(f"{label}.{i}.bias", np.zeros(o)) for i, o in enumerate(outs)]
+            named += [(f"{label}.{i}.bias", np.zeros(o, numerics.DTYPE)) for i, o in enumerate(outs)]
     named.append(("recon_w", weight(arch.decoder[-1], width)))
     return named
 

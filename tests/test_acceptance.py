@@ -38,6 +38,7 @@ def report(number, name, ok, detail=""):
 # ------------------------------------------------------------ criterion 1
 
 
+@pytest.mark.usefixtures("float64_arithmetic")  # the differences and tolerances are float64's
 def test_criterion_1_gradients_match_finite_differences():
     started = time.perf_counter()
     n, d, k, b = 8, 20, 3, 4

@@ -84,6 +84,7 @@ def test_train_writes_model_report_and_manifest(tmp_path, data_csv, capsys):
     assert numerics["numpy"] == np.__version__
     assert isinstance(numerics["blas"], str) and numerics["blas"]
     assert numerics["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    assert numerics["dtype"] == model.params.dtype.name == "float32"
 
     # artifacts point back at the manifest that produced them
     assert 'manifest "run.manifest.json"' in Path(out + ".model").read_text().splitlines()[1]
@@ -665,6 +666,19 @@ def test_a_commands_manifest_lists_what_it_wrote_and_each_artifact_names_it(
     assert doc["command"] == command
     assert doc["outputs"] == [os.path.basename(a) for a in artifacts]
     assert [_manifest_named_by(a) for a in artifacts] == [manifest] * len(artifacts)
+    # the arithmetic dtype of the model trained or loaded; synth has none
+    assert doc["numerics"]["dtype"] == {"synth": None, "train": "float32", "eval": "float32"}[command]
+
+
+def test_eval_of_a_float64_model_records_float64(tmp_path):
+    # a version 3 file holds float64 weights, which eval scores in
+    table = Dataset(RngState(8).normal((20, 12)), np.arange(20) % 2, 2, ["neg", "pos"],
+                    [f"f{j}" for j in range(12)])
+    save_delimited(table, str(tmp_path / "t.csv"))
+    model = Path(__file__).parent / "fixtures" / "v3-predictor.model"
+    out = str(tmp_path / "e")
+    assert main(["eval", "--model", str(model), "--data", str(tmp_path / "t.csv"), "--out", out]) == 0
+    assert json.loads(Path(out + ".eval.manifest.json").read_text())["numerics"]["dtype"] == "float64"
 
 
 def test_synth_is_byte_reproducible(tmp_path):

@@ -328,12 +328,16 @@ def test_load_peak_memory_stays_near_the_array_size(tmp_path):
 # ---------------------------------------------------------------- scaling
 
 
-def test_standardize_train_statistics():
+def test_standardize_train_statistics(arithmetic_dtype):
+    # the tolerance is 1e-12 in float64 and the same multiple of the
+    # dtype's epsilon in float32
+    atol = 1e-12 * np.finfo(arithmetic_dtype).eps / np.finfo(np.float64).eps
     rng = np.random.default_rng(1)
     train = Dataset(rng.normal(2.0, 3.0, size=(50, 4)), rng.integers(0, 2, 50), 2, ["a", "b"])
     out, _, transform = standardize(train)
-    assert np.allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(out.X.std(axis=0), 1.0, atol=1e-12)
+    assert out.X.dtype == arithmetic_dtype
+    assert np.allclose(out.X.mean(axis=0), 0.0, atol=atol)
+    assert np.allclose(out.X.std(axis=0), 1.0, atol=atol)
     assert transform.mean.shape == (4,)
 
 
@@ -365,12 +369,14 @@ def test_standardizer_not_idempotent():
     assert not np.allclose(once, twice)
 
 
-def test_standardizer_apply_gives_the_bytes_of_the_expression():
+def test_standardizer_apply_gives_the_bytes_of_the_expression(arithmetic_dtype):
+    # the float64 difference rounded to the dtype, over the scale in the dtype
     rng = np.random.default_rng(5)
     X = rng.normal(3.0, 2.0, size=(30, 50))
     _, _, transform = standardize(Dataset(X, np.arange(30) % 2, 2, ["a", "b"]))
-    want = (X - transform.mean) / transform.scale
-    assert transform.apply(X).tobytes() == want.tobytes()
+    want = (X - transform.mean).astype(arithmetic_dtype) / transform.scale.astype(arithmetic_dtype)
+    got = transform.apply(X)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_standardize_leaves_input_untouched():

@@ -116,17 +116,18 @@ def test_scoring_refuses_selected_columns_named_unlike_the_model(score):
 # ---------------------------------------------------------------- recon
 
 
-def test_reconstruction_error_of_zero_model_is_mean_row_power():
-    # zero recon weights always reconstruct the zero vector
+def test_reconstruction_error_of_zero_model_is_mean_row_power(arithmetic_dtype):
+    # zero recon weights always reconstruct the zero vector; the table is
+    # scored in the model's dtype
     ds = toy_dataset(3)
-    expected = float((ds.X**2).sum(axis=1).mean())
+    expected = float((ds.X.astype(arithmetic_dtype) ** 2).sum(axis=1).mean())
     assert reconstruction_error(zero_model(), ds) == pytest.approx(expected, rel=1e-12)
 
 
-def test_reconstruction_error_dense_mode_ignores_embeddings():
+def test_reconstruction_error_dense_mode_ignores_embeddings(arithmetic_dtype):
     ds = toy_dataset(4)
     model = zero_model(mode="dense")
-    expected = float((ds.X**2).sum(axis=1).mean())
+    expected = float((ds.X.astype(arithmetic_dtype) ** 2).sum(axis=1).mean())
     assert reconstruction_error(model, ds) == pytest.approx(expected, rel=1e-12)
 
 

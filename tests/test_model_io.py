@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsnet.config import TrainConfig
+from fsnet.data import Dataset
+from fsnet.evaluator import evaluate, measured_compression_ratio
 from fsnet.model import (
     FsNetModel,
     ModelFormatError,
@@ -71,6 +73,11 @@ def test_model_validation():
         FsNetModel(without.config, m.arch, m.params, [1, 2, 3], m.label_names)
     with pytest.raises(ValueError, match="decoder"):
         FsNetModel(m.config, m.arch, without.params, [1, 2, 3], m.label_names)
+    # the arrays share one dtype, float32 or float64
+    mixed = m.params.map(lambda a: a.astype(np.float64) if a.shape[0] == 4 else a)
+    for params, got in ((mixed, r"\['float32', 'float64'\]"), (m.params.map(np.float16), r"\['float16'\]")):
+        with pytest.raises(ValueError, match=f"share one dtype of \\['float32', 'float64'\\], got {got}"):
+            FsNetModel(m.config, m.arch, params, [1, 2, 3], m.label_names)
 
 
 @pytest.mark.parametrize(
@@ -155,11 +162,12 @@ EDGE_VALUES = [
 
 
 def save_v1(model, path):
-    """Write model as format version 1 wrote it: the same header lines under
-    a v1 magic line, then each weight row as space-separated "%.17e" values."""
-    v2_lines = list(model_lines(model))
-    first_array = next(i for i, line in enumerate(v2_lines) if line.startswith("array "))
-    lines = ["fsnet-model v1\n", *v2_lines[1:first_array]]
+    """Write model as format version 1 wrote it: the same header lines but
+    the dtype line under a v1 magic line, then each weight row as
+    space-separated "%.17e" values."""
+    v4_lines = list(model_lines(model))
+    first_array = next(i for i, line in enumerate(v4_lines) if line.startswith("array "))
+    lines = ["fsnet-model v1\n", *(ln for ln in v4_lines[1:first_array] if not ln.startswith("dtype "))]
     for name, arr in model.params.named():
         lines.append(f"array {name} {' '.join(str(s) for s in arr.shape)}\n")
         lines += [" ".join("%.17e" % v for v in row) + "\n" for row in arr.reshape(-1, arr.shape[-1])]
@@ -186,6 +194,7 @@ def test_round_trip_bit_exact(tmp_path, mode, use_bias, recon_weight):
     # at lambda 0 the file holds no decoder.* or recon_w block
     assert any(name.startswith("decoder.") or name == "recon_w" for name in blocks) == (recon_weight > 0)
     again = load_model(path)
+    assert again.params.dtype == model.params.dtype == np.float32
     assert again.config == model.config
     assert again.arch == model.arch
     assert again.selected == model.selected
@@ -194,19 +203,30 @@ def test_round_trip_bit_exact(tmp_path, mode, use_bias, recon_weight):
     assert_same_weights(model, again)
 
 
-def test_round_trip_extreme_values(tmp_path):
+# -0.0, the smallest subnormal and the largest finite value, by their bits
+EXTREME_PAYLOADS = {
+    np.float32: np.array([0x80000000, 0x00000001, 0x7F7FFFFF], dtype="<u4").view("<f4"),
+    np.float64: np.array(
+        [0x8000000000000000, 0x0000000000000001, 0x7FEFFFFFFFFFFFFF], dtype="<u8"
+    ).view("<f8"),
+}
+
+
+def test_round_trip_extreme_values(tmp_path, arithmetic_dtype):
     model = tiny_model()
-    model.params.select_w[0, 0] = 1e-308
-    model.params.select_w[0, 1] = -1.2345678901234567e300
-    model.params.recon_w[0, 0] = np.nextafter(1.0, 2.0)
-    # -0.0, the smallest subnormal and the largest finite value, by their bits
-    payloads = np.array([0x8000000000000000, 0x0000000000000001, 0x7FEFFFFFFFFFFFFF], dtype="<u8")
-    model.params.recon_w[1, :3] = payloads.view("<f8")
+    info = np.finfo(arithmetic_dtype)
+    model.params.select_w[0, 0] = info.tiny
+    model.params.select_w[0, 1] = -0.9 * info.max
+    model.params.recon_w[0, 0] = np.nextafter(arithmetic_dtype(1.0), arithmetic_dtype(2.0))
+    model.params.recon_w[1, :3] = EXTREME_PAYLOADS[arithmetic_dtype]
     path = str(tmp_path / "m.model")
     save_model(model, path)
-    assert_same_weights(model, load_model(path))
+    again = load_model(path)
+    assert again.params.dtype == arithmetic_dtype
+    assert_same_weights(model, again)
 
 
+@pytest.mark.usefixtures("float64_arithmetic")  # versions 1-3 hold float64 weights
 @pytest.mark.parametrize("mode,use_bias", [("predictor", False), ("dense", True)])
 def test_a_version_1_file_loads_bit_exactly(tmp_path, mode, use_bias):
     model = tiny_model(mode, use_bias)
@@ -217,6 +237,7 @@ def test_a_version_1_file_loads_bit_exactly(tmp_path, mode, use_bias):
     assert_same_weights(model, again)
 
 
+@pytest.mark.usefixtures("float64_arithmetic")
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
 def test_an_edge_value_loads_bit_exactly_from_either_version(tmp_path, value):
     model = tiny_model()
@@ -228,7 +249,7 @@ def test_an_edge_value_loads_bit_exactly_from_either_version(tmp_path, value):
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=repr)
-@pytest.mark.parametrize("save", [save_v1, save_model], ids=["v1", "v3"])
+@pytest.mark.parametrize("save", [save_v1, save_model], ids=["v1", "v4"])
 def test_load_rejects_a_non_finite_weight(tmp_path, save, value):
     model = tiny_model()
     model.params.encoder.weights[0][2, 1] = value
@@ -238,17 +259,26 @@ def test_load_rejects_a_non_finite_weight(tmp_path, save, value):
         load_model(path)
 
 
-def test_version_3_bytes_are_pinned(tmp_path):
-    """The v3 bytes of tiny_model(). A change to the row encoding, the header
-    lines or tiny_model's weights moves this digest; one that changes what an
-    existing file means also bumps FORMAT_VERSION. At recon_weight > 0, v3
-    differs from the v2 file of the same model in the magic line alone."""
+def test_version_4_bytes_are_pinned(tmp_path):
+    """The v4 bytes of tiny_model(), whose weights are float32. A change to
+    the row encoding, the header lines or tiny_model's weights moves this
+    digest; one that changes what an existing file means also bumps
+    FORMAT_VERSION."""
     path = tmp_path / "m.model"
     save_model(tiny_model(), str(path))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "aa2a4f2afa994cb5175d3bad114071d316db8e35b62b148453319501e8d42a8a"
+    assert digest == "dca2f9396e4110d0768fa296966caa38c4c80427895a6c8282a1b159398ee9df"
+
+
+@pytest.mark.usefixtures("float64_arithmetic")
+def test_a_float64_version_4_file_is_the_version_2_file_with_its_dtype_named(tmp_path):
+    # at recon_weight > 0, the v4 file of a float64 model differs from the
+    # v2 file of the same model in the magic line and the dtype line alone
+    path = tmp_path / "m.model"
+    save_model(tiny_model(), str(path))
     v2 = (FIXTURES / "v2-predictor.model").read_text()
-    assert path.read_text() == v2.replace("fsnet-model v2\n", "fsnet-model v3\n", 1)
+    v4 = v2.replace("fsnet-model v2\n", "fsnet-model v4\n", 1)
+    assert path.read_text() == v4.replace("\narrays ", '\ndtype "float64"\narrays ', 1)
 
 
 # Written by the version 2 writer from tiny_model()'s arrays; the lambda-0
@@ -260,6 +290,7 @@ V2_FIXTURES = {
 }
 
 
+@pytest.mark.usefixtures("float64_arithmetic")
 @pytest.mark.parametrize("name", V2_FIXTURES)
 def test_a_version_2_file_loads_bit_exactly(name):
     model = tiny_model(**V2_FIXTURES[name])
@@ -267,6 +298,56 @@ def test_a_version_2_file_loads_bit_exactly(name):
     assert (again.config, again.arch, again.selected) == (model.config, model.arch, model.selected)
     assert (again.label_names, again.selected_names) == (model.label_names, model.selected_names)
     assert_same_weights(model, again)  # at lambda 0, without the decoder and recon_w
+
+
+# Written by the version 3 writer from tiny_model()'s float64 arrays, with
+# the evaluate() report lines of the version 3 code on v3_table(), all but
+# measured_compression_ratio, the ratio of the files save_model writes
+V3_FIXTURES = {
+    "v3-predictor.model": (dict(mode="predictor", use_bias=False, recon_weight=1.0), [
+        "accuracy 6.50000000000000022e-01", "recon_error 1.38439926408178540e+01",
+        "avg_mi 1.38598957006189738e+00", "mi_bins 10", "param_count_predictor 126",
+        "param_count_dense 198", "compression_ratio 1.57142857142857140e+00",
+    ]),
+    "v3-dense-lambda0.model": (dict(mode="dense", use_bias=True, recon_weight=0.0), [
+        "accuracy 2.99999999999999989e-01", "recon_error",
+        "avg_mi 1.38598957006189738e+00", "mi_bins 10", "param_count_predictor 74",
+        "param_count_dense 98", "compression_ratio 1.32432432432432434e+00",
+    ]),
+}
+
+
+def v3_table():
+    """A raw float64 table of tiny_model()'s width and labels."""
+    return Dataset(RngState(8).normal((20, 12)), np.arange(20) % 2, 2, ["neg", "pos"])
+
+
+@pytest.mark.parametrize("name", V3_FIXTURES)
+def test_a_version_3_file_loads_bit_exactly_as_float64(name, monkeypatch):
+    again = load_model(str(FIXTURES / name))
+    assert again.params.dtype == np.float64
+    monkeypatch.setattr("fsnet.numerics.DTYPE", np.float64)
+    model = tiny_model(**V3_FIXTURES[name][0])
+    assert (again.config, again.arch, again.selected) == (model.config, model.arch, model.selected)
+    assert (again.label_names, again.selected_names) == (model.label_names, model.selected_names)
+    assert_same_weights(model, again)
+
+
+@pytest.mark.parametrize("name", V3_FIXTURES)
+def test_a_version_3_file_is_evaluated_in_float64(name):
+    # under the float32 default, a float64 model scores a float64 table in
+    # float64: the report of the version 3 code, to the last digit, and the
+    # size ratio of float64 files
+    model = load_model(str(FIXTURES / name))
+    report = evaluate(model, v3_table())
+    assert report.lines()[:-1] == V3_FIXTURES[name][1]
+    cfg = model.config
+    float64_files = measured_compression_ratio(
+        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.recon_weight > 0.0, np.float64
+    )
+    assert report.measured_compression_ratio == float64_files != measured_compression_ratio(
+        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.recon_weight > 0.0
+    )
 
 
 def test_a_version_2_lambda_zero_file_has_its_decoder_rows_checked(tmp_path):
@@ -343,7 +424,7 @@ def test_load_rejects_wrong_magic(tmp_path):
 
 
 def test_load_rejects_future_version(tmp_path):
-    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v4"))
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(0, "fsnet-model v5"))
     with pytest.raises(ModelFormatError, match="unrecognized"):
         load_model(path)
 
@@ -435,6 +516,14 @@ def test_load_rejects_missing_end_marker(tmp_path):
                 lines[i] = ""
     path = corrupt(tmp_path, mutate)
     with pytest.raises(ModelFormatError, match="end"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("dtype", ['"float16"', "32"])
+def test_load_rejects_an_unsupported_dtype(tmp_path, dtype):
+    path = corrupt(tmp_path, lambda ls: ls.__setitem__(8, f"dtype {dtype}"))
+    message = f"line 9: unsupported dtype {json.loads(dtype)!r}"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(path)}: {re.escape(message)}"):
         load_model(path)
 
 

@@ -208,7 +208,9 @@ def test_hard_pass_decoder_output_reconstructs_every_feature():
 @pytest.mark.parametrize("use_bias", [False, True])
 @pytest.mark.parametrize("d", [500, 7129])  # a 20 x d array below, then above 256 KiB
 @pytest.mark.parametrize("with_workspace", [False, True])
-def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_workspace):
+def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_workspace, arithmetic_dtype):
+    # X and the embedding table are float64; hard_scores casts them to the
+    # params' dtype, as the composition does
     n, k = 20, 6
     X = RngState(3).normal((n, d))
     y = np.arange(n) % 3
@@ -219,7 +221,7 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_w
         params = params.map(lambda a: a + 0.1 if a.ndim == 1 else a)
     selected = [d - 1, 0, 17, 3, d // 2, 250]
     # the buffers of a taller batch, holding stale values
-    workspace = {name: np.full((n + 3) * d, np.nan) for name in ("error", "squared")}
+    workspace = {name: np.full((n + 3) * d, np.nan, arithmetic_dtype) for name in ("error", "squared")}
     buffers = dict(workspace)
     recon_mat = recon_matrix(params.recon_w, emb)
 
@@ -230,6 +232,7 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_w
     assert hard_scores(params, X, y, selected, 0.2) == (want_acc, None)
     if with_workspace:  # the squared error was computed in the caller's buffer
         assert all(workspace[name] is buf for name, buf in buffers.items())
+        X = X.astype(arithmetic_dtype)
         hidden = encode(params.encoder, X[:, selected], 0.2)
         x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, 0.2))
         squared = workspace["squared"][: n * d].reshape(n, d)
@@ -354,11 +357,12 @@ def test_zeros_params_matches_init_structure():
 @pytest.mark.parametrize(
     "arch", [DEFAULT, Architecture(40, 4, 3, encoder=(8, 5), decoder=(6,))], ids=["default", "small"]
 )
-def test_init_params_equals_the_per_weight_draws_to_the_byte(mode, use_bias, seed, arch):
+def test_init_params_equals_the_per_weight_draws_to_the_byte(mode, use_bias, seed, arch, arithmetic_dtype):
     got = init_params(arch, 7, mode, RngState(seed), use_bias).named()
     want = ref_init_named(arch, 7, mode, seed, use_bias)
     assert [n for n, _ in got] == [n for n, _ in want]
     for (name, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype == arithmetic_dtype, name
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
