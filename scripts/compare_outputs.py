@@ -8,12 +8,15 @@ against that tree and against the checkout's own `src/` (uncommitted edits
 included), each in its own empty output directory:
 
     synth --n 60 --d 300 --k-star 5 --seed 3
-    train --epochs 60 --seed 4, four times: predictor mode, dense mode
-        with --use-bias --lambda 0.5, and both modes at --lambda 0
-    eval and select of each of the four models
+    train --epochs 60 --seed 4, five times: predictor mode, dense mode
+        with --use-bias --lambda 0.5, both modes at --lambda 0, and
+        predictor mode with --no-standardize, whose float64 table the
+        training passes cast to the model's dtype every epoch
+    eval and select of each of the five models
     eval of the predictor model on syn1.csv, the synth table with the
         rows of label 1 moved first, so eval maps the file's label codes
         to the model's by name
+    eval --no-standardize of the --no-standardize model
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -47,6 +50,7 @@ def command_sequence() -> list[list[str]]:
         "dense": ["--mode", "dense", "--use-bias", "--lambda", "0.5"],
         "dense0": ["--mode", "dense", "--lambda", "0"],
         "predictor0": ["--lambda", "0"],
+        "raw": ["--no-standardize"],
     }
     commands = [["synth", "--n", "60", "--d", "300", "--k-star", "5", "--seed", "3", "--out", "syn"]]
     commands += [[*train, *flags, "--out", name] for name, flags in models.items()]
@@ -54,6 +58,7 @@ def command_sequence() -> list[list[str]]:
         commands.append(["eval", "--model", f"{name}.model", "--data", "syn.csv", "--out", name])
         commands.append(["select", "--model", f"{name}.model"])
     commands.append(["eval", "--model", "predictor.model", "--data", "syn1.csv", "--out", "predictor1"])
+    commands.append(["eval", "--model", "raw.model", "--data", "syn.csv", "--no-standardize", "--out", "raw1"])
     return commands
 
 

@@ -113,8 +113,8 @@ def load_delimited(
     skipped, and a UTF-8 byte-order mark is ignored. Label strings are mapped
     to integer codes in order of first appearance. Feature cells are read as
     Python `float()` reads them. A ragged row or a non-numeric feature cell
-    raises DataError naming its location; then so does the first non-finite
-    feature cell in file order.
+    raises DataError naming its location; then so does the first feature
+    cell, in file order, that is not finite or beyond numerics.DTYPE's range.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise DataError(f"delimiter must be one character other than \\r and \\n, got {delimiter!r}")
@@ -167,10 +167,12 @@ def load_delimited(
     feature_names = None
     if header_cells is not None:
         feature_names = header_cells[:label_idx] + header_cells[label_idx + 1:]
-    X = np.stack(rows)
-    if not np.isfinite(X).all():
-        r, j = np.argwhere(~np.isfinite(X))[0]
-        raise _cell_error(path, linenos[r], j, label_idx, f"non-finite value {float(X[r, j])!r}")
+    X, info = np.stack(rows), np.finfo(numerics.DTYPE)
+    if not -info.max <= X.min() <= X.max() <= info.max:  # false on NaN too; no temporary of X's size
+        r, j = np.argwhere(~(np.abs(X) <= info.max))[0]
+        v = float(X[r, j])
+        problem = f"value {v!r} beyond {info.dtype}'s range" if np.isfinite(v) else f"non-finite value {v!r}"
+        raise _cell_error(path, linenos[r], j, label_idx, problem)
     return Dataset(X, y, len(codes), list(codes), feature_names)
 
 

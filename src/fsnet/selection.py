@@ -1,7 +1,7 @@
 """Concrete-relaxation selection layer: per-neuron selection weights (a
-softmax over the virtual weights of network.virtual), relaxed one-hot gate
-sampling, geometric temperature annealing, and the unique-argmax rule used
-to extract distinct feature indices at the end of training."""
+softmax over the virtual weights of network.virtual), its training pass
+(SelectPass), relaxed one-hot gate sampling, geometric temperature
+annealing, and the unique-argmax extraction of distinct feature indices."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FsNetParams, virtual
+from .network import FsNetParams, _flat_view, virtual, virtual_grad
 from .numerics import as_matrix, softmax
 from .rng import RngState
 
@@ -36,6 +36,63 @@ def selection_weights(
     """Selection weights: row k is the softmax over the features of selector
     neuron k's scores, the virtual weights virtual(select_w, emb)."""
     return ConcreteState(softmax(virtual(params.select_w, emb), axis=1), temperature)
+
+
+class SelectPass:
+    """The selection layer of a training pass over a batch X: delta, the
+    noise-free selection weights softmax(virtual(select_w, emb)) by row, the
+    gates softmax((log max(delta, LOG_FLOOR) + gumbel) / temperature) by row,
+    and output = X @ gates.T, all in select_w's dtype; .X is X cast to it.
+
+    Each chain of elementwise steps on a d-wide value runs in one array, a
+    network._flat_view of a named buffer of the dict workspace with the
+    layout NumPy gives its expression: the selection scores become delta (in
+    predictor mode); the log of the floored delta becomes the noisy logits,
+    the logits and the gates; the gradient of the gates becomes those of the
+    logits and the noisy logits; and the floored delta, dead once the log
+    has read it and the gradient divided by it, becomes the gradient of the
+    floored delta, then those of delta and of the scores. NumPy gives that
+    quotient of an F-ordered gradient and the C-ordered floored delta C
+    order, floored's own. The two g * p products that the softmax
+    backwards' row sums read are both C-ordered, as NumPy makes them, and
+    share the weighted buffer. g_gates is the C-ordered (d, K)
+    X.T @ g_selected, used through .T. delta and gates are views of the
+    workspace, valid until the next pass through it.
+    """
+
+    def __init__(
+        self, select_w: np.ndarray, emb: np.ndarray | None, X: np.ndarray, gumbel: np.ndarray,
+        temperature: float, workspace: dict[str, np.ndarray],
+    ):
+        dtype, self.emb, self.workspace = select_w.dtype, emb, workspace
+        self.X, self.inv_tau = np.asarray(X, dtype=dtype), float(1.0 / temperature)
+        delta = _flat_view(workspace, "delta", (len(select_w), self.X.shape[1]), dtype)
+        self.delta = softmax(virtual(select_w, emb, out=delta), axis=1, out=delta)
+        self.floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape, dtype))
+        gates = np.log(self.floored, out=_flat_view(workspace, "gates", delta.shape, dtype))  # noisy
+        np.add(gates, np.asarray(gumbel, dtype=dtype), out=gates)
+        np.multiply(gates, self.inv_tau, out=gates)  # logits
+        self.gates = softmax(gates, axis=1, out=gates)
+        self.output = self.X @ gates.T
+
+    def backward(self, g_selected: np.ndarray) -> np.ndarray:
+        """select_w's gradient from g_selected, the output's: g_gates -> g_logits
+        -> g_noisy, then g_floored -> g_delta -> g_scores. Each softmax backward,
+        p * (g - sum(g * p)), computes the product into the (g - sum) array."""
+        delta, gates, floored, dtype = self.delta, self.gates, self.floored, self.delta.dtype
+        g_gates = _flat_view(self.workspace, "g_gates", delta.shape[::-1], dtype)
+        g_gates = np.matmul(self.X.T, g_selected, out=g_gates).T
+        weighted = np.multiply(g_gates, gates, out=_flat_view(self.workspace, "weighted", delta.shape, dtype))
+        g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
+        np.multiply(gates, g_logits, out=g_logits)
+        g_noisy = np.multiply(g_logits, self.inv_tau, out=g_logits)
+        # g_floored, C-ordered as NumPy makes the fresh quotient, in the dead floored
+        g_delta = np.divide(g_noisy, floored, out=floored)
+        np.multiply(g_delta, delta > LOG_FLOOR, out=g_delta)
+        np.multiply(g_delta, delta, out=weighted)
+        g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
+        np.multiply(delta, g_scores, out=g_scores)
+        return virtual_grad(g_scores, self.emb)
 
 
 def sample_gates(state: ConcreteState, rng: RngState) -> np.ndarray:

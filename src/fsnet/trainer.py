@@ -1,20 +1,21 @@
 """Training loop: one hand-written forward and backward pass of the joint
-classification + reconstruction loss (LossPass), RMSprop updates, temperature
-annealing, per-epoch monitoring, and the final hard feature selection. The
-same loss as an autodiff tape graph (build_loss_graph) is kept as the
-reference that LossPass must equal byte for byte.
+classification + reconstruction loss (LossPass, which composes the passes
+selection.SelectPass, network.StackPass and network.ReconPass), RMSprop
+updates, temperature annealing, per-epoch monitoring, and the final hard
+feature selection. The same loss as an autodiff tape graph
+(build_loss_graph) is kept as the reference that LossPass must equal byte
+for byte.
 
 Every d-wide array of the loop (the pass's K x d, n x d and h' x d arrays,
 the reconstruction matrix and the optimizer's state) is a buffer made once
 per train() call and overwritten each epoch, and the monitor scores the test
 split in the pass's reconstruction buffers; the parameters are updated in
 place. All of them live in the loop's own scope (_anneal) and are gone
-before the final selection. Within the pass, each chain of elementwise steps
-on a d-wide value runs in one buffer, and the reconstruction (a
-network.ReconPass) shares its buffers as that class describes. RMSprop's
-state is the list of mean squares; each step runs three in-place statements
-per block of whole rows of a parameter, of at least RMSPROP_BLOCK bytes, so
-its temporaries are block-sized and a block's arrays stay in a core's L2 cache.
+before the final selection; within the pass, SelectPass and ReconPass reuse
+them as those classes describe. RMSprop's state is the list of mean squares;
+each step runs three in-place statements per block of whole rows of a
+parameter, of at least RMSPROP_BLOCK bytes, so its temporaries are
+block-sized and a block's arrays stay in a core's L2 cache.
 
 The parameters are numerics.DTYPE (float32) arrays, and every pass computes
 in their dtype: LossPass and the tape cast the table, the embedding table,
@@ -46,7 +47,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import numerics
 from .autodiff import Node, Tape
 from .config import TrainConfig
 from .data import DataError, Dataset
@@ -58,16 +58,15 @@ from .network import (
     FsNetParams,
     ReconPass,
     StackPass,
-    _flat_view,
     hard_scores,
     init_params,
     recon_matrix,
-    virtual,
     virtual_grad,
 )
 from .rng import RngState
 from .selection import (
     LOG_FLOOR,
+    SelectPass,
     anneal_temperature,
     sample_gates,
     selection_weights,
@@ -206,19 +205,10 @@ class LossPass:
     every array that a row sum or a matrix product reads has the layout it
     has on the tape. Nothing is differentiated into X, the embedding table,
     the Gumbel noise or the dropout masks, which the pass, as the tape, casts
-    to the params' dtype, the one it computes in.
-
-    Each chain of elementwise steps on a d-wide value runs in one array: the
-    selection scores become delta (in predictor mode); the log of the floored
-    delta becomes the noisy logits, the logits and the gates; the gradient of
-    the gates becomes those of the logits and the noisy logits; and the
-    floored delta, dead once the log has read it and the gradient divided by
-    it, becomes the gradient of the floored delta, then those of delta and of
-    the scores. NumPy gives that quotient of an F-ordered gradient and the
-    C-ordered floored delta C order, floored's own. The two g * p products
-    that the softmax backwards' row sums read are both C-ordered, as NumPy
-    makes them, and share one buffer. The decoder and the reconstruction run
-    as one network.ReconPass, whose error becomes its own gradient.
+    to the params' dtype, the one it computes in. It composes a
+    selection.SelectPass, two network.StackPass (encoder, classifier) and,
+    when recon_weight > 0, a network.ReconPass, the first and the last in
+    buffers of the dict workspace.
 
     recon_mat is recon_matrix(params.recon_w, emb), passed in so the caller
     can share it. When recon_weight > 0 the pass uses it up: the backward of
@@ -226,13 +216,8 @@ class LossPass:
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
     gates, and grads in params.named() order. At recon_weight 0 params hold
     no decoder and no recon_w (init_params(..., decodes=False)), and
-    recon_mat is None.
-
-    Every K x d, n x d and h' x d array the pass reuses, ReconPass's too, is
-    a network._flat_view of a named buffer of the dict workspace, with the
-    layout NumPy gives its expression; g_gates is the C-ordered (d, K)
-    X.T @ g_selected, used through .T. gates and grads are views of the
-    workspace, valid until the next pass through it.
+    recon_mat is None. gates and grads are views of the workspace, valid
+    until the next pass through it.
     """
 
     def __init__(
@@ -251,23 +236,13 @@ class LossPass:
         workspace: dict[str, np.ndarray],
     ):
         _check_labels(y, params.classifier.weights[-1].shape[0])
-        dtype = params.dtype
-        X = np.asarray(X, dtype=dtype)
-        picks = (np.arange(X.shape[0]), np.asarray(y, dtype=np.intp))
-        inv_tau = float(1.0 / temperature)
+        picks = (np.arange(len(X)), np.asarray(y, dtype=np.intp))
         lam = float(recon_weight)
 
-        # forward: the selection layer (scores -> delta, log -> noisy ->
-        # logits -> gates), the encoder and classifier, then the reconstruction
-        # made before the scores, which predictor mode computes in it
-        delta = _flat_view(workspace, "delta", (len(params.select_w), X.shape[1]), dtype)
-        numerics.softmax(virtual(params.select_w, emb, out=delta), axis=1, out=delta)
-        floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape, dtype))
-        gates = np.log(floored, out=_flat_view(workspace, "gates", delta.shape, dtype))  # noisy
-        np.add(gates, np.asarray(gumbel, dtype=dtype), out=gates)
-        np.multiply(gates, inv_tau, out=gates)  # logits
-        self.gates = numerics.softmax(gates, axis=1, out=gates)
-        encoder = StackPass(params.encoder, X @ gates.T, slope, encoder_masks, False)
+        # forward: the selection layer, the encoder and classifier, then the reconstruction
+        select = SelectPass(params.select_w, emb, X, gumbel, temperature, workspace)
+        self.gates = select.gates
+        encoder = StackPass(params.encoder, select.output, slope, encoder_masks, False)
         hidden = encoder.output
         classifier = StackPass(params.classifier, hidden, slope, None, True)
         picked = classifier.output[picks]
@@ -275,39 +250,20 @@ class LossPass:
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
-            recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, decoder_masks, workspace)
+            recon = ReconPass(params.decoder, recon_mat, select.X, hidden, slope, decoder_masks, workspace)
             self.recon_loss = np.sum(recon.squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
-        # backward: the classifier, then the reconstruction
-        g_probs = np.zeros(classifier.output.shape, dtype=dtype)
+        # backward: the classifier, the reconstruction, the encoder, then the selection layer
+        g_probs = np.zeros(classifier.output.shape, dtype=params.dtype)
         g_probs[picks] = (-1.0 / np.maximum(picked, PROB_FLOOR)) * (picked > PROB_FLOOR)
         g_hidden = classifier.backward(g_probs)
         g_decoder, g_recon_w = params.decoder, None  # the empty decoder at lambda 0
         if lam != 0.0:
             g_hidden = recon.backward(lam) + g_hidden
             g_decoder, g_recon_w = recon.decoder.grads, virtual_grad(recon.g_pre_tanh, emb)
-
-        # backward: the encoder, then the selection layer (g_gates ->
-        # g_logits -> g_noisy, then g_floored -> g_delta -> g_scores); each
-        # softmax backward is p * (g - sum(g * p)), the product computed into
-        # the (g - sum) array as NumPy computes it into that temporary
-        g_selected = encoder.backward(g_hidden)
-        g_gates = _flat_view(workspace, "g_gates", delta.shape[::-1], dtype)
-        g_gates = np.matmul(X.T, g_selected, out=g_gates).T
-        weighted = np.multiply(g_gates, gates, out=_flat_view(workspace, "weighted", delta.shape, dtype))
-        g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
-        np.multiply(gates, g_logits, out=g_logits)
-        g_noisy = np.multiply(g_logits, inv_tau, out=g_logits)
-        # g_floored, C-ordered as NumPy makes the fresh quotient, in the dead floored
-        g_delta = np.divide(g_noisy, floored, out=floored)
-        np.multiply(g_delta, delta > LOG_FLOOR, out=g_delta)
-        np.multiply(g_delta, delta, out=weighted)
-        g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
-        np.multiply(delta, g_scores, out=g_scores)
-        self.grads = FsNetParams(
-            virtual_grad(g_scores, emb), encoder.grads, classifier.grads, g_decoder, g_recon_w
-        ).arrays()
+        g_select_w = select.backward(encoder.backward(g_hidden))
+        self.grads = FsNetParams(g_select_w, encoder.grads, classifier.grads, g_decoder, g_recon_w).arrays()
 
 
 def rmsprop_init(arrays: list[np.ndarray]) -> list[np.ndarray]:

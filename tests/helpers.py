@@ -223,11 +223,17 @@ def ref_load_delimited(
                     f"{path}: line {lineno}, column {i + 1}: non-numeric value {cell!r}"
                 ) from None
             c += 1
+    top = float(np.finfo(numerics.DTYPE).max)
     for lineno, cells in rows:
         for i, cell in enumerate(cells):
             if i != label_idx and not np.isfinite(float(cell)):
                 raise DataError(
                     f"{path}: line {lineno}, column {i + 1}: non-finite value {float(cell)!r}"
+                )
+            if i != label_idx and abs(float(cell)) > top:
+                raise DataError(
+                    f"{path}: line {lineno}, column {i + 1}: value {float(cell)!r}"
+                    f" beyond {np.dtype(numerics.DTYPE).name}'s range"
                 )
     label_names = [name for name, _ in sorted(codes.items(), key=lambda kv: kv[1])]
     return Dataset(X, y, len(codes), label_names, feature_names)

@@ -244,6 +244,30 @@ def test_a_non_finite_cell_is_located_by_file_line_and_column(tmp_path, capsys, 
     assert not list(tmp_path.glob("run*"))
 
 
+def test_a_cell_beyond_float32s_range_is_refused_by_train_and_eval(tmp_path, data_csv, capsys):
+    # 1e39 is finite in float64 but not in float32, the dtype the passes cast
+    # the table to: train --no-standardize used to diverge (exit 1), and train
+    # used to name a row of the training split, not the line of the file
+    lines = Path(data_csv).read_text().splitlines()
+    lines[3] = "1e39," + lines[3].split(",", 1)[1]
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(lines) + "\n")
+    where = f"{big}: line 4, column 1: value 1e+39 beyond float32's range\n"
+    out = str(tmp_path / "m")
+    for flags in ([], ["--no-standardize"]):
+        assert main(["train", "--data", str(big), "--out", out, *flags]) == 2
+        assert capsys.readouterr().err == f"fsnet: {where}"
+        assert not list(tmp_path.glob("m*"))
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    capsys.readouterr()
+    evals = ["eval", "--model", out + ".model", "--out", str(tmp_path / "e")]
+    for argv in ([*evals, "--data", str(big)], [*evals, "--data", data_csv, "--embed-data", str(big)]):
+        for flags in ([], ["--no-standardize"]):
+            assert main([*argv, *flags]) == 2
+            assert capsys.readouterr().err == f"fsnet: {where}"
+    assert not list(tmp_path.glob("e*"))
+
+
 def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
     out = str(tmp_path / "div")
     with warnings.catch_warnings():

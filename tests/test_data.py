@@ -167,7 +167,7 @@ AWKWARD_TABLES = {
     "number_forms": (
         b"f0,f1,f2,f3,f4,label\n"
         b"1e5,5e-324,-0.0,1_0,+.5,a\n"
-        b"-2.5E-3,2.2250738585072014e-308,0.0,1.7976931348623157e308,7.,b\n",
+        b"-2.5E-3,2.2250738585072014e-308,0.0,3.4028234663852886e38,7.,b\n",
         {},
     ),
     "label_first": (b"label,f0,f1\na,1,2\nb,3,4\na,5,6\n", {"label_col": 0}),
@@ -199,6 +199,8 @@ BROKEN_TABLES = {
     "non_finite": (b"f0,f1,label\n1,inf,a\n3,4,b\n", {}),
     "non_finite_after_label": (b"f0,label,f1\n1,a,2\n3,b,-1e999\n", {"label_col": 1}),
     "non_numeric_after_non_finite": (b"f0,f1,label\n1,nan,a\n3,x,b\n", {}),
+    "beyond_float32": (b"f0,f1,label\n1,2,a\n3,1.7976931348623157e308,b\n", {}),
+    "beyond_float32_before_non_finite": (b"f0,label,f1\n1,a,-1e39\n3,b,inf\n", {"label_col": 1}),
     "nul_in_feature": (b"f0,f1,label\n1,2\x003,a\n4,5,b\n", {}),
     "trailing_delimiter": (b"f0,f1,label\n1,2,a\n3,4,b,\n", {}),
 }

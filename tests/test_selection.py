@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsnet.embedding import compute_embeddings
+from fsnet.network import Architecture, init_params
 from fsnet.numerics import DimensionError, softmax
 from fsnet.rng import RngState
 from fsnet.selection import (
     ConcreteState,
+    SelectPass,
     anneal_temperature,
     sample_gates,
     selection_weights,
@@ -121,6 +123,26 @@ def test_underflowed_weights_survive_the_log():
     w[0, 0] = w[1, 0] = 1.0  # remaining columns carry exact zeros
     gates = sample_gates(ConcreteState(w, 1.0), RngState(9))
     assert np.all(np.isfinite(gates))
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_the_pass_noise_free_head_is_selection_weights_to_the_byte(arithmetic_dtype, mode):
+    # the training pass's delta and selection_weights are one rule: whichever
+    # a reader of the noise-free selection takes, the bytes are the same, on
+    # a fresh workspace and on one whose buffers a pass and its backward
+    # have overwritten
+    n, d, k, b = 12, 30, 4, 5
+    X = RngState(0).normal((n, d))
+    emb = compute_embeddings(X, b).astype(arithmetic_dtype) if mode == "predictor" else None
+    params = init_params(Architecture(d, k, 2), b, mode, RngState(1))
+    workspace = {}
+    for seed in (2, 3):
+        select = SelectPass(params.select_w, emb, X, RngState(seed).gumbel((k, d)), 0.5, workspace)
+        want = selection_weights(params, emb, 0.5).weights
+        assert select.delta.dtype == want.dtype == arithmetic_dtype
+        assert select.delta.tobytes() == want.tobytes()
+        select.backward(np.ones((n, k), dtype=arithmetic_dtype))
+        params.select_w *= 2.0  # the next pass reads other weights
 
 
 # ---------------------------------------------------------------- annealing

@@ -478,10 +478,13 @@ def test_training_memory_is_the_first_epochs(mode):
     ids=["predictor-10.0", "dense-13.0", "dense-lambda0-3.5"],
 )
 def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, train_peak_mib):
-    # each chain of elementwise steps on a d-wide value runs in one buffer,
-    # the gradients through the selection layer's log in the dead floored
-    # delta, and the squared error and the reconstruction matrix's gradient
-    # share one: in float32 the workspace of two passes holds 4.68 MiB in
+    # the pass's selection layer (selection.SelectPass) runs each chain of
+    # elementwise steps on a d-wide value in one of its five named buffers,
+    # the gradients through its log in the dead floored delta, and its
+    # reconstruction (network.ReconPass) shares one of its two between the
+    # squared error and the reconstruction matrix's gradient; the workspace
+    # holds those buffers and no other. In float32 the workspace of two
+    # passes holds 4.68 MiB in
     # either mode, and a 3-epoch train() on the benchmark's 58/14 split, with
     # RMSprop in blocks, the monitor in the pass's buffers and the loop's
     # buffers gone before the final selection, peaks at 9.1 and 11.8 MiB of
@@ -507,6 +510,8 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, t
             params, emb, recon_mat, data.X, data.y, gumbel, 0.5, recon_weight, 0.2, None, None,
             workspace,
         )
+    select_buffers = {"delta", "floored", "gates", "weighted", "g_gates"}
+    assert set(workspace) == select_buffers | ({"error", "squared"} if decodes else set())
     assert sum(buf.nbytes for buf in workspace.values()) <= 5.4 * 2**20
     assert traced_peak(train, data, config, test)[1] <= train_peak_mib * 2**20
 
