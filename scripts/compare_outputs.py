@@ -102,14 +102,15 @@ def comparable(path: Path) -> bytes | dict:
     return doc
 
 
-def extract_src(rev: str, dest: Path) -> Path:
+def extract(rev: str, dest: Path, paths: tuple[str, ...] = ("src",)) -> Path:
+    """The commit's files under `paths`, extracted into dest, which is returned."""
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev, "src"],
+        ["git", "archive", "--format=tar", rev, *paths],
         cwd=CHECKOUT, capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="fsnet-compare-") as tmp:
         tmp = Path(tmp)
-        trees = {"parent": extract_src(args.parent, tmp / "parent"), "checkout": CHECKOUT / "src"}
+        trees = {"parent": extract(args.parent, tmp / "parent") / "src", "checkout": CHECKOUT / "src"}
         runs, outputs = {}, {}
         for name, src in trees.items():
             outputs[name] = tmp / f"{name}-out"

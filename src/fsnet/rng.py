@@ -73,9 +73,9 @@ class RngState:
         child_seed = int(_mix64(np.uint64(self.seed ^ _fnv1a64(label))))
         return RngState(child_seed)
 
-    def _raw(self, n: int, scratch: np.ndarray) -> np.ndarray:
-        """The next n raw words, computed in one uint64 array; scratch, n
-        words, holds _mix64's shifted words."""
+    def words(self, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The next n raw 64-bit words, computed in one uint64 array; scratch,
+        n words (default: a fresh array), holds _mix64's shifted words."""
         z = np.arange(self._counter + 1, self._counter + 1 + n, dtype=np.uint64)
         self._counter += n
         np.multiply(z, _GAMMA, out=z)
@@ -89,7 +89,7 @@ class RngState:
         as the generator's scratch words."""
         size = int(np.prod(shape)) if shape != () else 1
         u = np.empty(size)
-        words = self._raw(size, u.view(np.uint64))
+        words = self.words(size, u.view(np.uint64))
         np.right_shift(words, np.uint64(11), out=words)
         np.add(words, 0.5, out=u)  # each word < 2**53 converts to float64 exactly
         np.multiply(u, 2.0**-53, out=u)

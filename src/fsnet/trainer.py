@@ -12,14 +12,17 @@ per train() call and overwritten each epoch, and the monitor scores the test
 split in the pass's reconstruction buffers; the parameters are updated in
 place. All of them live in the loop's own scope (_anneal) and are gone
 before the final selection; within the pass, SelectPass and ReconPass reuse
-them as those classes describe. RMSprop's state is the list of mean squares;
-each step runs three in-place statements per block of whole rows of a
-parameter, of at least RMSPROP_BLOCK bytes, so its temporaries are
-block-sized and a block's arrays stay in a core's L2 cache.
+them as those classes describe. The parameters under RMSPROP_BLOCK bytes
+share one flat block, which RMSprop steps as one array (PackedRMSprop).
+RMSprop's state is the list of mean squares; each step runs three in-place
+statements per block of whole rows of an array, of at least RMSPROP_BLOCK
+bytes, so its temporaries are block-sized and a block's arrays stay in a
+core's L2 cache. Each epoch's dropout masks are one draw, made in the
+params' dtype from the generator's raw words (_dropout_masks).
 
 The parameters are numerics.DTYPE (float32) arrays, and every pass computes
 in their dtype: LossPass and the tape cast the table, the embedding table,
-the float64 Gumbel noise and the float64 dropout masks they receive to it.
+the float64 Gumbel noise and any float64 dropout masks they receive to it.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -301,35 +304,71 @@ def rmsprop_step(
     return arrays, mean_square
 
 
+class PackedRMSprop:
+    """RMSprop over params whose arrays under RMSPROP_BLOCK bytes are copied
+    into one flat block, of which `params` holds C-ordered views. step()
+    gathers their gradients into one flat array and runs rmsprop_step over
+    the block and the other arrays: each element takes the IEEE steps of a
+    per-array step, and the small arrays cost one array's bookkeeping."""
+
+    def __init__(self, params: FsNetParams):
+        arrays = params.arrays()
+        self.small = [i for i, a in enumerate(arrays) if a.nbytes < RMSPROP_BLOCK]
+        self.large = [i for i in range(len(arrays)) if i not in self.small]
+        block = np.empty(sum(arrays[i].size for i in self.small), params.dtype)
+        for i, view in zip(self.small, _views(block, [arrays[i].shape for i in self.small])):
+            view[...] = arrays[i]
+            arrays[i] = view
+        self.params = params.replace_arrays(arrays)
+        self.arrays = [block] + [arrays[i] for i in self.large]
+        self.mean_square, self.block_grads = rmsprop_init(self.arrays), np.empty_like(block)
+
+    def step(self, grads: list[np.ndarray], learning_rate: float, decay: float, eps: float) -> None:
+        """One rmsprop_step of self.params by grads, in params.named() order."""
+        if self.small:
+            np.concatenate([grads[i] for i in self.small], axis=None, out=self.block_grads)
+        large = [grads[i] for i in self.large]
+        rmsprop_step(self.arrays, [self.block_grads] + large, self.mean_square, learning_rate, decay, eps)
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """C-ordered views of consecutive stretches of the 1-D array flat, one per shape."""
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    return [flat[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
+
+
 def _dropout_masks(
-    rng: RngState, n: int, widths: tuple[int, ...], rate: float
+    rng: RngState, n: int, widths: tuple[int, ...], rate: float, dtype: np.dtype = np.float64
 ) -> list[np.ndarray] | None:
-    """One float64 (n, w) mask per width, (uniform >= rate) / (1 - rate):
-    inverted scaling boosts kept activations so inference needs no rescale;
-    the pass casts them to its dtype. All masks
-    come from one draw, made and scaled in place and split into C-ordered
-    views; the generator is counter-based, so they hold the bits of one draw
-    per mask made in order."""
+    """One (n, w) mask of `dtype` per width, keep * (1 / (1 - rate)): inverted
+    scaling boosts kept activations so inference needs no rescale. rng's
+    uniform is (word // 2**11 + 0.5) * 2**-53, exact, so it is >= rate where
+    word >= T * 2**11, T the least integer with (T + 0.5) * 2**-53 >= rate:
+    the masks are (uniform >= rate) / (1 - rate) cast to `dtype`. They are
+    C-ordered views of one draw; the generator is counter-based, so they
+    hold the bits of one draw per mask made in order."""
     if rate == 0.0:
         return None
-    u = rng.uniform(n * sum(widths))
-    np.greater_equal(u, rate, out=u)
-    np.divide(u, 1.0 - rate, out=u)
-    ends = np.cumsum([n * w for w in widths]).tolist()
-    return [u[end - n * w : end].reshape(n, w) for w, end in zip(widths, ends)]
+    scaled = rate * 2.0**53  # exact, as is its fraction
+    least = math.floor(scaled) + (scaled % 1.0 > 0.5)  # T
+    keep = rng.words(n * sum(widths)) >= np.uint64(least << 11)
+    masks = np.multiply(keep, np.dtype(dtype).type(1.0 / (1.0 - rate)), dtype=dtype)
+    return _views(masks, [(n, w) for w in widths])
 
 
 def _anneal(
     params: FsNetParams, emb: np.ndarray | None, dataset: Dataset, test: Dataset | None,
     config: TrainConfig, root: RngState,
-) -> list[EpochRecord]:
-    """train()'s epochs, which update params in place, and their records. The
+) -> tuple[FsNetParams, list[EpochRecord]]:
+    """train()'s epochs and their records, and the trained params: those of
+    a PackedRMSprop made from params, updated in place each epoch. The
     loop's d-wide buffers live in this scope only, so none is alive at the
     final selection, and each epoch's Gumbel noise goes straight into its
     pass, so the last draw is gone before the next one is made."""
     rng_gumbel = root.derive("gumbel")
     rng_dropout = root.derive("dropout")
-    opt = rmsprop_init(params.arrays())
+    opt = PackedRMSprop(params)
+    params = opt.params
     decodes = params.recon_w is not None  # train() leaves it out at recon_weight 0
     recon_mat = recon_matrix(params.recon_w, emb) if decodes else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
@@ -338,9 +377,10 @@ def _anneal(
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
-        # the encoder's masks, then the decoder's if it runs, from one stream
-        enc_masks = _dropout_masks(rng_dropout, n, config.encoder, config.dropout)
-        dec_masks = _dropout_masks(rng_dropout, n, config.decoder, config.dropout) if decodes else None
+        # the encoder's masks, then the decoder's if it runs, in one draw
+        widths = config.encoder + (config.decoder if decodes else ())
+        masks = _dropout_masks(rng_dropout, n, widths, config.dropout, params.dtype) or []
+        enc_masks, dec_masks = masks[: len(config.encoder)] or None, masks[len(config.encoder) :] or None
 
         # Fresh d-wide arrays each epoch cost more to allocate and fault in
         # than the arithmetic done in them, and freeing them let glibc malloc
@@ -356,9 +396,7 @@ def _anneal(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
             )
-        rmsprop_step(  # updates params' arrays in place
-            params.arrays(), step.grads, opt, config.learning_rate, config.rms_decay, config.rms_eps
-        )
+        opt.step(step.grads, config.learning_rate, config.rms_decay, config.rms_eps)  # in place
         if decodes:  # the pass used it up
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
@@ -373,7 +411,7 @@ def _anneal(
         records.append(
             EpochRecord(epoch, tau, total, class_loss, recon_loss, train_acc, test_acc, test_rec)
         )
-    return records
+    return params, records
 
 
 def train(
@@ -414,7 +452,7 @@ def train(
     emb = None  # cast once here, not by each pass
     if config.mode == "predictor":
         emb = compute_embeddings(dataset.X, config.embed_size).astype(params.dtype)
-    records = _anneal(params, emb, dataset, test, config, root)
+    params, records = _anneal(params, emb, dataset, test, config, root)
 
     final_state = selection_weights(params, emb, config.tau_end)
     final_gates = sample_gates(final_state, root.derive("inference"))

@@ -1,8 +1,10 @@
 """Training loop: loss, optimizer, annealed gate sampling and reporting."""
 
 import hashlib
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from fsnet.config import TrainConfig
 from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import accuracy, reconstruction_error
-from fsnet.model import record_cells
+from fsnet.model import load_model, record_cells, save_model
 from fsnet.network import (
     Architecture,
     init_params,
@@ -26,6 +28,7 @@ from fsnet.selection import anneal_temperature, sample_gates, unique_argmax
 from fsnet.trainer import (
     RMSPROP_BLOCK,
     LossPass,
+    PackedRMSprop,
     TrainingDiverged,
     TrainReport,
     _dropout_masks,
@@ -149,6 +152,62 @@ def test_rmsprop_shape_mismatch_errors():
     w = [np.zeros(3)]
     with pytest.raises(ValueError):
         rmsprop_step(w, [np.zeros(4)], rmsprop_init(w), 1e-3, 0.9, 1e-8)
+
+
+@pytest.mark.parametrize("mode,use_bias,decodes", [
+    ("dense", True, True),  # select_w and recon_w above RMSPROP_BLOCK, the rest below
+    ("dense", False, False),  # the lambda-0 tree: no decoder, no recon_w
+    ("predictor", False, True),  # every array below RMSPROP_BLOCK
+])
+def test_a_packed_step_equals_a_step_per_array(mode, use_bias, decodes, arithmetic_dtype):
+    n, d, b = 9, 9000, 10
+    arch = Architecture(d, 10, 2)
+    params = init_params(arch, b, mode, RngState(51), use_bias, decodes)
+    want = [a.copy() for a in params.arrays()]
+    want_ms = rmsprop_init(want)
+    opt = PackedRMSprop(params)
+    # the packed params are the arrays, each small one a C-ordered view of the block
+    block = opt.arrays[0]
+    assert [(name, a.shape) for name, a in opt.params.named()] == [(name, a.shape) for name, a in params.named()]
+    for (name, a), w in zip(opt.params.named(), want):
+        small = a.nbytes < RMSPROP_BLOCK
+        assert a.tobytes() == w.tobytes() and a.flags.c_contiguous, name
+        assert np.shares_memory(a, block) == small, name
+    assert any(a.nbytes >= RMSPROP_BLOCK for a in want) == (mode == "dense")
+
+    rng = RngState(52)
+    for _ in range(3):
+        grads = []
+        for a in want:  # weight gradients as the pass makes them, F-ordered (a.T @ g).T
+            if a.ndim == 1:
+                grads.append(rng.normal(a.shape).astype(a.dtype))
+            else:
+                x, g = rng.normal((n, a.shape[1])), rng.normal((n, a.shape[0]))
+                grads.append((x.astype(a.dtype).T @ g.astype(a.dtype)).T)
+        assert any(g.flags.f_contiguous and not g.flags.c_contiguous for g in grads)
+        opt.step(grads, 1e-2, 0.9, 1e-8)
+        rmsprop_step(want, grads, want_ms, 1e-2, 0.9, 1e-8)
+        for (name, got), w in zip(opt.params.named(), want):
+            assert got.tobytes() == w.tobytes(), name
+        packed_ms = np.concatenate([v for v in want_ms if v.nbytes < RMSPROP_BLOCK], axis=None)
+        large_ms = [v for v in want_ms if v.nbytes >= RMSPROP_BLOCK]
+        assert [v.tobytes() for v in opt.mean_square] == [v.tobytes() for v in [packed_ms] + large_ms]
+
+
+@pytest.mark.parametrize("mode,d", [("predictor", 30), ("dense", 22000)])
+def test_a_trained_model_round_trips_bit_exact(tmp_path, mode, d):
+    # the model train() returns holds views of the packed block; in dense
+    # mode at d = 22000 select_w and recon_w are arrays of their own
+    data, _ = make_synthetic(24, d, 3, seed=8)
+    config = TrainConfig(n_select=3, epochs=3, seed=4, mode=mode, use_bias=mode == "dense")
+    model, _, _ = train(data, config)
+    assert any(a.nbytes >= RMSPROP_BLOCK for a in model.params.arrays()) == (mode == "dense")
+    path = str(tmp_path / "m.model")
+    save_model(model, path)
+    again = load_model(path)
+    assert again.selected == model.selected
+    for (name, a), (again_name, b) in zip(model.params.named(), again.params.named(), strict=True):
+        assert (name, a.shape, a.dtype, a.tobytes()) == (again_name, b.shape, b.dtype, b.tobytes())
 
 
 # ---------------------------------------------------------------- loss
@@ -380,6 +439,56 @@ def test_one_draw_masks_hold_the_bits_of_a_draw_per_mask():
     for m, e in zip(masks, expected):
         assert (m.shape, m.strides, m.tobytes()) == (e.shape, e.strides, e.tobytes())
     assert rng.counter == ref.counter
+
+
+# rates at the edges of the keep test: tiny, one half, near 1, the least
+# uniform (2**-54, so every entry is kept), exactly some (m + 0.5) * 2**-53
+# (the uniform equal to the rate is kept) and the rates next to it, the
+# largest rate below 1, and rates below 0.25, whose rate * 2**53 has a
+# fraction other than 0 and 0.5
+HALFWAYS = [(2**51 + 12345 + 0.5) * 2.0**-53, (12345 + 0.5) * 2.0**-53]
+EDGE_RATES = [1e-9, 0.5, 0.999999, 2.0**-54, 1.0 - 2.0**-53, 0.1, 0.2, 0.3, (12345 + 0.75) * 2.0**-53]
+EDGE_RATES += [np.nextafter(h, toward) for h in HALFWAYS for toward in (0.0, 1.0)] + HALFWAYS
+
+
+@pytest.mark.parametrize("rate", EDGE_RATES + (RngState(61).uniform(20) * 2.0**-4).tolist())
+def test_masks_in_a_dtype_are_the_float_path_masks_cast(rate):
+    n, widths = 7, (64, 32, 16, 32, 64)
+    for dtype in (np.float32, np.float64):
+        rng, ref = RngState(8), RngState(8)
+        rng.uniform(5), ref.uniform(5)  # a stream that has drawn before
+        masks = _dropout_masks(rng, n, widths, rate, dtype)
+        expected = [((ref.uniform((n, w)) >= rate) / (1.0 - rate)).astype(dtype) for w in widths]
+        for m, e in zip(masks, expected, strict=True):
+            assert (m.dtype, m.shape, m.strides, m.tobytes()) == (e.dtype, e.shape, e.strides, e.tobytes())
+        assert rng.counter == ref.counter
+
+
+class FixedWords:
+    """A stand-in generator whose next draw is the given raw words."""
+
+    def __init__(self, words):
+        self.next = np.array(words, dtype=np.uint64)
+
+    def words(self, n):
+        assert n == len(self.next)
+        return self.next
+
+
+@pytest.mark.parametrize("rate", EDGE_RATES)
+def test_the_keep_threshold_sits_between_the_words_that_decide_it(rate):
+    # T is the least m with (m + 0.5) * 2**-53 >= rate, in exact arithmetic
+    least = max(0, math.ceil(Fraction(rate) * 2**53 - Fraction(1, 2)))
+    threshold = least << 11
+    words = [threshold, threshold + 1, threshold + 2**11 - 1, threshold + 2**11, 2**64 - 1]
+    if least > 0:
+        words += [0, threshold - 2**11, threshold - 1]
+    words = [w for w in words if 0 <= w < 2**64]
+    uniform = ((np.array(words, dtype=np.uint64) >> np.uint64(11)) + 0.5) * 2.0**-53  # rng.uniform's rule
+    keep = uniform >= rate
+    assert keep.tolist() == [w >= threshold for w in words]
+    (mask,) = _dropout_masks(FixedWords(words), 1, (len(words),), rate, np.float32)
+    assert mask.tobytes() == (keep / (1.0 - rate)).astype(np.float32).reshape(1, -1).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
@@ -676,6 +785,119 @@ def test_lambda_zero_keeps_the_bytes_it_had_with_a_decoder(mode, with_test, arit
     curve = "".join(",".join(list(record_cells(r).values())[:7]) + "\n" for r in report.records)
     assert _sha(curve.encode()) == pins["curve"][with_test]
     assert all(r.test_recon_error is None for r in report.records)
+
+
+# SHA-256 digests of a train() with the default recipe's lambda = 1 and
+# dropout 0.2, as LAMBDA_ZERO_PINS but over all eight curve columns,
+# recorded before the dropout masks were decided on the generator's raw
+# words and before the small arrays shared one RMSprop block.
+DEFAULT_RECIPE_PINS = {
+    "float32": {
+        "predictor": {
+            "selected": "bc30bcfe48613450f0a9cd699752eb4618e700affda9f7dfc1c125309e2c7187",
+            "arrays": {
+                "select_w": "38dbc2a285220e23a20ed078dce3c8670b67254755db443402ead25b8b6db2b0",
+                "encoder.0": "5d023b6c9b78742103367f22dff46dd75f3f3b4e5b84f08775fa51853e202cc9",
+                "encoder.1": "dc14240de48dbce835bba2c81053365c413f9f4bab5ff82abbe3fe14c0250cc2",
+                "encoder.2": "1e01b985229e8520a5109bf572abadb9caf64c9d484685f0b350e78073c3e52b",
+                "classifier.0": "9c912d0f149f9e6d42f7d8ef911f5f78617349bf5611fe575eb9c86f207e2882",
+                "decoder.0": "e9526138911cb92ac0dea6887b678f603b85f16fd1ffcccb32d3d12aa256d58c",
+                "decoder.1": "67f6cab1bc7193e24da87e9e243609f9b21af477c2a0fc187706492e954dfad2",
+                "recon_w": "1fa69e6cbcf523bb297205892b8dfc79aae208a1c2a23d1d41f72d82836caf44",
+            },
+            "curve": {
+                False: "54647da57c27dba908da9422f6e59f58e0326669b166e983aeca6e1bce2e4a07",
+                True: "c803a8b272071b4be7303eb260948274cd7fd41676685fdf1647cda223037380",
+            },
+        },
+        "dense": {
+            "selected": "73892d32448f6fe1a91e9021e5cfedfdc1fc3a23002c02044a716851913581da",
+            "arrays": {
+                "select_w": "a9382a5e6910f310e7ffaa6a59ef43ca68fbf6933754deaf3418ed6b422abbe6",
+                "encoder.0": "4848fc49090005fcf294627da5b02419e4f077c553fd4358d6f3d84d115fc204",
+                "encoder.1": "6afeb4c8fb04ded466cec7a874602788e6b71777758583143ecddeb44cbe8da1",
+                "encoder.2": "9ba76ed24092c15897530cf4c0a881414314759c7ac5a47f0e9ab977a14d468f",
+                "encoder.0.bias": "d8f831677534ee9e37594ebc61d6ee78fa32a520783f3f9f5b65a9894bd722e2",
+                "encoder.1.bias": "369ef3b4330ad0a8c0e9dbcac9c14fcef1a82a5b90d002ccbcb5ec92c502e0a1",
+                "encoder.2.bias": "258cb40515fa7b5f4058260e92366d77d23af9b76c89fef0edd30ab34e91a417",
+                "classifier.0": "ac1f778aef796518fafe68737e88fac4f8cefe7cc237f174b9a76fa54fcef776",
+                "classifier.0.bias": "e8bd75fbb472f5bcd8ee29dc7b1a17ce322a54155815dbcb4c7cf6532d711033",
+                "decoder.0": "9c2f8651e53287728043e74d3927322f9e4e5c016959dcd983a18efd45a2dc74",
+                "decoder.1": "d8623844a1b555cb550780f37aa9313c1a33400b9dde13d805399fa04a26902b",
+                "decoder.0.bias": "9debd492dcba03b95796c9dd990cdcf692473a0bd24663b09b06f56aee815c04",
+                "decoder.1.bias": "f6e63e445a82de44614da5cb85e0bcfbec6754a3a3c7d7d4d8c28909438c6616",
+                "recon_w": "1e4ad988674c7a840bd8f7266e1d0397d91289a8454eda508a959c1794efe834",
+            },
+            "curve": {
+                False: "1c34f330da6ea4edabf9802c126d01d8fec05695920f7f6cb3c9f1bcef6b52fc",
+                True: "1a01a40abb61775141ec23c9a07b6bbc9916fd46f1e2bfe8e0500cb6649c4039",
+            },
+        },
+    },
+    "float64": {
+        "predictor": {
+            "selected": "bc30bcfe48613450f0a9cd699752eb4618e700affda9f7dfc1c125309e2c7187",
+            "arrays": {
+                "select_w": "219869cf877ca9ef8f53f7147735f7ff86c6e39df82c0bfadc0371853089fcd0",
+                "encoder.0": "9f12a413d2dc134c5fac1958f8269c503f8d06655062d73fba8488060e2d7fd1",
+                "encoder.1": "45e92510fd110c14cc0139e5d038dacc05ae41c52989c2777bb162c4065767e0",
+                "encoder.2": "bb32ead0f0fa9a0a695a7adf7955ba084ee804c2bf246850dd784dd8d53acc8c",
+                "classifier.0": "12e4269464033b7bad436e6da073a7cef12aad2445859228a776cca7f5d5d4cf",
+                "decoder.0": "88e196cc2345e53e2656f9d684999a35e6fd188a4a2ba9c13269a5a2809c8190",
+                "decoder.1": "86c3d60e8e8604fd4dfe86321cff51e8058359bd44c8ef40dce62a7484ff7250",
+                "recon_w": "0bc882e76bfaff7d6f338b1c0ade81587b19612582540773c7ab58dc95302fb8",
+            },
+            "curve": {
+                False: "494f926508e507c5e0e7585e0c4870ab4dd4701c6f98bbe16619b25b0053ffdd",
+                True: "17d0431e2331154fb1fb4ba22b99dfe7e8f50e4fae8d0b435d1aa85929a331f0",
+            },
+        },
+        "dense": {
+            "selected": "73892d32448f6fe1a91e9021e5cfedfdc1fc3a23002c02044a716851913581da",
+            "arrays": {
+                "select_w": "c0597b86821a5bd1eb9009958ffb367229ba9b3c5643dfc743346ff0cd57ab8a",
+                "encoder.0": "eef071ab1686816e4f35a080149765ad8e1a783ebd835a06fa9008bf0198a220",
+                "encoder.1": "0ec7c043b498e080993576f8e801ecdbec8e3063380ef60c0792de6d9db191c4",
+                "encoder.2": "78d9374b5a56bfa927ba6e236770cbf704e34c04eed39bd351ada97e1fddeb8b",
+                "encoder.0.bias": "4e895fdbe82565dd2ff760b521531b0bf43f692c7843e08ac6f13dbf2ab59936",
+                "encoder.1.bias": "47f196b2a6a2d700b3a524c5d8d0f87f0ef83a066ef2fbdb980f0eeec7c034fa",
+                "encoder.2.bias": "12def3b187dae70dd80ddf4fb94eb70af7bec50c8c8a361f1c13dc8709bad371",
+                "classifier.0": "4e0c6d9ab75f43309589d12528105d616c2388db00ea10272b867f668225fa6e",
+                "classifier.0.bias": "0a72c12637bf24ed63972b8e7342ccd2ed6659badab226ed072a403efa5aab36",
+                "decoder.0": "ca8b166fa9c3de552457f268b9ddf8b091f92410ec36272d973906d8e728d4b5",
+                "decoder.1": "0a55e03a76b513b7b990902f9f79c5baf829b78e79173d648a052cc0c3188166",
+                "decoder.0.bias": "b429e3619671b69e85e692293b3d5da5e404a759cbbec5e87fb0bf9536403d30",
+                "decoder.1.bias": "6596c5cf849e9d04000f66ec4f046e5a6607b82042c199b6e335451efab91f30",
+                "recon_w": "cf51f1c126f1d5cdaff6fbec92d195bc356769bb0d4a912e5427e16201064ece",
+            },
+            "curve": {
+                False: "584950aa53cdab6d8d9bd8d2f23c51d3d0fb5c5b734a629157c3101f210641d4",
+                True: "43494fcef13c8d7f4021881b0b26ee72d3adea6bf8bba1efad9d621cf1f5783a",
+            },
+        },
+    },
+}
+
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("with_test", [False, True])
+def test_the_default_recipe_keeps_its_bytes(mode, with_test, arithmetic_dtype):
+    # every array of this model is under RMSPROP_BLOCK, so all of them are
+    # stepped in the packed block; the decoder's masks share the encoder's draw
+    data, _ = make_synthetic(40, 30, 3, seed=5)
+    tr, te = split(data, SplitSpec(0.7, 0))
+    tr, te, _ = standardize(tr, te)
+    config = TrainConfig(n_select=4, epochs=6, seed=3, mode=mode, use_bias=mode == "dense",
+                         learning_rate=0.05)
+    assert (config.recon_weight, config.dropout) == (1.0, 0.2)
+    model, selected, report = train(tr, config, te if with_test else None)
+    pins = DEFAULT_RECIPE_PINS[np.dtype(arithmetic_dtype).name][mode]
+    assert _sha(" ".join(str(j) for j in selected).encode()) == pins["selected"]
+    assert {name: _sha(arr.tobytes()) for name, arr in model.params.named()} == pins["arrays"]
+    curve = "".join(",".join(record_cells(r).values()) + "\n" for r in report.records)
+    assert _sha(curve.encode()) == pins["curve"][with_test]
+    assert all((r.test_recon_error is None) != with_test for r in report.records)
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
