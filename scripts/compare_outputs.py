@@ -17,19 +17,25 @@ included), each in its own empty output directory:
         rows of label 1 moved first, so eval maps the file's label codes
         to the model's by name
     eval --no-standardize of the --no-standardize model
+    train --label-col 0 on synq.csv, the synth table with the label column
+        moved first and every cell quoted, and eval of its model on it
+    eval of the predictor model on synx.csv and synr.csv, the synth table
+        with one non-numeric cell and with one ragged row: both exit 2 with
+        a message that names the line
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
 wrote is compared byte for byte, except manifests, which are compared as
-JSON without their `started`/`finished` timestamps; each command's stdout
-and exit code are compared too. It prints one line per file and per
-command, and exits 1 on any difference. It needs git history, so the
+JSON without their `started`/`finished` timestamps; each command's exit
+code, stdout and stderr are compared too. It prints one line per file and
+per command, and exits 1 on any difference. It needs git history, so the
 test suite does not run it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -59,6 +65,10 @@ def command_sequence() -> list[list[str]]:
         commands.append(["select", "--model", f"{name}.model"])
     commands.append(["eval", "--model", "predictor.model", "--data", "syn1.csv", "--out", "predictor1"])
     commands.append(["eval", "--model", "raw.model", "--data", "syn.csv", "--no-standardize", "--out", "raw1"])
+    commands.append(["train", "--data", "synq.csv", "--label-col", "0", *train[3:], "--out", "quoted"])
+    commands.append(["eval", "--model", "quoted.model", "--data", "synq.csv", "--label-col", "0", "--out", "quoted"])
+    for table in ("synx.csv", "synr.csv"):
+        commands.append(["eval", "--model", "predictor.model", "--data", table, "--out", table[:4]])
     return commands
 
 
@@ -71,9 +81,26 @@ def write_label_one_first(table: Path, dest: Path) -> None:
     dest.write_text("".join(lines[:top] + rows), encoding="utf-8")
 
 
-def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str]]:
-    """Each command's exit code and stdout, run with out_dir as the working
-    directory, so every path the outputs record is relative."""
+def write_variants(table: Path) -> None:
+    """Beside the table: synq.csv, its label column first and every cell
+    quoted; synx.csv, with the third data row's first cell non-numeric; and
+    synr.csv, with the third data row one cell short."""
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    top = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    with open(table.with_name("synq.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines[:top])
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n")
+        for row in csv.reader(lines[top:]):
+            writer.writerow([row[-1], *row[:-1]])
+    row = lines[top + 3]
+    for name, edited in (("synx.csv", "x" + row[row.index(","):]), ("synr.csv", row[row.index(",") + 1:])):
+        text = "".join(lines[: top + 3] + [edited] + lines[top + 4:])
+        table.with_name(name).write_text(text, encoding="utf-8")
+
+
+def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str, str]]:
+    """Each command's exit code, stdout and stderr, run with out_dir as the
+    working directory, so every path the outputs record is relative."""
     env = {
         **os.environ,
         "PYTHONPATH": str(src),
@@ -86,9 +113,10 @@ def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str]]:
             [sys.executable, "-m", "fsnet.cli", *argv],
             cwd=out_dir, env=env, capture_output=True, text=True,
         )
-        results.append((proc.returncode, proc.stdout))
+        results.append((proc.returncode, proc.stdout, proc.stderr))
         if argv[0] == "synth":
             write_label_one_first(out_dir / "syn.csv", out_dir / "syn1.csv")
+            write_variants(out_dir / "syn.csv")
     return results
 
 
@@ -130,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         for argv, parent, checkout in zip(command_sequence(), runs["parent"], runs["checkout"]):
             same = parent == checkout
             differs |= not same
-            print(f"{'same' if same else 'DIFFERS':8} exit code and stdout of `fsnet {' '.join(argv)}`")
+            print(f"{'same' if same else 'DIFFERS':8} exit code, stdout and stderr of `fsnet {' '.join(argv)}`")
         names = sorted(set(os.listdir(outputs["parent"])) | set(os.listdir(outputs["checkout"])))
         for file_name in names:
             paths = [outputs[name] / file_name for name in trees]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,9 +94,11 @@ class Standardizer:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """(X - mean) / scale as a numerics.DTYPE array: the subtraction is
-        written straight into it, then divided in place by scale in its dtype."""
-        out = np.subtract(X, self.mean, out=np.empty(np.shape(X), dtype=numerics.DTYPE))
-        return np.divide(out, self.scale.astype(out.dtype), out=out)
+        written straight into it, then divided in place by scale in its dtype.
+        A value beyond the dtype's range becomes an infinity, with no warning."""
+        with np.errstate(over="ignore"):
+            out = np.subtract(X, self.mean, out=np.empty(np.shape(X), dtype=numerics.DTYPE))
+            return np.divide(out, self.scale.astype(out.dtype), out=out)
 
 
 def load_delimited(
@@ -115,65 +118,107 @@ def load_delimited(
     Python `float()` reads them. A ragged row or a non-numeric feature cell
     raises DataError naming its location; then so does the first feature
     cell, in file order, that is not finite or beyond numerics.DTYPE's range.
+
+    The line loop (_Lines) cuts each data line's label cell out, and the
+    feature text of every line streams into one `np.loadtxt`. A table it
+    refuses, or whose array is not (data rows, width - 1), is read again
+    row by row: only that path reads forms only `float()` accepts (`1_0`,
+    non-ASCII digits) and locates a ragged row or a non-numeric cell.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise DataError(f"delimiter must be one character other than \\r and \\n, got {delimiter!r}")
-    header_cells: list[str] | None = None
-    width = label_idx = 0
-    rows: list[np.ndarray] = []
-    linenos: list[int] = []
-    y: list[int] = []
-    codes: dict[str, int] = {}
+    lines = _Lines(path, delimiter, header, label_col)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if '"' in line:
-                cells = next(csv.reader([line], delimiter=delimiter))
-            else:  # newline="" leaves '\r' and '\n' only at a line's end, in its last cell
-                cells = line.split(delimiter)
-                cells[-1] = cells[-1].rstrip("\r\n")
-            if header and header_cells is None:
-                header_cells = cells
-                continue
-            if not rows:
-                width = len(cells if header_cells is None else header_cells)
-                if not -width <= label_col < width:
-                    raise DataError(f"{path}: label column {label_col} outside row width {width}")
-                label_idx = label_col % width
-                if width < 2:
-                    raise DataError(f"{path}: rows must have at least one feature column")
-            if len(cells) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, found {len(cells)}"
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on a table with no data rows
+                X = np.loadtxt(
+                    lines.read(fh, split=False), delimiter=delimiter, dtype=np.float64, comments=None, ndmin=2
                 )
-            label = cells.pop(label_idx).strip()
-            if not label:
-                raise DataError(f"{path}: line {lineno}: missing label")
-            try:
-                rows.append(np.array(cells, dtype=np.float64))
-            except ValueError:
-                _raise_non_numeric(path, lineno, cells, label_idx)
-                raise
-            y.append(codes.setdefault(label, len(codes)))
-            linenos.append(lineno)
-    if not rows:
-        raise DataError(
-            f"{path}: header only, no data rows"
-            if header_cells is not None
-            else f"{path}: no data rows"
-        )
-    feature_names = None
-    if header_cells is not None:
-        feature_names = header_cells[:label_idx] + header_cells[label_idx + 1:]
-    X, info = np.stack(rows), np.finfo(numerics.DTYPE)
+        except (ValueError, csv.Error):  # a DataError too: the row path names the first fault
+            X = None
+        if X is None or not lines.y or X.shape != (len(lines.y), lines.width - 1):
+            fh.seek(0)
+            lines = _Lines(path, delimiter, header, label_col)
+            X = lines.rows(fh)
+    k, info = lines.label_idx, np.finfo(numerics.DTYPE)
     if not -info.max <= X.min() <= X.max() <= info.max:  # false on NaN too; no temporary of X's size
         r, j = np.argwhere(~(np.abs(X) <= info.max))[0]
         v = float(X[r, j])
         problem = f"value {v!r} beyond {info.dtype}'s range" if np.isfinite(v) else f"non-finite value {v!r}"
-        raise _cell_error(path, linenos[r], j, label_idx, problem)
-    return Dataset(X, y, len(codes), list(codes), feature_names)
+        raise _cell_error(path, lines.linenos[r], j, k, problem)
+    names = lines.header_cells
+    feature_names = None if names is None else names[:k] + names[k + 1:]
+    return Dataset(X, lines.y, len(lines.codes), list(lines.codes), feature_names)
+
+
+class _Lines:
+    """load_delimited's line loop: everything but the arithmetic."""
+
+    def __init__(self, path: str, delimiter: str, header: bool, label_col: int):
+        self.path, self.delimiter, self.header, self.label_col = path, delimiter, header, label_col
+        self.header_cells: list[str] | None = None
+        self.width = self.label_idx = 0
+        self.y, self.linenos, self.codes = [], [], {}  # label codes, line numbers, code by label
+
+    def read(self, fh, split: bool):
+        """Yield each data line's feature cells (split) or text, its label cut
+        out. Unsplit, a quote-free line after the first is not counted: if
+        ragged, it hands loadtxt a row of another width, which it refuses."""
+        path, delimiter = self.path, self.delimiter
+        for lineno, line in enumerate(fh, start=1):
+            head = line.lstrip()  # the line itself unless it starts with whitespace
+            if not head or head[0] == "#":
+                continue
+            if '"' in line:
+                cells = next(csv.reader([line], delimiter=delimiter))
+            elif split or not self.y:  # newline="" leaves '\r' and '\n' only at a line's end
+                cells = line.rstrip("\r\n").split(delimiter)
+            else:
+                cells = None
+            if self.header and self.header_cells is None:
+                self.header_cells = cells
+                continue
+            if not self.y:
+                self.width = len(cells if self.header_cells is None else self.header_cells)
+                if not -self.width <= self.label_col < self.width:
+                    raise DataError(f"{path}: label column {self.label_col} outside row width {self.width}")
+                self.label_idx = self.label_col % self.width
+                if self.width < 2:
+                    raise DataError(f"{path}: rows must have at least one feature column")
+            if cells is None:
+                if self.label_idx == self.width - 1:
+                    features, _, label = line.rpartition(delimiter)
+                else:
+                    parts = line.split(delimiter, self.label_idx + 1)
+                    label = parts.pop(self.label_idx)
+                    features = delimiter.join(parts)
+            elif len(cells) != self.width:
+                raise DataError(f"{path}: line {lineno}: expected {self.width} fields, found {len(cells)}")
+            else:
+                label = cells.pop(self.label_idx)
+                features = cells if split else delimiter.join(cells)
+            label = label.strip()
+            if not label:
+                raise DataError(f"{path}: line {lineno}: missing label")
+            if not split and any(c in features for c in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("loadtxt strips these from a cell's ends; float() refuses them")
+            self.y.append(self.codes.setdefault(label, len(self.codes)))
+            self.linenos.append(lineno)
+            yield features
+
+    def rows(self, fh) -> np.ndarray:
+        """The row path: each row's cells cast as `float()` casts them."""
+        rows: list[np.ndarray] = []
+        for cells in self.read(fh, split=True):
+            try:
+                rows.append(np.array(cells, dtype=np.float64))
+            except ValueError:
+                _raise_non_numeric(self.path, self.linenos[-1], cells, self.label_idx)
+                raise
+        if not rows:
+            raise DataError(f"{self.path}: {'header only, ' if self.header_cells is not None else ''}no data rows")
+        return np.stack(rows)
 
 
 def _cell_error(path: str, lineno: int, j: int, label_idx: int, problem: str) -> DataError:
@@ -212,15 +257,30 @@ def standardize(
     """Z-score both splits using training statistics only, into
     numerics.DTYPE tables (Standardizer.apply).
 
-    Zero-variance features map to exactly 0 in both splits.
+    Zero-variance features map to exactly 0 in both splits. A value the
+    transform puts beyond numerics.DTYPE's range raises DataError naming its
+    feature and split.
     """
     mean = train.X.mean(axis=0)
     std = train.X.std(axis=0)
     scale = np.where(std > 0.0, std, 1.0)
     transform = Standardizer(mean, scale)
-    train_out = replace(train, X=transform.apply(train.X))
-    test_out = replace(test, X=transform.apply(test.X)) if test is not None else None
+    train_out = _standardized(train, transform, "training")
+    test_out = _standardized(test, transform, "test") if test is not None else None
     return train_out, test_out, transform
+
+
+def _standardized(ds: Dataset, transform: Standardizer, split_name: str) -> Dataset:
+    X = transform.apply(ds.X)
+    try:
+        return replace(ds, X=X)
+    except DataError:  # X has ds.X's shape, so only its finiteness check can fail
+        j = int(np.argwhere(~np.isfinite(X))[0, 1])
+        feature = repr(ds.feature_names[j]) if ds.feature_names is not None else f"{j} (0-based)"
+        raise DataError(
+            f"feature {feature} of the {split_name} split is beyond {X.dtype}'s range"
+            " once standardized by the training split's mean and scale"
+        ) from None
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

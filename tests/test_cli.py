@@ -268,6 +268,26 @@ def test_a_cell_beyond_float32s_range_is_refused_by_train_and_eval(tmp_path, dat
     assert not list(tmp_path.glob("e*"))
 
 
+def test_a_test_split_cell_standardized_beyond_float32s_range_names_its_feature(tmp_path, capsys):
+    # 3e38 lies inside float32's range, but line 4's row falls in the test
+    # split, and the training split's scale for f0 takes it beyond: train
+    # used to warn of an overflow and then name a row of the test split
+    dataset, _ = make_synthetic(10, 4, 2, seed=0)
+    path = tmp_path / "t.csv"
+    save_delimited(dataset, str(path))
+    lines = path.read_text().splitlines()
+    lines[3] = "3e38," + lines[3].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "fsnet: feature 'f0' of the test split is beyond float32's range"
+        " once standardized by the training split's mean and scale\n"
+    )
+    assert not list(tmp_path.glob("run*"))
+
+
 def test_divergence_maps_to_exit_code_one(tmp_path, data_csv, capsys):
     out = str(tmp_path / "div")
     with warnings.catch_warnings():

@@ -2,11 +2,14 @@
 
 import codecs
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fsnet import data
 from fsnet.config import TrainConfig
 from fsnet.data import (
     DataError,
@@ -180,7 +183,15 @@ AWKWARD_TABLES = {
     "quoted_header": (b'"f0","f 1","label"\n1,2,a\n3,4,b\n', {}),
     "one_quoted_label": (b'f0,f1,label\n1,2,a\n3,4,"b, c"\n5,6,a\n', {}),
     "nul_in_label": (b"f0,label\n1,a\x00b\n2,c\n", {}),
+    "non_ascii_digit": ("f0,f1,label\n\u0661,2,a\n3,4,b\n".encode("utf-8"), {}),
+    "one_feature": (b"f0,label\n1,a\n2,b\n3,a\n", {}),
+    "one_row": (b"f0,f1,label\n1,2,a\n", {}),
+    "space_delimiter": (b"f0 f1 label\n1 2.5 a\n-3 4e1 b\n", {"delimiter": " "}),
 }
+
+# The AWKWARD_TABLES only the row path reads: their cells hold forms that
+# `float()` accepts and np.loadtxt refuses.
+ROW_PATH_TABLES = {"number_forms", "non_ascii_digit"}
 
 BROKEN_TABLES = {
     "ragged": (b"f0,f1,label\n1,2,a\n3,b\n", {}),
@@ -203,6 +214,15 @@ BROKEN_TABLES = {
     "beyond_float32_before_non_finite": (b"f0,label,f1\n1,a,-1e39\n3,b,inf\n", {"label_col": 1}),
     "nul_in_feature": (b"f0,f1,label\n1,2\x003,a\n4,5,b\n", {}),
     "trailing_delimiter": (b"f0,f1,label\n1,2,a\n3,4,b,\n", {}),
+    "blank_feature_text": (b"f0,label\n1,a\n ,a\n", {}),
+    "nul_at_cell_end": (b"f0,f1,label\n1,2\x00,a\n3,4,b\n", {}),
+    "quoted_feature_holding_delimiter": (b'f0,f1,label\n1,"1,5",a\n3,4,b\n', {}),
+    "tab_empty_cell": (b"f0\tf1\tlabel\n1\t\ta\n3\t4\tb\n", {"delimiter": "\t"}),
+    # np.loadtxt skips an empty line and takes one row's width for all
+    "lone_empty_feature": (b"f0,label\n1,a\n,b\n", {}),
+    "one_row_quoted_delimiter": (b'f0,f1,label\n1,"1,5",a\n', {}),
+    # np.loadtxt strips \x1c-\x1f from a cell's ends as whitespace; float() refuses them
+    "information_separator": (b"f0,f1,label\n1,2,a\n3,4\x1c,b\n", {}),
 }
 
 
@@ -232,6 +252,50 @@ def test_loader_fails_like_cell_by_cell_oracle(tmp_path, name):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("name", sorted({**AWKWARD_TABLES, **BROKEN_TABLES}))
+def test_loading_a_table_warns_of_nothing(tmp_path, name):
+    # np.loadtxt warns "input contained no data" on a header-only table
+    text, kwargs = {**AWKWARD_TABLES, **BROKEN_TABLES}[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_delimited(str(path), **kwargs)
+        except DataError:
+            assert name in BROKEN_TABLES
+        else:
+            assert name in AWKWARD_TABLES
+
+
+@pytest.mark.parametrize("name", sorted(AWKWARD_TABLES))
+def test_only_forms_loadtxt_refuses_reach_the_row_path(tmp_path, monkeypatch, name):
+    text, kwargs = AWKWARD_TABLES[name]
+    path = tmp_path / "table.txt"
+    path.write_bytes(text)
+    calls = []
+    row_path = data._Lines.rows
+    monkeypatch.setattr(data._Lines, "rows", lambda self, fh: calls.append(1) or row_path(self, fh))
+    got = load_delimited(str(path), **kwargs)
+    assert got.X.tobytes() == ref_load_delimited(str(path), **kwargs).X.tobytes()
+    assert bool(calls) == (name in ROW_PATH_TABLES)
+
+
+def test_a_plain_numeric_table_never_reaches_the_row_path(tmp_path, monkeypatch):
+    ds, _ = make_synthetic(30, 50, 3, seed=2)
+    path = str(tmp_path / "plain.csv")
+    save_delimited(ds, path, comments=["made by make_synthetic"])
+
+    def refuse(self, fh):
+        raise AssertionError("the row path read a plain numeric table")
+
+    monkeypatch.setattr(data._Lines, "rows", refuse)
+    loaded = load_delimited(path)
+    assert loaded.X.tobytes() == ds.X.tobytes()
+    assert [loaded.label_names[c] for c in loaded.y] == [ds.label_names[c] for c in ds.y]
+    assert loaded.feature_names == ds.feature_names
+
+
 def _load_or_error(loader, path, **kwargs):
     try:
         ds = loader(path, **kwargs)
@@ -243,7 +307,7 @@ def _load_or_error(loader, path, **kwargs):
 _TOKENS = st.one_of(
     st.integers(-(10**6), 10**6).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["1_0", "_1", "+.5", "7.", "-0.0", "1e5", "1e", "x", "", "inf", "\x00"]),
+    st.sampled_from(["1_0", "_1", "+.5", "7.", "-0.0", "1e5", "1e", "x", "", "inf", "\x00", "\x1c5"]),
     st.sampled_from(["a", "b", "c d", "e,f", "g;h", 'i"j']),
 )
 
@@ -324,7 +388,7 @@ def test_load_peak_memory_stays_near_the_array_size(tmp_path):
     save_delimited(ds, path)
     loaded, peak = traced_peak(load_delimited, path)
     assert np.array_equal(loaded.X, ds.X)
-    assert peak <= 3 * ds.X.nbytes
+    assert peak <= 2 * ds.X.nbytes
 
 
 # ---------------------------------------------------------------- scaling
@@ -379,6 +443,19 @@ def test_standardizer_apply_gives_the_bytes_of_the_expression(arithmetic_dtype):
     want = (X - transform.mean).astype(arithmetic_dtype) / transform.scale.astype(arithmetic_dtype)
     got = transform.apply(X)
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_standardize_refuses_a_value_it_puts_beyond_the_dtypes_range():
+    # 3e38 fits float32, but the training split's scale, 0.5, doubles it
+    train = Dataset(np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([0, 1]), 2, ["a", "b"])
+    test = Dataset(np.array([[1.0, 3e38]]), np.array([0]), 2, ["a", "b"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^feature 1 \(0-based\) of the test split is beyond float32's"):
+            standardize(train, test)
+        named = replace(test, feature_names=["g", "h"])
+        with pytest.raises(DataError, match="^feature 'h' of the test split"):
+            standardize(replace(train, feature_names=["g", "h"]), named)
 
 
 def test_standardize_leaves_input_untouched():
