@@ -131,7 +131,7 @@ def load_delimited(
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on a table with no data rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 X = np.loadtxt(
                     lines.read(fh, split=False), delimiter=delimiter, dtype=np.float64, comments=None, ndmin=2
                 )
@@ -191,6 +191,8 @@ class _Lines:
                     features, _, label = line.rpartition(delimiter)
                 else:
                     parts = line.split(delimiter, self.label_idx + 1)
+                    if len(parts) <= self.label_idx:
+                        raise ValueError("a row too short to hold the label: the row path names it")
                     label = parts.pop(self.label_idx)
                     features = delimiter.join(parts)
             elif len(cells) != self.width:

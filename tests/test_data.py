@@ -187,6 +187,15 @@ AWKWARD_TABLES = {
     "one_feature": (b"f0,label\n1,a\n2,b\n3,a\n", {}),
     "one_row": (b"f0,f1,label\n1,2,a\n", {}),
     "space_delimiter": (b"f0 f1 label\n1 2.5 a\n-3 4e1 b\n", {"delimiter": " "}),
+    # as save_delimited writes a make_synthetic table
+    "plain_numeric": (
+        b"# made by make_synthetic\n"
+        b"x0,x1,x2,label\n"
+        b"0.4967141530112327,-0.13826430117118466,0.6476885381006925,c0\n"
+        b"1.5230298564080254,-0.23415337472333597,-0.23413695694918055,c1\n"
+        b"1.5792128155073915,7.674347291529088e-05,-0.4694743859349521,c0\n",
+        {},
+    ),
 }
 
 # The AWKWARD_TABLES only the row path reads: their cells hold forms that
@@ -195,6 +204,7 @@ ROW_PATH_TABLES = {"number_forms", "non_ascii_digit"}
 
 BROKEN_TABLES = {
     "ragged": (b"f0,f1,label\n1,2,a\n3,b\n", {}),
+    "short_row_before_middle_label": (b"f0,label,f1\n1,a,2\n3\n", {"label_col": 1}),
     "non_numeric_after_middle_label": (b"f0,label,f1,f2\n1,a,2,3\n4,b,5,x\n", {"label_col": 1}),
     "non_numeric_before_label": (b"f0,f1,label\n1,2,a\noops,4,b\n", {}),
     "empty_cell": (b"f0,f1,label\n1,,a\n3,4,b\n", {}),
@@ -279,21 +289,6 @@ def test_only_forms_loadtxt_refuses_reach_the_row_path(tmp_path, monkeypatch, na
     got = load_delimited(str(path), **kwargs)
     assert got.X.tobytes() == ref_load_delimited(str(path), **kwargs).X.tobytes()
     assert bool(calls) == (name in ROW_PATH_TABLES)
-
-
-def test_a_plain_numeric_table_never_reaches_the_row_path(tmp_path, monkeypatch):
-    ds, _ = make_synthetic(30, 50, 3, seed=2)
-    path = str(tmp_path / "plain.csv")
-    save_delimited(ds, path, comments=["made by make_synthetic"])
-
-    def refuse(self, fh):
-        raise AssertionError("the row path read a plain numeric table")
-
-    monkeypatch.setattr(data._Lines, "rows", refuse)
-    loaded = load_delimited(path)
-    assert loaded.X.tobytes() == ds.X.tobytes()
-    assert [loaded.label_names[c] for c in loaded.y] == [ds.label_names[c] for c in ds.y]
-    assert loaded.feature_names == ds.feature_names
 
 
 def _load_or_error(loader, path, **kwargs):
