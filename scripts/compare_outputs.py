@@ -22,6 +22,10 @@ included), each in its own empty output directory:
     eval of the predictor model on synx.csv and synr.csv, the synth table
         with one non-numeric cell and with one ragged row: both exit 2 with
         a message that names the line
+    train --b 100, above the 48 training rows, and eval of the predictor
+        model with --embed-data syns.csv, the synth table cut to 6 data
+        rows, below its embed_size 10: both exit 2 with a message that
+        names embed_size and the rows
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -69,6 +73,9 @@ def command_sequence() -> list[list[str]]:
     commands.append(["eval", "--model", "quoted.model", "--data", "synq.csv", "--label-col", "0", "--out", "quoted"])
     for table in ("synx.csv", "synr.csv"):
         commands.append(["eval", "--model", "predictor.model", "--data", table, "--out", table[:4]])
+    commands.append([*train, "--b", "100", "--out", "wide"])
+    short = ["--data", "syn.csv", "--embed-data", "syns.csv", "--out", "syns"]
+    commands.append(["eval", "--model", "predictor.model", *short])
     return commands
 
 
@@ -83,8 +90,9 @@ def write_label_one_first(table: Path, dest: Path) -> None:
 
 def write_variants(table: Path) -> None:
     """Beside the table: synq.csv, its label column first and every cell
-    quoted; synx.csv, with the third data row's first cell non-numeric; and
-    synr.csv, with the third data row one cell short."""
+    quoted; synx.csv, with the third data row's first cell non-numeric;
+    synr.csv, with the third data row one cell short; and syns.csv, its
+    first 6 data rows."""
     lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
     top = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     with open(table.with_name("synq.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -96,6 +104,7 @@ def write_variants(table: Path) -> None:
     for name, edited in (("synx.csv", "x" + row[row.index(","):]), ("synr.csv", row[row.index(",") + 1:])):
         text = "".join(lines[: top + 3] + [edited] + lines[top + 4:])
         table.with_name(name).write_text(text, encoding="utf-8")
+    table.with_name("syns.csv").write_text("".join(lines[: top + 7]), encoding="utf-8")
 
 
 def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str, str]]:

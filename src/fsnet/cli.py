@@ -223,21 +223,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"--mi-bins must be at least 1, got {args.mi_bins}")
     model = load_model(args.model)
     # only the reconstruction of a predictor-mode model reads an embedding table
-    reads_table = model.config.mode == "predictor" and model.params.recon_w is not None
+    reads_table = model.config.mode == "predictor" and model.config.decodes
     if args.embed_data and not reads_table:
         kind = "model without a decoder" if model.config.mode == "predictor" else "dense-mode model"
         raise DataError(f"--embed-data {args.embed_data}: a {kind} reads no embedding table")
     dataset = _load_table(args, args.data)
     if not args.no_standardize:
         dataset, _, _ = standardize(dataset)
-    emb, b = None, model.config.embed_size
+    emb = None
     if args.embed_data:  # else evaluate builds the table from the eval data
         emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
         if not args.no_standardize:
             emb_ds, _, _ = standardize(emb_ds)
-        if b > emb_ds.n_samples:
-            raise DataError(f"{args.embed_data}: embed_size {b} exceeds its {emb_ds.n_samples} rows")
-        emb = compute_embeddings(emb_ds.X, b)
+        try:
+            emb = compute_embeddings(emb_ds.X, model.config.embed_size)
+        except DataError as exc:
+            raise DataError(f"{args.embed_data}: {exc}") from None
     try:
         report = evaluate(model, dataset, emb, mi_bins=args.mi_bins)
     except DataError as exc:

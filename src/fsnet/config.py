@@ -37,6 +37,11 @@ class TrainConfig:
     def __post_init__(self):
         self.validate()
 
+    @property
+    def decodes(self) -> bool:
+        """The one decoder rule: only a loss with recon_weight > 0 reaches the decoder and recon_w."""
+        return self.recon_weight > 0.0
+
     def validate(self) -> None:
         check_field_types(self)
         if self.n_select < 1:

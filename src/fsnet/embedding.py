@@ -10,18 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import DataError
 from .numerics import as_matrix
 
 
 def compute_embeddings(X: np.ndarray, n_bins: int) -> np.ndarray:
     """The (d, n_bins) embedding table, one row per feature column of an
-    (n, d) sample matrix."""
+    (n, d) sample matrix: the one check of an embed_size against the rows
+    its table is built from, a DataError where n_bins exceeds n."""
     X = as_matrix(X, "sample matrix")
     n, d = X.shape
     if n < 1 or d < 1:
         raise ValueError(f"sample matrix must be nonempty, got shape {X.shape}")
-    if not 1 <= n_bins <= n:
+    if n_bins < 1:
         raise ValueError(f"embedding size must satisfy 1 <= b <= n ({n}), got {n_bins}")
+    if n_bins > n:
+        raise DataError(f"embed_size {n_bins} exceeds its {n} rows")
     # All columns at once: one bincount over bins offset by j*b. Column-major
     # flattening adds each bin's values in row order, as a per-column
     # bincount would, so the table matches per-column histograms to the byte.

@@ -91,15 +91,12 @@ def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | 
 def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tuple[float, float | None]:
     """The accuracy and the reconstruction error of one hard-selection pass,
     the virtual weights realized as reconstruction_error documents."""
-    if model.params.recon_w is None:
+    if not model.config.decodes:
         return _hard_scores(model, dataset)
     if model.config.mode == "dense":
         emb = None
     elif emb is None:
-        b = model.config.embed_size
-        if b > dataset.n_samples:
-            raise DataError(f"embed_size {b} exceeds its {dataset.n_samples} rows")
-        emb = compute_embeddings(dataset.X, b)
+        emb = compute_embeddings(dataset.X, model.config.embed_size)
     return _hard_scores(model, dataset, recon_matrix(model.params.recon_w, emb))
 
 
@@ -141,15 +138,14 @@ def avg_mutual_information(X: np.ndarray, selected: list[int], bins: int = 10) -
 
 
 def _size_probe_model(
-    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool = False, decodes: bool = True,
-    dtype=None,
+    arch: Architecture, embed_size: int, mode: str, seed: int, use_bias: bool, decodes: bool, dtype
 ) -> FsNetModel:
     config = TrainConfig(
         n_select=arch.n_select, embed_size=embed_size, mode=mode, encoder=arch.encoder,
         decoder=arch.decoder, use_bias=use_bias, seed=seed, recon_weight=1.0 if decodes else 0.0,
     )
-    dtype = numerics.DTYPE if dtype is None else dtype
-    params = zeros_params(arch, embed_size, mode, use_bias, decodes).map(lambda a: a.astype(dtype))
+    params = zeros_params(arch, embed_size, mode, use_bias, decodes)
+    params = params.map(lambda a: a.astype(dtype, copy=False))  # copies only to another dtype
     labels = [f"c{i}" for i in range(arch.n_classes)]
     return FsNetModel(config, arch, params, list(range(arch.n_select)), labels)
 
@@ -163,6 +159,7 @@ def measured_compression_ratio(
     counts of the files save_model would write, without touching the disk.
     saved_size reads only shapes, dtypes and header fields, so the probes hold
     zero weights; the seed still goes into their headers."""
+    dtype = numerics.DTYPE if dtype is None else dtype
     sizes = {
         mode: saved_size(_size_probe_model(arch, embed_size, mode, seed, use_bias, decodes, dtype))
         for mode in ("predictor", "dense")
@@ -190,7 +187,7 @@ def evaluate(
         else 0.0
     )
     arch, b, bias = model.arch, model.config.embed_size, model.config.use_bias
-    decodes = model.params.recon_w is not None
+    decodes = model.config.decodes
     predictor = trainable_param_count(arch, b, "predictor", bias, decodes)
     dense = trainable_param_count(arch, b, "dense", bias, decodes)
     return EvalReport(

@@ -53,7 +53,7 @@ class FsNetModel:
         cfg, arch = self.config, self.arch
         if (cfg.n_select, cfg.encoder, cfg.decoder) != (arch.n_select, arch.encoder, arch.decoder):
             raise ValueError("the config's n_select, encoder and decoder disagree with the arch's")
-        layout = zeros_params(arch, cfg.embed_size, cfg.mode, cfg.use_bias, cfg.recon_weight > 0.0)
+        layout = zeros_params(arch, cfg.embed_size, cfg.mode, cfg.use_bias, cfg.decodes)
         held, need = ([(name, a.shape) for name, a in p.named()] for p in (self.params, layout))
         if held != need:
             raise ValueError(f"the params hold {held}, the config and arch give {need}")
@@ -228,8 +228,7 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     label_names = _header_list(next_line(), "labels", str)
     selected = _header_list(next_line(), "selected", int)
     selected_names = _header_list(next_line(), "selected_names", str, nullable=True)
-    decodes = config.recon_weight > 0.0
-    template = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes)
+    template = zeros_params(arch, config.embed_size, config.mode, config.use_bias, config.decodes)
     try:  # the model gate, at the last header it reads; the weights replace the template
         model = FsNetModel(config, arch, template, selected, label_names, selected_names)
     except (TypeError, ValueError) as exc:
@@ -242,7 +241,8 @@ def _parse_model(next_line: Callable[[], str]) -> FsNetModel:
     )
     n_arrays = _header_value(next_line(), "arrays")
     # before v3 a file lists the decoder and recon_w, last, at every recon_weight
-    listed = zeros_params(arch, config.embed_size, config.mode, config.use_bias, decodes or version < 3)
+    lists_decoder = config.decodes or version < 3
+    listed = zeros_params(arch, config.embed_size, config.mode, config.use_bias, lists_decoder)
     expected = listed.named()
     _expect(
         n_arrays == len(expected),

@@ -190,9 +190,9 @@ class StackPass:
     """A DenseStack applied to a batch, keeping what its backward needs: the
     one NumPy pass of the encoder, the classifier head and the decoder, run
     by training and inference alike. Each hidden layer is a leaky ReLU,
-    scaled by its dropout mask, cast to the layer's dtype, if masks are given;
-    the last layer of a final_softmax stack is a softmax over each row. The
-    batch comes in the stack's dtype."""
+    scaled by its dropout mask if masks are given; the last layer of a
+    final_softmax stack is a softmax over each row. The batch and the masks
+    come in the stack's dtype."""
 
     def __init__(
         self,
@@ -202,10 +202,7 @@ class StackPass:
         masks: list[np.ndarray] | None,
         final_softmax: bool,
     ):
-        self.stack, self.final_softmax = stack, final_softmax
-        self.masks = None if masks is None else [
-            m.astype(w.dtype, copy=False) for m, w in zip(masks, stack.weights)
-        ]
+        self.stack, self.masks, self.final_softmax = stack, masks, final_softmax
         self.inputs: list[np.ndarray] = []
         self.leaks: list[np.ndarray] = []  # leaky-ReLU derivative of each hidden layer
         a = batch

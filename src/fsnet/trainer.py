@@ -21,8 +21,8 @@ core's L2 cache. Each epoch's dropout masks are one draw, made in the
 params' dtype from the generator's raw words (_dropout_masks).
 
 The parameters are numerics.DTYPE (float32) arrays, and every pass computes
-in their dtype: LossPass and the tape cast the table, the embedding table,
-the float64 Gumbel noise and any float64 dropout masks they receive to it.
+in their dtype: LossPass and the tape cast the sample matrix, the embedding
+table and the float64 Gumbel noise to it, and the tape its float64 masks.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -207,15 +207,15 @@ class LossPass:
     order. Each tape op stays one IEEE step here, in the tape's order, and
     every array that a row sum or a matrix product reads has the layout it
     has on the tape. Nothing is differentiated into X, the embedding table,
-    the Gumbel noise or the dropout masks, which the pass, as the tape, casts
-    to the params' dtype, the one it computes in. It composes a
-    selection.SelectPass, two network.StackPass (encoder, classifier) and,
-    when recon_weight > 0, a network.ReconPass, the first and the last in
-    buffers of the dict workspace.
+    the Gumbel noise or the dropout masks. The pass, as the tape, casts the
+    first three to the params' dtype; the masks come in it and y within the
+    classes, as train() makes them. It composes a selection.SelectPass, two
+    network.StackPass (encoder, classifier) and, if recon_weight is not 0, a
+    network.ReconPass, the first and the last in buffers of the workspace.
 
     recon_mat is recon_matrix(params.recon_w, emb), passed in so the caller
-    can share it. When recon_weight > 0 the pass uses it up: the backward of
-    its tanh is computed in its storage, the recon_w gradient in dense mode.
+    can share it. If recon_weight is not 0 the pass uses it up: the backward
+    of its tanh is computed in its storage, the recon_w gradient in dense mode.
     Callers read loss, class_loss, recon_loss (0.0 when recon_weight is 0),
     gates, and grads in params.named() order. At recon_weight 0 params hold
     no decoder and no recon_w (init_params(..., decodes=False)), and
@@ -238,7 +238,6 @@ class LossPass:
         decoder_masks: list[np.ndarray] | None,
         workspace: dict[str, np.ndarray],
     ):
-        _check_labels(y, params.classifier.weights[-1].shape[0])
         picks = (np.arange(len(X)), np.asarray(y, dtype=np.intp))
         lam = float(recon_weight)
 
@@ -338,10 +337,11 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
 
 
 def _dropout_masks(
-    rng: RngState, n: int, widths: tuple[int, ...], rate: float, dtype: np.dtype = np.float64
+    rng: RngState, n: int, widths: tuple[int, ...], rate: float, dtype: np.dtype
 ) -> list[np.ndarray] | None:
     """One (n, w) mask of `dtype` per width, keep * (1 / (1 - rate)): inverted
-    scaling boosts kept activations so inference needs no rescale. rng's
+    scaling boosts kept activations, so inference needs no rescale, and
+    LossPass takes them uncast, so training passes the params' dtype. rng's
     uniform is (word // 2**11 + 0.5) * 2**-53, exact, so it is >= rate where
     word >= T * 2**11, T the least integer with (T + 0.5) * 2**-53 >= rate:
     the masks are (uniform >= rate) / (1 - rate) cast to `dtype`. They are
@@ -369,8 +369,7 @@ def _anneal(
     rng_dropout = root.derive("dropout")
     opt = PackedRMSprop(params)
     params = opt.params
-    decodes = params.recon_w is not None  # train() leaves it out at recon_weight 0
-    recon_mat = recon_matrix(params.recon_w, emb) if decodes else None
+    recon_mat = recon_matrix(params.recon_w, emb) if config.decodes else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
 
     n = dataset.n_samples
@@ -378,7 +377,7 @@ def _anneal(
     for epoch in range(1, config.epochs + 1):
         tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
         # the encoder's masks, then the decoder's if it runs, in one draw
-        widths = config.encoder + (config.decoder if decodes else ())
+        widths = config.encoder + (config.decoder if config.decodes else ())
         masks = _dropout_masks(rng_dropout, n, widths, config.dropout, params.dtype) or []
         enc_masks, dec_masks = masks[: len(config.encoder)] or None, masks[len(config.encoder) :] or None
 
@@ -397,7 +396,7 @@ def _anneal(
                 f"loss became non-finite at epoch {epoch} (temperature {tau:.6g})"
             )
         opt.step(step.grads, config.learning_rate, config.rms_decay, config.rms_eps)  # in place
-        if decodes:  # the pass used it up
+        if config.decodes:  # the pass used it up
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)
@@ -422,33 +421,26 @@ def train(
     The optional test split only adds per-epoch curve columns; it never
     influences the optimization. Raises DataError if there are fewer than 2
     classes, if a class has no training rows or, in predictor mode, if
-    embed_size exceeds the training row count, and TrainingDiverged if the
-    loss leaves the finite range.
+    embed_size exceeds the training row count (compute_embeddings), and
+    TrainingDiverged if the loss leaves the finite range.
     """
     if dataset.n_classes < 2:
         raise DataError(f"need at least 2 classes, got {dataset.n_classes}")
     empty = [name for c, name in enumerate(dataset.label_names) if not np.any(dataset.y == c)]
     if empty:
         raise DataError(f"classes {empty} have no samples in the training data")
-    if config.mode == "predictor" and config.embed_size > dataset.n_samples:
-        raise DataError(f"embed_size {config.embed_size} exceeds the {dataset.n_samples} training rows")
-    arch = Architecture(
-        dataset.n_features,
-        config.n_select,
-        dataset.n_classes,
-        config.encoder,
-        config.decoder,
-    )
-    if test is not None:
-        if test.n_features != dataset.n_features or test.n_classes != dataset.n_classes:
-            raise ValueError(
-                f"test split shape ({test.n_features} features, {test.n_classes} classes)"
-                f" does not match train ({dataset.n_features}, {dataset.n_classes})"
-            )
+    d, classes = dataset.n_features, dataset.n_classes
+    arch = Architecture(d, config.n_select, classes, config.encoder, config.decoder)
+    if test is not None and (test.n_features, test.n_classes) != (d, classes):
+        raise ValueError(
+            f"test split shape ({test.n_features} features, {test.n_classes} classes)"
+            f" does not match train ({d}, {classes})"
+        )
 
     root = RngState(config.seed)
-    decodes = config.recon_weight > 0.0  # else the loss does not reach the decoder and recon_w
-    params = init_params(arch, config.embed_size, config.mode, root.derive("init"), config.use_bias, decodes)
+    params = init_params(
+        arch, config.embed_size, config.mode, root.derive("init"), config.use_bias, config.decodes
+    )
     emb = None  # cast once here, not by each pass
     if config.mode == "predictor":
         emb = compute_embeddings(dataset.X, config.embed_size).astype(params.dtype)

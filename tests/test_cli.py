@@ -504,10 +504,10 @@ def test_embedding_size_errors_name_the_table_or_the_training_rows(tmp_path, dat
     for argv in ([*model, "--data", data_csv, "--embed-data", small], [*model, "--data", small]):
         assert main(argv) == 2
         assert f"{small}: embed_size 10 exceeds its 6 rows" in capsys.readouterr().err
-    # the 40-row table leaves 32 rows to train on
+    # the 40-row table leaves 32 rows to train on; compute_embeddings's one message
     argv = ["train", "--data", data_csv, "--out", out, "--k", "2", "--b", "100", "--epochs", "2"]
     assert main(argv) == 2
-    assert "embed_size 100 exceeds the 32 training rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == "fsnet: embed_size 100 exceeds its 32 rows\n"
 
 
 def test_manifest_keeps_one_digest_per_input_path(tmp_path, capsys):

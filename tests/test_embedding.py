@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fsnet.data import DataError
 from fsnet.embedding import compute_embeddings
 
 from helpers import equal_width_bin_indices, feature_histogram, traced_peak
@@ -84,6 +85,13 @@ def test_bin_count_bounds_enforced():
         compute_embeddings(X, 4)  # b > n
     with pytest.raises(ValueError):
         compute_embeddings(X, 0)
+
+
+def test_an_embed_size_above_the_rows_is_a_data_error_naming_both():
+    # the one check of embed_size against the rows its table is built from
+    with pytest.raises(DataError, match=r"^embed_size 4 exceeds its 3 rows$"):
+        compute_embeddings(np.zeros((3, 2)), 4)
+    assert compute_embeddings(np.zeros((3, 2)), 3).shape == (2, 3)
 
 
 @given(

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fsnet import numerics
 from fsnet.config import TrainConfig
 from fsnet.data import DataError, Dataset
+from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import (
     EvalReport,
     _size_probe_model,
@@ -131,6 +133,18 @@ def test_reconstruction_error_dense_mode_ignores_embeddings(arithmetic_dtype):
     assert reconstruction_error(model, ds) == pytest.approx(expected, rel=1e-12)
 
 
+def test_a_table_shorter_than_embed_size_is_refused_by_compute_embeddings():
+    # a predictor-mode model builds its table from the scored rows unless
+    # given one; only a decoder reads it
+    model, short = zero_model(b=3), toy_dataset(5, n=2)
+    for score in (evaluate, reconstruction_error):
+        with pytest.raises(DataError, match=r"^embed_size 3 exceeds its 2 rows$"):
+            score(model, short)
+    assert reconstruction_error(model, short, compute_embeddings(toy_dataset(5).X, 3)) >= 0.0
+    for other in (zero_model(b=3, mode="dense"), zero_model(b=3, recon_weight=0.0)):
+        assert evaluate(other, short).accuracy == accuracy(other, short)
+
+
 # ---------------------------------------------------------------- mutual info
 
 
@@ -245,13 +259,13 @@ def test_measured_ratio_equals_saved_file_size_ratio(tmp_path):
     sizes = {}
     for mode in ("predictor", "dense"):
         path = tmp_path / f"{mode}.model"
-        save_model(_size_probe_model(arch, 6, mode, 2), str(path))
+        save_model(_size_probe_model(arch, 6, mode, 2, False, True, numerics.DTYPE), str(path))
         sizes[mode] = path.stat().st_size
     assert measured_compression_ratio(arch, 6, seed=2) == sizes["dense"] / sizes["predictor"]
 
 
 def test_size_probe_holds_zero_weights_and_the_seed():
-    probe = _size_probe_model(Architecture(30, 4, 2), 6, "dense", seed=11, use_bias=True)
+    probe = _size_probe_model(Architecture(30, 4, 2), 6, "dense", 11, True, True, numerics.DTYPE)
     assert probe.config.seed == 11
     assert all(not arr.any() for arr in probe.params.arrays())
 
@@ -364,7 +378,8 @@ def test_a_model_without_a_decoder_reports_what_it_holds(monkeypatch, mode):
     assert report.compression_ratio == count["dense"] / count["predictor"]
     assert report.measured_compression_ratio == measured_compression_ratio(model.arch, 3, decodes=False)
     # the probe of the model's own mode is the file the model saves
-    assert saved_size(_size_probe_model(model.arch, 3, mode, 0, decodes=False)) == saved_size(model)
+    probe = _size_probe_model(model.arch, 3, mode, 0, False, False, model.params.dtype)
+    assert saved_size(probe) == saved_size(model)
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])

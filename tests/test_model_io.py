@@ -48,7 +48,7 @@ def tiny_model(mode="predictor", use_bias=False, seed=0, recon_weight=1.0):
         encoder=cfg.encoder,
         decoder=cfg.decoder,
     )
-    params = init_params(arch, cfg.embed_size, mode, RngState(seed), use_bias, recon_weight > 0.0)
+    params = init_params(arch, cfg.embed_size, mode, RngState(seed), use_bias, cfg.decodes)
     return FsNetModel(cfg, arch, params, [4, 0, 7], ["neg", "pos"], ["f4", "f0", "f7"])
 
 
@@ -97,6 +97,21 @@ def test_a_model_refuses_params_laid_out_for_another_config(config, message):
         FsNetModel(config, arch, zeros_params(arch, 10, "predictor"), [0, 1, 2], ["a", "b"])
 
 
+@pytest.mark.parametrize("recon_weight,decodes", [(0.0, False), (5e-324, True), (1.0, True)])
+def test_the_decoder_rule_is_the_model_gates_layout(recon_weight, decodes):
+    # TrainConfig.decodes, the one decoder rule, down to the least positive
+    # weight: the gate takes the layout it names and refuses the other one
+    cfg, arch = tiny_model(recon_weight=recon_weight).config, tiny_model().arch
+    assert cfg.decodes is decodes
+    for holds in (decodes, not decodes):
+        layout = zeros_params(arch, cfg.embed_size, cfg.mode, cfg.use_bias, holds)
+        if holds == decodes:
+            assert FsNetModel(cfg, arch, layout, [0, 1, 2], ["a", "b"]).params is layout
+        else:
+            with pytest.raises(ValueError, match="the params hold"):
+                FsNetModel(cfg, arch, layout, [0, 1, 2], ["a", "b"])
+
+
 WIDTHS = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
 
 
@@ -118,7 +133,7 @@ def candidate_models(draw):
         recon_weight=draw(st.sampled_from([0.0, 1.0])),
     )
     if draw(st.booleans()):
-        layout = (config.embed_size, config.mode, config.use_bias, config.recon_weight > 0.0)
+        layout = (config.embed_size, config.mode, config.use_bias, config.decodes)
     else:
         layout = (
             draw(st.integers(1, 3)), draw(st.sampled_from(["predictor", "dense"])),
@@ -343,11 +358,18 @@ def test_a_version_3_file_is_evaluated_in_float64(name):
     assert report.lines()[:-1] == V3_FIXTURES[name][1]
     cfg = model.config
     float64_files = measured_compression_ratio(
-        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.recon_weight > 0.0, np.float64
+        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.decodes, np.float64
     )
     assert report.measured_compression_ratio == float64_files != measured_compression_ratio(
-        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.recon_weight > 0.0
+        model.arch, cfg.embed_size, cfg.seed, cfg.use_bias, cfg.decodes
     )
+
+
+@pytest.mark.parametrize("name", ["v2-dense-lambda0.model", "v3-dense-lambda0.model"])
+def test_a_lambda_zero_file_loads_a_model_that_does_not_decode(name):
+    model = load_model(str(FIXTURES / name))
+    assert model.config.recon_weight == 0.0 and not model.config.decodes
+    assert model.params.decoder.weights == [] and model.params.recon_w is None
 
 
 def test_a_version_2_lambda_zero_file_has_its_decoder_rows_checked(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from fsnet import numerics
 from fsnet.autodiff import Tape, grad
 from fsnet.config import TrainConfig
-from fsnet.data import Dataset, make_synthetic, split, SplitSpec, standardize
+from fsnet.data import DataError, Dataset, make_synthetic, split, SplitSpec, standardize
 from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import accuracy, reconstruction_error
 from fsnet.model import load_model, record_cells, save_model
@@ -293,11 +293,13 @@ ELISION_BYTES = 256 * 1024  # from this size NumPy computes `temporary * x` in t
 def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, reused):
     """LossPass at n=12, K=5 against build_loss_graph + grad, in the params'
     dtype numerics.DTYPE: loss, class and reconstruction loss, gate bytes, and
-    each gradient's bytes, shape and strides. X, the table, the noise and the
-    masks are float64, cast by each pass. With `reused`, the checked pass
-    writes into a workspace that a pass with other parameters and other noise
-    filled first, as the second epoch of train() does: a stale buffer or one
-    of the wrong layout fails here."""
+    each gradient's bytes, shape and strides. X, the table and the noise are
+    float64, cast by each pass. The tape gets float64 masks, which it casts,
+    as the benchmark's replay (benchmarks/tracing.py) feeds it, and LossPass
+    the same masks drawn in the params' dtype, as _anneal draws them. With
+    `reused`, the checked pass writes into a workspace that a pass with other
+    parameters and other noise filled first, as the second epoch of train()
+    does: a stale buffer or one of the wrong layout fails here."""
     n, k, b = 12, 5, 4
     rng = RngState(21)
     X = rng.normal((n, d))
@@ -306,14 +308,16 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     arch = Architecture(d, k, 2, encoder=(6, 4), decoder=(4, 6))
     decodes = recon_weight > 0.0  # else the model holds no decoder and no recon_w
     params = init_params(arch, b, mode, RngState(22), use_bias, decodes)
-    gumbel = RngState(23).gumbel((k, d))
-    enc_masks = _dropout_masks(RngState(24), n, arch.encoder, dropout)
-    dec_masks = _dropout_masks(RngState(25), n, arch.decoder, dropout)
-    args = (X, y, gumbel, 0.7, recon_weight, 0.2, enc_masks, dec_masks)
+    args = (X, y, RngState(23).gumbel((k, d)), 0.7, recon_weight, 0.2)
+
+    def masks(dtype):  # the encoder's, then the decoder's
+        widths = (arch.encoder, arch.decoder)
+        return tuple(_dropout_masks(RngState(24 + i), n, w, dropout, dtype) for i, w in enumerate(widths))
 
     tape = Tape()
-    loss, leaves, nodes = build_loss_graph(tape, params, emb, *args)
+    loss, leaves, nodes = build_loss_graph(tape, params, emb, *args, *masks(np.float64))
     gmap = grad(tape, loss)
+    args += masks(params.dtype)
     workspace = {}
     if reused:
         first = init_params(arch, b, mode, RngState(32), use_bias, decodes)
@@ -421,20 +425,20 @@ def test_one_hot_embeddings_reproduce_dense_mode():
 
 
 def test_dropout_masks_shape_and_scaling():
-    masks = _dropout_masks(RngState(0), 7, (4, 3), 0.2)
+    masks = _dropout_masks(RngState(0), 7, (4, 3), 0.2, np.float64)
     assert [m.shape for m in masks] == [(7, 4), (7, 3)]
     for m in masks:
         assert set(np.unique(m)).issubset({0.0, 1.0 / 0.8})
 
 
 def test_dropout_rate_zero_is_disabled():
-    assert _dropout_masks(RngState(0), 5, (4,), 0.0) is None
+    assert _dropout_masks(RngState(0), 5, (4,), 0.0, np.float32) is None
 
 
 def test_one_draw_masks_hold_the_bits_of_a_draw_per_mask():
     n, widths, rate = 9, (6, 4, 3, 4, 6), 0.3
     rng, ref = RngState(7), RngState(7)
-    masks = _dropout_masks(rng, n, widths, rate)
+    masks = _dropout_masks(rng, n, widths, rate, np.float64)
     expected = [(ref.uniform((n, w)) >= rate) / (1.0 - rate) for w in widths]
     for m, e in zip(masks, expected):
         assert (m.shape, m.strides, m.tobytes()) == (e.shape, e.strides, e.tobytes())
@@ -503,7 +507,7 @@ def test_a_cold_loss_pass_leaves_no_subnormal_in_its_arrays(mode, arithmetic_dty
     emb = compute_embeddings(X, b) if mode == "predictor" else None
     arch = Architecture(d, k, 2)
     params = init_params(arch, b, mode, RngState(42))
-    masks = _dropout_masks(RngState(43), n, arch.encoder + arch.decoder, 0.2)
+    masks = _dropout_masks(RngState(43), n, arch.encoder + arch.decoder, 0.2, params.dtype)
     n_enc = len(arch.encoder)
     workspace = {}
     step = LossPass(
@@ -532,6 +536,18 @@ def test_train_is_deterministic_per_seed():
     # a different seed must at least change the trained weights
     m3, _, _ = train(ds, TrainConfig(n_select=4, epochs=12, seed=4))
     assert not np.array_equal(m1.params.select_w, m3.params.select_w)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+def test_an_embed_size_above_the_training_rows_is_refused_in_predictor_mode(mode):
+    # compute_embeddings's one check; dense mode builds no table
+    ds = separable(0, n=6)
+    config = TrainConfig(n_select=2, embed_size=7, epochs=1, mode=mode)
+    if mode == "predictor":
+        with pytest.raises(DataError, match=r"^embed_size 7 exceeds its 6 rows$"):
+            train(ds, config)
+    else:
+        assert len(train(ds, config)[1]) == 2
 
 
 def test_zero_learning_rate_freezes_initialization():
