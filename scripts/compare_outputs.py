@@ -10,8 +10,8 @@ included), each in its own empty output directory:
     synth --n 60 --d 300 --k-star 5 --seed 3
     train --epochs 60 --seed 4, five times: predictor mode, dense mode
         with --use-bias --lambda 0.5, both modes at --lambda 0, and
-        predictor mode with --no-standardize, whose float64 table the
-        training passes cast to the model's dtype every epoch
+        predictor mode with --no-standardize, whose float64 table train()
+        casts to the model's dtype once, before the first epoch
     eval and select of each of the five models
     eval of the predictor model on syn1.csv, the synth table with the
         rows of label 1 moved first, so eval maps the file's label codes
@@ -26,6 +26,10 @@ included), each in its own empty output directory:
         model with --embed-data syns.csv, the synth table cut to 6 data
         rows, below its embed_size 10: both exit 2 with a message that
         names embed_size and the rows
+    eval of the predictor model with --embed-data synp.csv, the synth
+        table with its feature columns and their header names reversed:
+        it exits 2 with a message that names synp.csv and the selected
+        columns
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -76,6 +80,8 @@ def command_sequence() -> list[list[str]]:
     commands.append([*train, "--b", "100", "--out", "wide"])
     short = ["--data", "syn.csv", "--embed-data", "syns.csv", "--out", "syns"]
     commands.append(["eval", "--model", "predictor.model", *short])
+    flipped = ["--data", "syn.csv", "--embed-data", "synp.csv", "--out", "synp"]
+    commands.append(["eval", "--model", "predictor.model", *flipped])
     return commands
 
 
@@ -91,8 +97,8 @@ def write_label_one_first(table: Path, dest: Path) -> None:
 def write_variants(table: Path) -> None:
     """Beside the table: synq.csv, its label column first and every cell
     quoted; synx.csv, with the third data row's first cell non-numeric;
-    synr.csv, with the third data row one cell short; and syns.csv, its
-    first 6 data rows."""
+    synr.csv, with the third data row one cell short; syns.csv, its first 6
+    data rows; and synp.csv, its feature columns reversed, header included."""
     lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
     top = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     with open(table.with_name("synq.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -105,6 +111,9 @@ def write_variants(table: Path) -> None:
         text = "".join(lines[: top + 3] + [edited] + lines[top + 4:])
         table.with_name(name).write_text(text, encoding="utf-8")
     table.with_name("syns.csv").write_text("".join(lines[: top + 7]), encoding="utf-8")
+    rows = [line.rstrip("\n").split(",") for line in lines[top:]]
+    flipped = [",".join(cells[-2::-1] + cells[-1:]) + "\n" for cells in rows]
+    table.with_name("synp.csv").write_text("".join(lines[:top] + flipped), encoding="utf-8")
 
 
 def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str, str]]:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import DataError, SplitSpec, load_delimited, make_synthetic, save_delimited, split, standardize
-from .embedding import compute_embeddings
-from .evaluator import accuracy, evaluate
+from .evaluator import accuracy, embedding_table, evaluate
 from .model import ModelFormatError, load_model, save_model
 from .trainer import TrainingDiverged, train
 
@@ -39,13 +38,13 @@ except Exception:  # running from a source tree without installation
     VERSION = "0.1.0"
 
 def _widths(text: str) -> tuple[int, ...]:
+    items = [t.strip() for t in text.split(",")]
+    if not any(items):
+        raise argparse.ArgumentTypeError("width list is empty")
     try:
-        dims = tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in items)  # int("") refuses an empty item
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated widths, got {text!r}")
-    if not dims:
-        raise argparse.ArgumentTypeError("width list is empty")
-    return dims
 
 
 def _sha256(path: str) -> str:
@@ -167,20 +166,8 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
         raise DataError(f"{args.config}: {exc}") from None
 
 
-def _load_table(args: argparse.Namespace, path: str, n_features: int | None = None):
-    """The table at path, which must have n_features feature columns if given."""
-    dataset = load_delimited(
-        path,
-        delimiter=args.delimiter,
-        header=not args.no_header,
-        label_col=args.label_col,
-    )
-    if n_features is not None and dataset.n_features != n_features:
-        raise DataError(
-            f"{path}: dimension mismatch: model expects {n_features} features,"
-            f" table has {dataset.n_features}"
-        )
-    return dataset
+def _load_table(args: argparse.Namespace, path: str):
+    return load_delimited(path, delimiter=args.delimiter, header=not args.no_header, label_col=args.label_col)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -232,11 +219,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset, _, _ = standardize(dataset)
     emb = None
     if args.embed_data:  # else evaluate builds the table from the eval data
-        emb_ds = _load_table(args, args.embed_data, model.arch.n_features)
+        emb_ds = _load_table(args, args.embed_data)
         if not args.no_standardize:
             emb_ds, _, _ = standardize(emb_ds)
         try:
-            emb = compute_embeddings(emb_ds.X, model.config.embed_size)
+            emb = embedding_table(model, emb_ds)
         except DataError as exc:
             raise DataError(f"{args.embed_data}: {exc}") from None
     try:

@@ -49,26 +49,39 @@ class EvalReport:
             fh.write("\n".join(self.lines()) + "\n")
 
 
+def _check_columns(model: FsNetModel, table: Dataset) -> None:
+    """The column gate: DataError unless the table is as wide as the model's
+    input and, where both name their features, carries the model's names at
+    the selected columns."""
+    d = model.arch.n_features
+    if table.n_features != d:
+        raise DataError(f"dimension mismatch: model expects {d} features, table has {table.n_features}")
+    if table.feature_names is not None and model.selected_names is not None:
+        found = [table.feature_names[j] for j in model.selected]
+        if found != list(model.selected_names):
+            raise DataError(f"dataset names the selected columns {found}, the model {model.selected_names}")
+
+
+def embedding_table(model: FsNetModel, table: Dataset) -> np.ndarray:
+    """compute_embeddings of a table that passes _check_columns."""
+    _check_columns(model, table)
+    return compute_embeddings(table.X, model.config.embed_size)
+
+
 def _hard_scores(
     model: FsNetModel, dataset: Dataset, recon_mat: np.ndarray | None = None
 ) -> tuple[float, float | None]:
-    """The table gate, the one check of a table against a model, then
-    network.hard_scores with the table's labels mapped to the model's codes
-    by name. DataError unless the table is as wide as the model's input, holds
-    only labels the model knows and, where both name their features, carries
-    the model's names at the selected columns."""
-    d, labels = model.arch.n_features, list(model.label_names)
-    if dataset.n_features != d:
-        raise DataError(f"dimension mismatch: model expects {d} features, table has {dataset.n_features}")
+    """The table gate, _check_columns and DataError unless the table holds
+    only labels the model knows, then network.hard_scores of the table cast
+    to the model's dtype, its labels mapped to the model's codes by name."""
+    _check_columns(model, dataset)
+    labels = list(model.label_names)
     unknown = [name for name in dataset.label_names if name not in labels]
     if unknown:
         raise DataError(f"labels {unknown} are not among the model's {labels}")
-    if dataset.feature_names is not None and model.selected_names is not None:
-        found = [dataset.feature_names[j] for j in model.selected]
-        if found != list(model.selected_names):
-            raise DataError(f"dataset names the selected columns {found}, the model {model.selected_names}")
     y = np.take([labels.index(name) for name in dataset.label_names], dataset.y)
-    return hard_scores(model.params, dataset.X, y, model.selected, model.config.leaky_slope, recon_mat)
+    X = dataset.X.astype(model.params.dtype, copy=False)
+    return hard_scores(model.params, X, y, model.selected, model.config.leaky_slope, recon_mat)
 
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
@@ -79,12 +92,9 @@ def accuracy(model: FsNetModel, dataset: Dataset) -> float:
 def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float | None:
     """Mean squared reconstruction error per sample on the hard-selection
     path, or None for a model without a decoder (trained at recon_weight 0),
-    on a table that passes _hard_scores's table gate.
-
-    Predictor-mode models need a feature embedding table to realize their
-    virtual reconstruction weights; when none is passed it is computed from
-    the dataset's rows, at least embed_size of them. Dense-mode models ignore `emb`.
-    """
+    on a table that passes _hard_scores's table gate. A predictor-mode model
+    realizes its virtual reconstruction weights from `emb`, by default
+    embedding_table(model, dataset); a dense-mode one ignores `emb`."""
     return _scores(model, dataset, emb)[1]
 
 
@@ -96,7 +106,7 @@ def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tupl
     if model.config.mode == "dense":
         emb = None
     elif emb is None:
-        emb = compute_embeddings(dataset.X, model.config.embed_size)
+        emb = embedding_table(model, dataset)
     return _hard_scores(model, dataset, recon_matrix(model.params.recon_w, emb))
 
 

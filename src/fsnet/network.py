@@ -282,7 +282,7 @@ class ReconPass:
     the training pass's buffers. Only backward() needs an (h', d) buffer: the
     gradient of V goes into the squared error's, dead once summed, and the
     gradient before V's tanh into V's own storage, using recon_mat up. The
-    pass computes in recon_mat's dtype, to which it casts X.
+    pass computes in recon_mat's dtype, in which X comes.
     """
 
     def __init__(
@@ -290,10 +290,9 @@ class ReconPass:
         slope: float, masks: list[np.ndarray] | None, workspace: dict[str, np.ndarray],
     ):
         self.decoder = StackPass(decoder, hidden, slope, masks, False)
-        self.recon_mat, self.workspace = recon_mat, workspace
-        dtype = recon_mat.dtype
+        self.recon_mat, self.workspace, dtype = recon_mat, workspace, recon_mat.dtype
         error = matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape, dtype))
-        self.error = np.subtract(np.asarray(X, dtype=dtype), error, out=error)  # x_hat becomes the error
+        self.error = np.subtract(X, error, out=error)  # x_hat becomes the error
         self.squared = np.multiply(error, error, out=_flat_view(workspace, "squared", X.shape, dtype))
 
     def backward(self, scale: float) -> np.ndarray:
@@ -318,19 +317,18 @@ def hard_scores(
     params: FsNetParams, X: np.ndarray, y: np.ndarray, selected: list[int], slope: float,
     recon_mat: np.ndarray | None = None, workspace: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float | None]:
-    """The hard-selection pass, which encodes X[:, selected] once, cast to the
-    params' dtype: its accuracy on y (argmax, ties to the lowest class) and,
-    given recon_mat = recon_matrix(...), the mean summed squared
-    reconstruction error per row, from ReconPass's forward in the buffers of
-    `workspace` (fresh ones if None); else None."""
+    """The hard-selection pass of X, which comes in the params' dtype, and
+    encodes X[:, selected] once: its accuracy on y (argmax, ties to the
+    lowest class) and, given recon_mat = recon_matrix(...), the mean summed
+    squared reconstruction error per row, from ReconPass's forward in the
+    buffers of `workspace` (fresh ones if None); else None."""
     if len(X) == 0:
         raise ValueError("cannot score an empty dataset")
-    hidden = encode(params.encoder, np.asarray(X[:, selected], dtype=params.dtype), slope)
+    hidden = encode(params.encoder, X[:, selected], slope)
     acc = float((classify(params.classifier, hidden, slope).argmax(axis=1) == y).mean())
     if recon_mat is None:
         return acc, None
-    workspace = {} if workspace is None else workspace
-    recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, None, workspace)
+    recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, None, {} if workspace is None else workspace)
     return acc, float(recon.squared.sum(axis=1).mean())
 
 

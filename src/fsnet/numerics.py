@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 # The dtype of every parameter a model trains, and so of every pass over
-# them: each pass casts the tables, noise and masks it receives to its
-# parameters' dtype, so a float64 model still scores in float64.
+# them: train() and the table gate cast each table to it where it enters, and
+# no pass casts, so a float64 model from an old file still scores in float64.
 DTYPE = np.float32
 
 

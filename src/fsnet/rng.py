@@ -7,9 +7,9 @@ function of (seed, draw index), blocks of draws vectorize with numpy uint64
 arithmetic and a run reproduces bit-for-bit on any platform, independent of
 any global RNG state.
 
-Draws are float64 whatever numerics.DTYPE is; a pass that computes in float32
-casts them. The Gumbel transform needs float64: float32 rounds 1 - 1e-12 to
-1.0, where -log(-log(u)) is inf.
+Draws are float64 whatever numerics.DTYPE is; the training loop casts those
+a float32 pass reads. The Gumbel transform needs float64: float32 rounds
+1 - 1e-12 to 1.0, where -log(-log(u)) is inf.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ class SelectPass:
     """The selection layer of a training pass over a batch X: delta, the
     noise-free selection weights softmax(virtual(select_w, emb)) by row, the
     gates softmax((log max(delta, LOG_FLOOR) + gumbel) / temperature) by row,
-    and output = X @ gates.T, all in select_w's dtype; .X is X cast to it.
+    and output = X @ gates.T, in select_w's dtype, as X and gumbel come.
 
     Each chain of elementwise steps on a d-wide value runs in one array, a
     network._flat_view of a named buffer of the dict workspace with the
@@ -65,15 +65,15 @@ class SelectPass:
         temperature: float, workspace: dict[str, np.ndarray],
     ):
         dtype, self.emb, self.workspace = select_w.dtype, emb, workspace
-        self.X, self.inv_tau = np.asarray(X, dtype=dtype), float(1.0 / temperature)
-        delta = _flat_view(workspace, "delta", (len(select_w), self.X.shape[1]), dtype)
+        self._X, self.inv_tau = X, float(1.0 / temperature)
+        delta = _flat_view(workspace, "delta", (len(select_w), X.shape[1]), dtype)
         self.delta = softmax(virtual(select_w, emb, out=delta), axis=1, out=delta)
         self.floored = np.maximum(delta, LOG_FLOOR, out=_flat_view(workspace, "floored", delta.shape, dtype))
         gates = np.log(self.floored, out=_flat_view(workspace, "gates", delta.shape, dtype))  # noisy
-        np.add(gates, np.asarray(gumbel, dtype=dtype), out=gates)
+        np.add(gates, gumbel, out=gates)
         np.multiply(gates, self.inv_tau, out=gates)  # logits
         self.gates = softmax(gates, axis=1, out=gates)
-        self.output = self.X @ gates.T
+        self.output = X @ gates.T
 
     def backward(self, g_selected: np.ndarray) -> np.ndarray:
         """select_w's gradient from g_selected, the output's: g_gates -> g_logits
@@ -81,7 +81,7 @@ class SelectPass:
         p * (g - sum(g * p)), computes the product into the (g - sum) array."""
         delta, gates, floored, dtype = self.delta, self.gates, self.floored, self.delta.dtype
         g_gates = _flat_view(self.workspace, "g_gates", delta.shape[::-1], dtype)
-        g_gates = np.matmul(self.X.T, g_selected, out=g_gates).T
+        g_gates = np.matmul(self._X.T, g_selected, out=g_gates).T
         weighted = np.multiply(g_gates, gates, out=_flat_view(self.workspace, "weighted", delta.shape, dtype))
         g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)

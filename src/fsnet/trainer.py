@@ -21,8 +21,8 @@ core's L2 cache. Each epoch's dropout masks are one draw, made in the
 params' dtype from the generator's raw words (_dropout_masks).
 
 The parameters are numerics.DTYPE (float32) arrays, and every pass computes
-in their dtype: LossPass and the tape cast the sample matrix, the embedding
-table and the float64 Gumbel noise to it, and the tape its float64 masks.
+in their dtype: train() casts the embedding table to it once, _anneal each
+split once and each epoch's Gumbel draw, and the tape its inputs and masks.
 
 The optimized objective is a sum over the batch of categorical cross-entropy
 plus `recon_weight` times the summed squared reconstruction error, with the
@@ -207,9 +207,9 @@ class LossPass:
     order. Each tape op stays one IEEE step here, in the tape's order, and
     every array that a row sum or a matrix product reads has the layout it
     has on the tape. Nothing is differentiated into X, the embedding table,
-    the Gumbel noise or the dropout masks. The pass, as the tape, casts the
-    first three to the params' dtype; the masks come in it and y within the
-    classes, as train() makes them. It composes a selection.SelectPass, two
+    the Gumbel noise or the dropout masks. X, the noise and the masks come
+    in the params' dtype and y within the classes, as train() makes them;
+    the tape casts its inputs. It composes a selection.SelectPass, two
     network.StackPass (encoder, classifier) and, if recon_weight is not 0, a
     network.ReconPass, the first and the last in buffers of the workspace.
 
@@ -252,7 +252,7 @@ class LossPass:
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
-            recon = ReconPass(params.decoder, recon_mat, select.X, hidden, slope, decoder_masks, workspace)
+            recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, decoder_masks, workspace)
             self.recon_loss = np.sum(recon.squared)
             self.loss = self.class_loss + self.recon_loss * lam
 
@@ -361,10 +361,9 @@ def _anneal(
     config: TrainConfig, root: RngState,
 ) -> tuple[FsNetParams, list[EpochRecord]]:
     """train()'s epochs and their records, and the trained params: those of
-    a PackedRMSprop made from params, updated in place each epoch. The
-    loop's d-wide buffers live in this scope only, so none is alive at the
-    final selection, and each epoch's Gumbel noise goes straight into its
-    pass, so the last draw is gone before the next one is made."""
+    a PackedRMSprop made from params, updated in place each epoch. Each split
+    is cast to the params' dtype here, once; it, the noise buffer and the
+    loop's d-wide buffers live in this scope only, gone by the final selection."""
     rng_gumbel = root.derive("gumbel")
     rng_dropout = root.derive("dropout")
     opt = PackedRMSprop(params)
@@ -372,7 +371,11 @@ def _anneal(
     recon_mat = recon_matrix(params.recon_w, emb) if config.decodes else None
     workspace: dict[str, np.ndarray] = {}  # the pass's d-wide arrays, made in epoch 1
 
-    n = dataset.n_samples
+    X = dataset.X.astype(params.dtype, copy=False)
+    test_X = None if test is None else test.X.astype(params.dtype, copy=False)
+    n, d = X.shape
+    gumbel = np.empty((config.n_select, d), params.dtype)  # each epoch's noise, cast
+    rows = math.ceil(RMSPROP_BLOCK / (8 * d))  # per float64 draw, so its temporaries are block-sized
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         tau = anneal_temperature(epoch, config.epochs, config.tau_start, config.tau_end)
@@ -380,16 +383,16 @@ def _anneal(
         widths = config.encoder + (config.decoder if config.decodes else ())
         masks = _dropout_masks(rng_dropout, n, widths, config.dropout, params.dtype) or []
         enc_masks, dec_masks = masks[: len(config.encoder)] or None, masks[len(config.encoder) :] or None
+        for start in range(0, config.n_select, rows):  # the bits of one (K, d) draw
+            block = gumbel[start : start + rows]
+            block[...] = rng_gumbel.gumbel(block.shape)
 
         # Fresh d-wide arrays each epoch cost more to allocate and fault in
         # than the arithmetic done in them, and freeing them let glibc malloc
         # return the heap top to the OS every epoch, so rebinding `step`
         # frees only the small arrays of the previous pass.
-        step = LossPass(
-            params, emb, recon_mat, dataset.X, dataset.y,
-            rng_gumbel.gumbel((config.n_select, dataset.n_features)), tau,
-            config.recon_weight, config.leaky_slope, enc_masks, dec_masks, workspace,
-        )
+        step = LossPass(params, emb, recon_mat, X, dataset.y, gumbel, tau, config.recon_weight,
+                        config.leaky_slope, enc_masks, dec_masks, workspace)
         total = float(step.loss)
         if not np.isfinite(total):
             raise TrainingDiverged(
@@ -400,11 +403,11 @@ def _anneal(
             recon_matrix(params.recon_w, emb, out=recon_mat)
 
         sel_epoch = unique_argmax(step.gates.T)
-        train_acc, _ = hard_scores(params, dataset.X, dataset.y, sel_epoch, config.leaky_slope)
+        train_acc, _ = hard_scores(params, X, dataset.y, sel_epoch, config.leaky_slope)
         test_acc = test_rec = None
         if test is not None:
             test_acc, test_rec = hard_scores(
-                params, test.X, test.y, sel_epoch, config.leaky_slope, recon_mat, workspace
+                params, test_X, test.y, sel_epoch, config.leaky_slope, recon_mat, workspace
             )
         class_loss, recon_loss = float(step.class_loss), float(step.recon_loss)
         records.append(
@@ -441,7 +444,7 @@ def train(
     params = init_params(
         arch, config.embed_size, config.mode, root.derive("init"), config.use_bias, config.decodes
     )
-    emb = None  # cast once here, not by each pass
+    emb = None  # cast once here, and each split once by _anneal, not by each pass
     if config.mode == "predictor":
         emb = compute_embeddings(dataset.X, config.embed_size).astype(params.dtype)
     params, records = _anneal(params, emb, dataset, test, config, root)

@@ -353,7 +353,12 @@ def test_select_prints_rank_index_rows_for_a_model_without_feature_names(tmp_pat
 
 @pytest.mark.parametrize(
     "widths,message",
-    [("6,x", "expected comma-separated widths, got '6,x'"), (",", "width list is empty")],
+    [
+        ("6,x", "expected comma-separated widths, got '6,x'"),
+        ("8,,4", "expected comma-separated widths, got '8,,4'"),  # once trained a (8, 4) encoder
+        ("32,", "expected comma-separated widths, got '32,'"),
+        (",", "width list is empty"),
+    ],
 )
 def test_train_rejects_a_malformed_width_list(tmp_path, data_csv, capsys, widths, message):
     with pytest.raises(SystemExit) as exc:
@@ -615,6 +620,31 @@ def test_eval_names_the_table_whose_header_renames_the_selected_columns(tmp_path
     expected = f"{renamed}: dataset names the selected columns {found}, the model {model.selected_names}"
     assert expected in capsys.readouterr().err
     assert not (tmp_path / "e.eval.txt").exists()
+
+
+def test_eval_names_the_embedding_table_the_column_gate_refuses(tmp_path, data_csv, capsys):
+    # --embed-data meets the gate --data meets: a table of another width, or
+    # one whose header names the selected columns unlike the model (its
+    # feature columns reversed), is refused with its path, before any output
+    out = str(tmp_path / "m")
+    assert main(["train", "--data", data_csv, "--out", out, "--k", "2", "--epochs", "2"]) == 0
+    model = load_model(out + ".model")
+    narrow = str(tmp_path / "narrow.csv")
+    save_delimited(make_synthetic(20, 5, 2, seed=1)[0], narrow)
+    flipped = str(tmp_path / "flipped.csv")
+    lines = [line.split(",") for line in Path(data_csv).read_text().splitlines()]
+    Path(flipped).write_text("".join(",".join(cells[-2::-1] + cells[-1:]) + "\n" for cells in lines))
+    found = [lines[0][-2::-1][j] for j in model.selected]
+    refusals = {
+        narrow: "dimension mismatch: model expects 6 features, table has 5",
+        flipped: f"dataset names the selected columns {found}, the model {model.selected_names}",
+    }
+    capsys.readouterr()
+    for path, message in refusals.items():
+        argv = ["eval", "--model", out + ".model", "--data", data_csv, "--embed-data", path]
+        assert main([*argv, "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"fsnet: {path}: {message}\n"
+        assert not (tmp_path / "e.eval.txt").exists()
 
 
 def test_eval_rejects_a_model_that_reconstructs_nan(tmp_path, data_csv, capsys):

@@ -16,6 +16,7 @@ from fsnet.evaluator import (
     _size_probe_model,
     accuracy,
     avg_mutual_information,
+    embedding_table,
     evaluate,
     measured_compression_ratio,
     mutual_information,
@@ -113,6 +114,19 @@ def test_scoring_refuses_selected_columns_named_unlike_the_model(score):
     score(model, replace(toy_dataset(), feature_names=names))
     score(model, toy_dataset())
     score(zero_model(), moved)
+
+
+def test_embedding_table_passes_the_column_gate():
+    # the table gate's width and name checks, with its messages, then the
+    # table of compute_embeddings
+    model = replace(random_model(), selected_names=["x0", "x1"])
+    names = [f"x{j}" for j in range(6)]
+    with pytest.raises(DataError, match="^dimension mismatch: model expects 6 features, table has 5$"):
+        embedding_table(model, toy_dataset(d=5))
+    with pytest.raises(DataError, match=r"^dataset names the selected columns \['x5', 'x4'\], the model \['x0', 'x1'\]$"):
+        embedding_table(model, replace(toy_dataset(), feature_names=names[::-1]))
+    table = replace(toy_dataset(), feature_names=names)
+    assert embedding_table(model, table).tobytes() == compute_embeddings(table.X, 3).tobytes()
 
 
 # ---------------------------------------------------------------- recon

@@ -160,6 +160,7 @@ def test_hard_pass_gives_deterministic_rows_on_the_simplex():
 
 def test_hard_scores_rejects_a_selection_of_wrong_length_or_range_and_an_empty_batch():
     params, X, _ = hard_setup()
+    X = X.astype(params.dtype)  # hard_scores takes X in the params' dtype
     y = np.zeros(len(X), dtype=np.intp)
     with pytest.raises(ValueError):
         hard_scores(params, X, y, [0, 1], 0.2)
@@ -179,7 +180,7 @@ def test_hard_pass_of_a_batch_equals_that_of_its_rows():
         d_row = decode(params.decoder, h_row, 0.2)
         assert np.allclose(probs[i], p_row[0]) and np.allclose(h_tilde[i], d_row[0])
     with pytest.raises(IndexError):  # one row must come as a 1 x d matrix
-        hard_scores(params, X[0], np.zeros(1, dtype=np.intp), selected, 0.2)
+        hard_scores(params, X[0].astype(params.dtype), np.zeros(1, dtype=np.intp), selected, 0.2)
 
 
 def test_one_hot_gates_feed_the_encoder_the_columns_hard_scores_reads():
@@ -200,7 +201,8 @@ def test_hard_pass_decoder_output_reconstructs_every_feature():
     assert x_hat.shape == X.shape
     assert np.all(np.isfinite(x_hat))
     y = np.arange(len(X)) % 2
-    _, err = hard_scores(params, X, y, selected, 0.2, recon_matrix(params.recon_w, emb))
+    recon_mat = recon_matrix(params.recon_w, emb)
+    _, err = hard_scores(params, X.astype(params.dtype), y, selected, 0.2, recon_mat)
     assert np.isfinite(err) and err > 0.0
 
 
@@ -209,8 +211,9 @@ def test_hard_pass_decoder_output_reconstructs_every_feature():
 @pytest.mark.parametrize("d", [500, 7129])  # a 20 x d array below, then above 256 KiB
 @pytest.mark.parametrize("with_workspace", [False, True])
 def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_workspace, arithmetic_dtype):
-    # X and the embedding table are float64; hard_scores casts them to the
-    # params' dtype, as the composition does
+    # X comes in the params' dtype, cast from float64 as the table gate
+    # casts it; the float64 embedding table is cast by network.virtual, as
+    # the composition casts it
     n, k = 20, 6
     X = RngState(3).normal((n, d))
     y = np.arange(n) % 3
@@ -226,13 +229,14 @@ def test_hard_scores_equal_the_composition_to_the_byte(mode, use_bias, d, with_w
     recon_mat = recon_matrix(params.recon_w, emb)
 
     caller_workspace = workspace if with_workspace else None
-    acc, err = hard_scores(params, X, y, selected, 0.2, recon_mat, caller_workspace)
+    cast = X.astype(params.dtype)
+    acc, err = hard_scores(params, cast, y, selected, 0.2, recon_mat, caller_workspace)
     want_acc, want_err = hard_scores_reference(params, emb, X, y, selected, 0.2)
     assert (acc, err) == (want_acc, want_err)
-    assert hard_scores(params, X, y, selected, 0.2) == (want_acc, None)
+    assert hard_scores(params, cast, y, selected, 0.2) == (want_acc, None)
     if with_workspace:  # the squared error was computed in the caller's buffer
         assert all(workspace[name] is buf for name, buf in buffers.items())
-        X = X.astype(arithmetic_dtype)
+        X = cast
         hidden = encode(params.encoder, X[:, selected], 0.2)
         x_hat = reconstruct(params.recon_w, emb, decode(params.decoder, hidden, 0.2))
         squared = workspace["squared"][: n * d].reshape(n, d)

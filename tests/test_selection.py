@@ -136,8 +136,9 @@ def test_the_pass_noise_free_head_is_selection_weights_to_the_byte(arithmetic_dt
     emb = compute_embeddings(X, b).astype(arithmetic_dtype) if mode == "predictor" else None
     params = init_params(Architecture(d, k, 2), b, mode, RngState(1))
     workspace = {}
-    for seed in (2, 3):
-        select = SelectPass(params.select_w, emb, X, RngState(seed).gumbel((k, d)), 0.5, workspace)
+    for seed in (2, 3):  # X and the noise come in the params' dtype
+        gumbel = RngState(seed).gumbel((k, d)).astype(arithmetic_dtype)
+        select = SelectPass(params.select_w, emb, X.astype(arithmetic_dtype), gumbel, 0.5, workspace)
         want = selection_weights(params, emb, 0.5).weights
         assert select.delta.dtype == want.dtype == arithmetic_dtype
         assert select.delta.tobytes() == want.tobytes()

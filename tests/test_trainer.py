@@ -293,10 +293,11 @@ ELISION_BYTES = 256 * 1024  # from this size NumPy computes `temporary * x` in t
 def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, reused):
     """LossPass at n=12, K=5 against build_loss_graph + grad, in the params'
     dtype numerics.DTYPE: loss, class and reconstruction loss, gate bytes, and
-    each gradient's bytes, shape and strides. X, the table and the noise are
-    float64, cast by each pass. The tape gets float64 masks, which it casts,
-    as the benchmark's replay (benchmarks/tracing.py) feeds it, and LossPass
-    the same masks drawn in the params' dtype, as _anneal draws them. With
+    each gradient's bytes, shape and strides. The tape gets X, the table, the
+    noise and the masks in float64, which it casts, as the benchmark's replay
+    (benchmarks/tracing.py) feeds it, and LossPass X and the noise cast to the
+    params' dtype, as _anneal casts them, and the same masks drawn in that
+    dtype, as _anneal draws them; network.virtual casts the table. With
     `reused`, the checked pass writes into a workspace that a pass with other
     parameters and other noise filled first, as the second epoch of train()
     does: a stale buffer or one of the wrong layout fails here."""
@@ -317,11 +318,11 @@ def check_loss_pass_equals_the_tape(d, mode, use_bias, recon_weight, dropout, re
     tape = Tape()
     loss, leaves, nodes = build_loss_graph(tape, params, emb, *args, *masks(np.float64))
     gmap = grad(tape, loss)
-    args += masks(params.dtype)
+    args = (X.astype(params.dtype), y, args[2].astype(params.dtype), *args[3:], *masks(params.dtype))
     workspace = {}
     if reused:
         first = init_params(arch, b, mode, RngState(32), use_bias, decodes)
-        first_args = (X, y, RngState(33).gumbel((k, d)), 0.3) + args[4:]
+        first_args = (args[0], y, RngState(33).gumbel((k, d)).astype(params.dtype), 0.3) + args[4:]
         LossPass(first, emb, recon_matrix(first.recon_w, emb) if decodes else None, *first_args, workspace)
         buffers = dict(workspace)
     fused = LossPass(params, emb, recon_matrix(params.recon_w, emb) if decodes else None, *args, workspace)
@@ -510,8 +511,9 @@ def test_a_cold_loss_pass_leaves_no_subnormal_in_its_arrays(mode, arithmetic_dty
     masks = _dropout_masks(RngState(43), n, arch.encoder + arch.decoder, 0.2, params.dtype)
     n_enc = len(arch.encoder)
     workspace = {}
+    gumbel = RngState(44).gumbel((k, d)).astype(params.dtype)  # X and the noise in the params' dtype
     step = LossPass(
-        params, emb, recon_matrix(params.recon_w, emb), X, y, RngState(44).gumbel((k, d)),
+        params, emb, recon_matrix(params.recon_w, emb), X.astype(params.dtype), y, gumbel,
         0.01, 1.0, 0.2, masks[:n_enc], masks[n_enc:], workspace,
     )
     arrays = {"gates": step.gates, **workspace}
@@ -536,6 +538,31 @@ def test_train_is_deterministic_per_seed():
     # a different seed must at least change the trained weights
     m3, _, _ = train(ds, TrainConfig(n_select=4, epochs=12, seed=4))
     assert not np.array_equal(m1.params.select_w, m3.params.select_w)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("recon_weight", [0.0, 1.0])
+def test_a_float64_table_trains_as_its_float32_cast(mode, recon_weight):
+    # train() casts each split, training and test, to the params' dtype
+    # once, before the first epoch (_anneal). The table holds integers from -8 to 8, each training column spanning
+    # 16, so that float32 holds it exactly and compute_embeddings bins it
+    # alike in either dtype.
+    tr, te = split(make_synthetic(40, 30, 3, seed=5)[0], SplitSpec(0.7, 0))
+
+    def table(ds, dtype):
+        X = np.clip(np.round(ds.X * 4.0), -8.0, 8.0)
+        X[:2] = [[-8.0], [8.0]]
+        return replace(ds, X=X.astype(dtype))
+
+    config = TrainConfig(n_select=4, epochs=5, seed=3, mode=mode, recon_weight=recon_weight,
+                         learning_rate=0.01)
+    runs = [train(table(tr, dtype), config, table(te, dtype)) for dtype in (np.float64, np.float32)]
+    (wide, wide_selected, wide_report), (model, selected, report) = runs
+    assert model.params.dtype == wide.params.dtype == numerics.DTYPE
+    assert wide_selected == selected
+    assert wide_report.records == report.records
+    for (name, a), (_, b) in zip(wide.params.named(), model.params.named(), strict=True):
+        assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("mode", ["predictor", "dense"])
@@ -628,8 +655,8 @@ def test_loss_pass_and_training_memory_at_the_allaml_shape(mode, recon_weight, t
     decodes = recon_weight > 0.0
     params = init_params(arch, config.embed_size, mode, RngState(1), decodes=decodes)
     workspace = {}
-    for seed in (2, 3):
-        gumbel = RngState(seed).gumbel((10, 7129))
+    for seed in (2, 3):  # data.X is float32, as standardize makes it
+        gumbel = RngState(seed).gumbel((10, 7129)).astype(params.dtype)
         recon_mat = recon_matrix(params.recon_w, emb) if decodes else None
         LossPass(
             params, emb, recon_mat, data.X, data.y, gumbel, 0.5, recon_weight, 0.2, None, None,
