@@ -30,6 +30,9 @@ included), each in its own empty output directory:
         table with its feature columns and their header names reversed:
         it exits 2 with a message that names synp.csv and the selected
         columns
+    eval of the predictor model on synn.csv, the synth table without its
+        last feature column: it exits 2 with `dimension mismatch: model
+        expects 300 features, table has 299`
 
 Every command is a fresh Python process with `OPENBLAS_NUM_THREADS=1` and
 only that tree's `src/` on its import path. Every file either sequence
@@ -82,6 +85,7 @@ def command_sequence() -> list[list[str]]:
     commands.append(["eval", "--model", "predictor.model", *short])
     flipped = ["--data", "syn.csv", "--embed-data", "synp.csv", "--out", "synp"]
     commands.append(["eval", "--model", "predictor.model", *flipped])
+    commands.append(["eval", "--model", "predictor.model", "--data", "synn.csv", "--out", "synn"])
     return commands
 
 
@@ -98,7 +102,8 @@ def write_variants(table: Path) -> None:
     """Beside the table: synq.csv, its label column first and every cell
     quoted; synx.csv, with the third data row's first cell non-numeric;
     synr.csv, with the third data row one cell short; syns.csv, its first 6
-    data rows; and synp.csv, its feature columns reversed, header included."""
+    data rows; synp.csv, its feature columns reversed, header included; and
+    synn.csv, without its last feature column."""
     lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
     top = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     with open(table.with_name("synq.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -114,6 +119,8 @@ def write_variants(table: Path) -> None:
     rows = [line.rstrip("\n").split(",") for line in lines[top:]]
     flipped = [",".join(cells[-2::-1] + cells[-1:]) + "\n" for cells in rows]
     table.with_name("synp.csv").write_text("".join(lines[:top] + flipped), encoding="utf-8")
+    narrow = [",".join(cells[:-2] + cells[-1:]) + "\n" for cells in rows]
+    table.with_name("synn.csv").write_text("".join(lines[:top] + narrow), encoding="utf-8")
 
 
 def run_sequence(src: Path, out_dir: Path) -> list[tuple[int, str, str]]:

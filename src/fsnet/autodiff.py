@@ -116,9 +116,8 @@ def _same_shape(a: Node, b: Node, op: str) -> None:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    out = numerics.matmul(a.value, b.value)
     av, bv = a.value, b.value
-    return a._tape._record(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    return a._tape._record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def transpose(a: Node) -> Node:
@@ -186,7 +185,7 @@ def softmax(a: Node, axis: int) -> Node:
     p = numerics.softmax(a.value, axis=axis)
 
     def backward(g):
-        return (p * (g - np.sum(g * p, axis=axis, keepdims=True)),)
+        return (p * (g - (g * p).sum(axis=axis, keepdims=True)),)
 
     return a._tape._record(p, (a,), backward)
 
@@ -213,4 +212,4 @@ def pick(a: Node, indices: Sequence[int]) -> Node:
 
 def sum_all(a: Node) -> Node:
     shape = a.value.shape
-    return a._tape._record(np.sum(a.value), (a,), lambda g: (np.broadcast_to(g, shape),))
+    return a._tape._record(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, shape),))

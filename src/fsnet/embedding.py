@@ -11,14 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .data import DataError
-from .numerics import as_matrix
 
 
 def compute_embeddings(X: np.ndarray, n_bins: int) -> np.ndarray:
     """The (d, n_bins) embedding table, one row per feature column of an
     (n, d) sample matrix: the one check of an embed_size against the rows
     its table is built from, a DataError where n_bins exceeds n."""
-    X = as_matrix(X, "sample matrix")
     n, d = X.shape
     if n < 1 or d < 1:
         raise ValueError(f"sample matrix must be nonempty, got shape {X.shape}")

@@ -68,13 +68,22 @@ def embedding_table(model: FsNetModel, table: Dataset) -> np.ndarray:
     return compute_embeddings(table.X, model.config.embed_size)
 
 
-def _hard_scores(
-    model: FsNetModel, dataset: Dataset, recon_mat: np.ndarray | None = None
+def _scores(
+    model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None, recon: bool = True
 ) -> tuple[float, float | None]:
     """The table gate, _check_columns and DataError unless the table holds
-    only labels the model knows, then network.hard_scores of the table cast
-    to the model's dtype, its labels mapped to the model's codes by name."""
+    only labels the model knows, each run once, then network.hard_scores of
+    the table cast to the model's dtype, its labels mapped to the model's
+    codes by name: the accuracy and, if `recon`, the reconstruction error,
+    the virtual weights realized as reconstruction_error documents."""
     _check_columns(model, dataset)
+    recon_mat = None
+    if recon and model.config.decodes:
+        if model.config.mode == "dense":
+            emb = None
+        elif emb is None:
+            emb = compute_embeddings(dataset.X, model.config.embed_size)
+        recon_mat = recon_matrix(model.params.recon_w, emb)
     labels = list(model.label_names)
     unknown = [name for name in dataset.label_names if name not in labels]
     if unknown:
@@ -86,28 +95,16 @@ def _hard_scores(
 
 def accuracy(model: FsNetModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
-    return _hard_scores(model, dataset)[0]
+    return _scores(model, dataset, recon=False)[0]
 
 
 def reconstruction_error(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None = None) -> float | None:
     """Mean squared reconstruction error per sample on the hard-selection
     path, or None for a model without a decoder (trained at recon_weight 0),
-    on a table that passes _hard_scores's table gate. A predictor-mode model
+    on a table that passes _scores's table gate. A predictor-mode model
     realizes its virtual reconstruction weights from `emb`, by default
     embedding_table(model, dataset); a dense-mode one ignores `emb`."""
     return _scores(model, dataset, emb)[1]
-
-
-def _scores(model: FsNetModel, dataset: Dataset, emb: np.ndarray | None) -> tuple[float, float | None]:
-    """The accuracy and the reconstruction error of one hard-selection pass,
-    the virtual weights realized as reconstruction_error documents."""
-    if not model.config.decodes:
-        return _hard_scores(model, dataset)
-    if model.config.mode == "dense":
-        emb = None
-    elif emb is None:
-        emb = embedding_table(model, dataset)
-    return _hard_scores(model, dataset, recon_matrix(model.params.recon_w, emb))
 
 
 def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
@@ -184,7 +181,7 @@ def evaluate(
     mi_bins: int = 10,
 ) -> EvalReport:
     """All report metrics for one (model, dataset) pair, scored in the
-    model's dtype, and so put through _hard_scores's table gate, first; the
+    model's dtype, and so put through _scores's table gate, first; the
     parameter counts and compression ratios count the arrays the model holds,
     the measured ratio in the model's dtype.
 

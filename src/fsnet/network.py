@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .config import check_field_types
-from .numerics import DimensionError, leaky_gate, matmul, softmax
+from .numerics import DimensionError, leaky_gate, softmax
 from .rng import RngState
 
 
@@ -209,7 +209,7 @@ class StackPass:
         last = len(stack.weights) - 1
         for i, w in enumerate(stack.weights):
             self.inputs.append(a)
-            z = matmul(a, w.T)
+            z = a @ w.T
             if stack.biases is not None:
                 z = z + stack.biases[i]
             if i == last and final_softmax:
@@ -230,7 +230,7 @@ class StackPass:
         for i in range(last, -1, -1):
             if i == last and self.final_softmax:
                 p = self.output
-                g = p * (g - np.sum(g * p, axis=1, keepdims=True))
+                g = p * (g - (g * p).sum(axis=1, keepdims=True))
             else:
                 if self.masks is not None:
                     g = g * self.masks[i]
@@ -291,7 +291,7 @@ class ReconPass:
     ):
         self.decoder = StackPass(decoder, hidden, slope, masks, False)
         self.recon_mat, self.workspace, dtype = recon_mat, workspace, recon_mat.dtype
-        error = matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape, dtype))
+        error = np.matmul(self.decoder.output, recon_mat, out=_flat_view(workspace, "error", X.shape, dtype))
         self.error = np.subtract(X, error, out=error)  # x_hat becomes the error
         self.squared = np.multiply(error, error, out=_flat_view(workspace, "squared", X.shape, dtype))
 
@@ -337,7 +337,7 @@ def virtual(w: np.ndarray, table: np.ndarray | None, out: np.ndarray | None = No
     w @ table.T for the (d, b) embedding table cast to w's dtype, written into
     `out` if given, or w itself in dense mode (table is None), the rule with
     the identity."""
-    return w if table is None else matmul(w, table.astype(w.dtype, copy=False).T, out=out)
+    return w if table is None else np.matmul(w, table.astype(w.dtype, copy=False).T, out=out)
 
 
 def virtual_grad(g: np.ndarray, table: np.ndarray | None) -> np.ndarray:
@@ -357,4 +357,4 @@ def recon_matrix(
 
 def reconstruct(recon_w: np.ndarray, emb: np.ndarray | None, h_tilde: np.ndarray) -> np.ndarray:
     """Reconstructed inputs: each row of h_tilde mapped through the reconstruction matrix."""
-    return matmul(h_tilde, recon_matrix(recon_w, emb))
+    return h_tilde @ recon_matrix(recon_w, emb)

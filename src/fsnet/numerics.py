@@ -1,9 +1,10 @@
-"""Plain dense numeric kernels, shared by the training pass, the tape and
-inference, and DTYPE, the one arithmetic dtype.
+"""DTYPE, the one arithmetic dtype, the entry cast as_float, DimensionError,
+and the two kernels that the training pass, the tape and inference share:
+softmax and leaky_gate.
 
-All public functions compute in the float dtype of their operands (float32
-or float64; other input becomes float64) and are deterministic functions of
-their inputs.
+Both kernels compute in the float dtype of their operands, which come as
+float arrays, and are deterministic functions of their inputs. Operand
+shapes are not checked here: they are checked where they enter (see README).
 """
 
 from __future__ import annotations
@@ -26,26 +27,6 @@ def as_float(values) -> np.ndarray:
     return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    arr = as_float(values)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check, written into
-    `out` if given."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}:"
-            f" inner dimensions {a.shape[1]} and {b.shape[0]} differ"
-        )
-    return np.matmul(a, b, out=out)
-
-
 def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis`, computed with max-subtraction for stability.
 
@@ -61,12 +42,11 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     `out` if given, else a fresh one with the layout of x - max. `out` may be
     x itself: a C- or F-ordered x then holds the bytes of the fresh result.
     """
-    x = as_float(x)
     if x.size == 0:
         raise ValueError("softmax of an empty array is undefined")
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    e = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
-    np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
+    np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
     np.copyto(e, 0.0, where=e < np.finfo(e.dtype).tiny)
     return e
 

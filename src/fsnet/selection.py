@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import FsNetParams, _flat_view, virtual, virtual_grad
-from .numerics import as_matrix, softmax
+from .numerics import softmax
 from .rng import RngState
 
 # selection weights are softmax outputs and can underflow; floored before log
@@ -83,14 +83,14 @@ class SelectPass:
         g_gates = _flat_view(self.workspace, "g_gates", delta.shape[::-1], dtype)
         g_gates = np.matmul(self._X.T, g_selected, out=g_gates).T
         weighted = np.multiply(g_gates, gates, out=_flat_view(self.workspace, "weighted", delta.shape, dtype))
-        g_logits = np.subtract(g_gates, np.sum(weighted, axis=1, keepdims=True), out=g_gates)
+        g_logits = np.subtract(g_gates, weighted.sum(axis=1, keepdims=True), out=g_gates)
         np.multiply(gates, g_logits, out=g_logits)
         g_noisy = np.multiply(g_logits, self.inv_tau, out=g_logits)
         # g_floored, C-ordered as NumPy makes the fresh quotient, in the dead floored
         g_delta = np.divide(g_noisy, floored, out=floored)
         np.multiply(g_delta, delta > LOG_FLOOR, out=g_delta)
         np.multiply(g_delta, delta, out=weighted)
-        g_scores = np.subtract(g_delta, np.sum(weighted, axis=1, keepdims=True), out=g_delta)
+        g_scores = np.subtract(g_delta, weighted.sum(axis=1, keepdims=True), out=g_delta)
         np.multiply(delta, g_scores, out=g_scores)
         return virtual_grad(g_scores, self.emb)
 
@@ -137,7 +137,6 @@ def unique_argmax(a: np.ndarray) -> list[int]:
     would be subnormal holds 0 (numerics.softmax): a column whose open rows
     all hold 0 takes the lowest of them.
     """
-    a = as_matrix(a, "selection matrix")
     d, k = a.shape
     if k > d:
         raise ValueError(f"need at least as many rows as columns, got shape {a.shape}")

@@ -248,12 +248,12 @@ class LossPass:
         hidden = encoder.output
         classifier = StackPass(params.classifier, hidden, slope, None, True)
         picked = classifier.output[picks]
-        self.class_loss = -np.sum(np.log(np.maximum(picked, PROB_FLOOR)))
+        self.class_loss = -np.log(np.maximum(picked, PROB_FLOOR)).sum()
         self.recon_loss = 0.0
         self.loss = self.class_loss
         if lam != 0.0:
             recon = ReconPass(params.decoder, recon_mat, X, hidden, slope, decoder_masks, workspace)
-            self.recon_loss = np.sum(recon.squared)
+            self.recon_loss = recon.squared.sum()
             self.loss = self.class_loss + self.recon_loss * lam
 
         # backward: the classifier, the reconstruction, the encoder, then the selection layer

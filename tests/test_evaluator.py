@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsnet import numerics
+from fsnet import evaluator, numerics
+from fsnet.cli import main
 from fsnet.config import TrainConfig
-from fsnet.data import DataError, Dataset
+from fsnet.data import DataError, Dataset, save_delimited
 from fsnet.embedding import compute_embeddings
 from fsnet.evaluator import (
     EvalReport,
@@ -114,6 +115,35 @@ def test_scoring_refuses_selected_columns_named_unlike_the_model(score):
     score(model, replace(toy_dataset(), feature_names=names))
     score(model, toy_dataset())
     score(zero_model(), moved)
+
+
+@pytest.mark.parametrize("mode", ["predictor", "dense"])
+@pytest.mark.parametrize("recon_weight", [0.0, 1.0])
+def test_each_table_meets_the_column_gate_once(monkeypatch, tmp_path, mode, recon_weight):
+    # every scoring path, eval's included, gates each table it reads once
+    gated, gate = [], evaluator._check_columns
+
+    def counted(model, table):
+        gated.append(table)
+        gate(model, table)
+
+    monkeypatch.setattr(evaluator, "_check_columns", counted)
+    model, ds = zero_model(mode=mode, recon_weight=recon_weight), toy_dataset()
+    for score in (accuracy, reconstruction_error, evaluate):
+        gated.clear()
+        score(model, ds)
+        assert len(gated) == 1 and gated[0] is ds, score.__name__
+    save_model(model, str(tmp_path / "m.model"))
+    table = str(tmp_path / "t.csv")
+    save_delimited(ds, table)
+    argv = ["eval", "--model", str(tmp_path / "m.model"), "--data", table, "--out", str(tmp_path / "e")]
+    runs = [(argv, 1)]
+    if mode == "predictor" and recon_weight:  # the one model that reads an embedding table
+        runs.append(([*argv, "--embed-data", table], 2))
+    for run, tables in runs:
+        gated.clear()
+        assert main(run) == 0
+        assert len(gated) == len({id(t) for t in gated}) == tables
 
 
 def test_embedding_table_passes_the_column_gate():

@@ -1,32 +1,10 @@
-"""Dense kernels: matmul, stable softmax, the leaky-ReLU gate."""
+"""Dense kernels: stable softmax, the leaky-ReLU gate."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fsnet.numerics import DimensionError, leaky_gate, matmul, softmax
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0], [6.0]])
-    assert np.array_equal(matmul(a, b), np.array([[17.0], [39.0]]))
-
-
-def test_matmul_zero_annihilates():
-    z = np.zeros((3, 4))
-    b = np.arange(20.0).reshape(4, 5)
-    assert np.array_equal(matmul(z, b), np.zeros((3, 5)))
-
-
-def test_matmul_dimension_error_is_descriptive():
-    with pytest.raises(DimensionError, match="3"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
+from fsnet.numerics import leaky_gate, softmax
 
 
 def test_softmax_uniform_on_equal_inputs():

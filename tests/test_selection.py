@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fsnet.embedding import compute_embeddings
 from fsnet.network import Architecture, init_params
-from fsnet.numerics import DimensionError, softmax
+from fsnet.numerics import softmax
 from fsnet.rng import RngState
 from fsnet.selection import (
     ConcreteState,
@@ -69,7 +69,7 @@ def test_duplicate_features_get_identical_columns():
 
 def test_predictor_width_mismatch_errors():
     emb = compute_embeddings(np.zeros((5, 2)), 3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="mismatch"):
         predict_logits(np.zeros((2, 4)), emb, 1.0)
 
 

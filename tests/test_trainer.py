@@ -969,10 +969,16 @@ def test_the_test_split_never_influences_the_optimization(mode, recon_weight, tr
 
 
 def test_train_rejects_mismatched_test_split():
-    ds = separable(3)
-    bad = Dataset(np.zeros((4, 5)), np.array([0, 1, 0, 1]), 2, ["a", "b"])
-    with pytest.raises(ValueError, match="test split"):
-        train(ds, TrainConfig(n_select=3, epochs=2), test=bad)
+    # the one check of the test split's shape: no pass behind it checks one
+    ds, y = separable(3), np.array([0, 1, 0, 1])
+    narrow = Dataset(np.zeros((4, 5)), y, 2, ["a", "b"])
+    message = r"^test split shape \(5 features, 2 classes\) does not match train \(20, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        train(ds, TrainConfig(n_select=3, epochs=2), test=narrow)
+    three = Dataset(np.zeros((4, 20)), y, 3, ["a", "b", "c"])
+    message = r"^test split shape \(20 features, 3 classes\) does not match train \(20, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        train(ds, TrainConfig(n_select=3, epochs=2), test=three)
 
 
 def test_train_rejects_selecting_more_than_d():
